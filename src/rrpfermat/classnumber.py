@@ -34,6 +34,10 @@ ODD = "odd"
 EVEN = "even"
 UNDETERMINED = "undetermined"
 
+# Largest r for which the exact Maillet determinant is computed; every range
+# and CLI guard on r refers to this bound.
+MAX_R = 200
+
 
 @dataclass(frozen=True)
 class HMinusResult:
@@ -53,9 +57,9 @@ class HPlusTableEntry:
 
 
 def maillet_h_minus(r: int) -> HMinusResult:
-    """Exact h_r^- for a prime 5 <= r <= 200 via the Maillet determinant."""
-    if not is_prime(r) or not 5 <= r <= 200:
-        raise ValueError(f"r = {r} must be a prime with 5 <= r <= 200")
+    """Exact h_r^- for a prime 5 <= r <= MAX_R via the Maillet determinant."""
+    if not is_prime(r) or not 5 <= r <= MAX_R:
+        raise ValueError(f"r = {r} must be a prime with 5 <= r <= {MAX_R}")
     m = (r - 1) // 2
     matrix = []
     for a in range(1, m + 1):

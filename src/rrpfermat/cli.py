@@ -103,8 +103,8 @@ def build_parser() -> _Parser:
 def _require_prime_r(r: int):
     if not is_prime(r) or r < 5:
         raise UsageError(f"--r {r}: must be a prime >= 5")
-    if r > 200:
-        raise UsageError(f"--r {r}: desk-scale guard is r <= 200")
+    if r > classnumber.MAX_R:
+        raise UsageError(f"--r {r}: desk-scale guard is r <= {classnumber.MAX_R}")
 
 
 def _emit_verdict(verdict, args, extra: dict | None = None, elapsed: float = 0.0) -> int:
@@ -147,8 +147,8 @@ def cmd_check_q(args) -> int:
 
 
 def cmd_scan_q(args) -> int:
-    if args.max_r > 200:
-        raise UsageError(f"--max-r {args.max_r}: desk-scale guard is 200")
+    if args.max_r > classnumber.MAX_R:
+        raise UsageError(f"--max-r {args.max_r}: desk-scale guard is {classnumber.MAX_R}")
     if args.max_r < 0:
         raise UsageError("--max-r must be nonnegative")
     t0 = time.monotonic()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import classnumber, descent, galoisring, splitting
 from .cycfield import build_field
 from .errors import NotCoprimeError
-from .numutil import is_prime, is_squarefree, primes_upto
+from .numutil import is_squarefree, primes_upto
 
 PASS = "pass"
 FAIL = "fail"
@@ -80,13 +80,19 @@ def _parity_condition(base_d: int, r: int, table) -> Condition:
     return Condition("h+ parity", status, evidence)
 
 
+def _unique_prime_above_2(report) -> Condition:
+    return Condition(
+        "unique prime above 2 in K+",
+        PASS if report.unique else FAIL,
+        {"splitting": report.to_dict()},
+    )
+
+
 def check_corollary_Q(r: int) -> Verdict:
     """The three rational-base hypotheses: r not 1 mod 8, 2 inert in
     Q(theta_r), h+ odd.  When 2 is inert the direct Galois-ring test of the
     pi_r square condition is recorded as a diagnostic (it is implied by the
     gates, so it is evidence, not a fourth gate)."""
-    if not is_prime(r) or r < 5:
-        raise ValueError(f"r = {r} must be a prime >= 5")
     field = build_field(r)
     conditions = []
 
@@ -121,8 +127,7 @@ def check_corollary_quad(d: int, r: int, table=None) -> Verdict:
     a unique prime above 2 in the compositum, and odd h+ (table-attested).
     The Legendre-symbol inertness of r in Q(sqrt(d)) is recorded as a
     diagnostic; it is not one of the gates."""
-    if not is_prime(r) or r < 5:
-        raise ValueError(f"r = {r} must be a prime >= 5")
+    field = build_field(r)
     if not is_squarefree(d) or d <= 1:
         raise ValueError(f"d = {d} must be a squarefree integer > 1")
     conditions = []
@@ -141,14 +146,7 @@ def check_corollary_quad(d: int, r: int, table=None) -> Verdict:
             {"r_mod_8": r % 8, "d_mod_8": d % 8, "requirement": "r mod 8 not in {1, d mod 8}"},
         )
     )
-    report = splitting.split_2_in_Kplus(d, r)
-    conditions.append(
-        Condition(
-            "unique prime above 2 in K+",
-            PASS if report.unique else FAIL,
-            {"splitting": report.to_dict()},
-        )
-    )
+    conditions.append(_unique_prime_above_2(splitting.split_2_in_Kplus(d, field)))
     conditions.append(_parity_condition(d, r, table))
 
     diagnostics = {}
@@ -164,31 +162,20 @@ def check_corollary_quad(d: int, r: int, table=None) -> Verdict:
     return Verdict("corollary-quad", d, r, tuple(conditions), diagnostics)
 
 
-def _condition_iv_base_q(field, inert: bool) -> Condition:
+def _condition_iv(base_d: int, field, report) -> Condition:
+    """(iv): exact by the Galois-ring square root when the base is Q and 2
+    is inert, otherwise by the norm-residue necessary condition."""
     name = "pi_r nonsquare mod P^(4e+1)"
-    if inert:
+    if base_d == 0 and report.inert:
         is_sq = galoisring.is_square_pi_r(field, 5)
         return Condition(
             name,
             FAIL if is_sq else PASS,
             {"method": "galois-ring", "precision": 5, "is_square": is_sq},
         )
-    survives = descent.norm_necessary_condition(0, field.r)
-    if survives:
-        return Condition(
-            name,
-            UNDETERMINED,
-            {"method": "norm-residue", "ruled_out": False,
-             "note": "necessary condition only; survival does not prove a square"},
-        )
-    return Condition(name, PASS, {"method": "norm-residue", "ruled_out": True})
-
-
-def _condition_iv_quad(d: int, r: int) -> Condition:
-    name = "pi_r nonsquare mod P^(4e+1)"
     try:
-        survives = descent.norm_necessary_condition(d, r)
-    except (ValueError, NotCoprimeError) as exc:
+        survives = descent.norm_necessary_condition(base_d, field.r)
+    except ValueError as exc:
         return Condition(
             name, UNDETERMINED, {"method": "norm-residue", "unavailable": str(exc)}
         )
@@ -211,62 +198,38 @@ def check_four_hypotheses(base_d: int, r: int, table=None) -> Verdict:
     ring at 2 is the unramified one over Q; otherwise only the norm-residue
     necessary condition is available, and its survival reports undetermined
     rather than pass."""
-    if not is_prime(r) or r < 5:
-        raise ValueError(f"r = {r} must be a prime >= 5")
     field = build_field(r)
-    conditions = []
-    diagnostics = {}
-
     if base_d == 0:
-        conditions.append(
-            Condition("r inert in K", PASS, {"base": "Q", "note": "trivial for K = Q"})
-        )
+        r_inert = Condition("r inert in K", PASS, {"base": "Q", "note": "trivial for K = Q"})
         report = splitting.split_2_in_Qplus(field)
-        conditions.append(
-            Condition(
-                "unique prime above 2 in K+",
-                PASS if report.unique else FAIL,
-                {"splitting": report.to_dict()},
-            )
-        )
-        conditions.append(_parity_condition(0, r, table))
-        conditions.append(_condition_iv_base_q(field, report.inert))
-        return Verdict("four-hypotheses", 0, r, tuple(conditions), diagnostics)
-
-    if not is_squarefree(base_d) or base_d <= 1:
-        raise ValueError(f"d = {base_d} must be 0 or a squarefree integer > 1")
-    try:
-        inert = splitting.check_r_inert_in_quadratic(base_d, r)
-        conditions.append(
-            Condition(
+    else:
+        if not is_squarefree(base_d) or base_d <= 1:
+            raise ValueError(f"d = {base_d} must be 0 or a squarefree integer > 1")
+        try:
+            inert = splitting.check_r_inert_in_quadratic(base_d, r)
+            r_inert = Condition(
                 "r inert in K",
                 PASS if inert else FAIL,
-                {"legendre_d_mod_r": 1 if not inert else -1},
+                {"legendre_d_mod_r": -1 if inert else 1},
             )
-        )
-    except NotCoprimeError:
-        conditions.append(
-            Condition("r inert in K", FAIL, {"reason": "r divides d"})
-        )
-    report = splitting.split_2_in_Kplus(base_d, r)
-    conditions.append(
-        Condition(
-            "unique prime above 2 in K+",
-            PASS if report.unique else FAIL,
-            {"splitting": report.to_dict()},
-        )
+        except NotCoprimeError:
+            r_inert = Condition("r inert in K", FAIL, {"reason": "r divides d"})
+        report = splitting.split_2_in_Kplus(base_d, field)
+    conditions = (
+        r_inert,
+        _unique_prime_above_2(report),
+        _parity_condition(base_d, r, table),
+        _condition_iv(base_d, field, report),
     )
-    conditions.append(_parity_condition(base_d, r, table))
-    conditions.append(_condition_iv_quad(base_d, r))
-    return Verdict("four-hypotheses", base_d, r, tuple(conditions), diagnostics)
+    return Verdict("four-hypotheses", base_d, r, conditions, {})
 
 
 def scan_Q(r_max: int) -> list[int]:
     """All primes 5 <= r <= r_max whose rational-base verdict is a full
-    pass, in increasing order.  r_max is capped at 200 (the class-number
-    engine's guard)."""
-    if r_max > 200:
-        raise ValueError(f"r_max = {r_max} exceeds the supported bound 200")
+    pass, in increasing order.  r_max is capped at classnumber.MAX_R (the
+    class-number engine's guard)."""
+    if r_max > classnumber.MAX_R:
+        raise ValueError(f"r_max = {r_max} exceeds the supported bound {classnumber.MAX_R}")
     out = []
     for r in primes_upto(r_max):
         if r < 5:

@@ -15,11 +15,15 @@ integers here (disc(psi_r) is odd, a power of r), so this basis is an
 integral basis and all reductions are canonical.
 
 Everything is immutable after construction and every operation is a pure
-function, so values can be shared freely across threads.
+function, so values can be shared freely across threads.  Memoized field
+data (power sums, the splitting shape of 2) is a function of r alone, so a
+racing first computation stores the same value.
 """
 
 from __future__ import annotations
 
+from .errors import NotInertError
+from .ffpoly import ddf_degrees, f2_from_coeffs
 from .intlinalg import bareiss_det
 from .numutil import is_prime
 
@@ -34,7 +38,7 @@ class RealCyclotomicField:
              constant term first, leading coefficient 1.
     """
 
-    __slots__ = ("r", "degree", "psi", "_power_sums")
+    __slots__ = ("r", "degree", "psi", "_power_sums", "_two_shape")
 
     def __init__(self, r: int):
         if r < 5 or not is_prime(r):
@@ -44,6 +48,7 @@ class RealCyclotomicField:
         self.psi = self._minimal_polynomial(self.degree)
         # zeta^k + zeta^-k in the theta basis, grown on demand (append-only).
         self._power_sums: list[CycInt] = []
+        self._two_shape: tuple[tuple[int, int], ...] | None = None
 
     @staticmethod
     def _minimal_polynomial(d: int) -> tuple[int, ...]:
@@ -123,6 +128,22 @@ class RealCyclotomicField:
         while len(memo) <= k:
             memo.append(self.theta * memo[-1] - memo[-2])
         return memo[k]
+
+    def two_shape(self) -> tuple[tuple[int, int], ...]:
+        """Distinct-degree shape of psi_r mod 2 as sorted (degree, count)
+        pairs: 2 is unramified (disc(psi_r) is odd) and splits into `count`
+        primes of residue degree `degree`.  Memoized per field."""
+        if self._two_shape is None:
+            self._two_shape = tuple(ddf_degrees(f2_from_coeffs(self.psi)))
+        return self._two_shape
+
+    def require_two_inert(self) -> None:
+        """Raise NotInertError unless 2 stays prime in Q(theta)."""
+        shape = self.two_shape()
+        if shape != ((self.degree, 1),):
+            raise NotInertError(
+                f"2 is not inert for r = {self.r}: factor shape {list(shape)}"
+            )
 
     def pi_r(self) -> "CycInt":
         """theta - 2, the uniformizer of the unique (totally ramified) prime

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotSquarefreeError
+from .errors import ConsistencyError, NotSquarefreeError
 
 X = 0b10  # the polynomial x
 
@@ -17,6 +17,16 @@ X = 0b10  # the polynomial x
 def f2_degree(p: int) -> int:
     """Degree; -1 for the zero polynomial."""
     return p.bit_length() - 1
+
+
+def f2_from_coeffs(coeffs) -> int:
+    """Reduce integer coefficients (constant term first) mod 2 into the
+    bit-packed form."""
+    bits = 0
+    for i, c in enumerate(coeffs):
+        if c & 1:
+            bits |= 1 << i
+    return bits
 
 
 def f2_mul(a: int, b: int) -> int:
@@ -121,7 +131,7 @@ def least_irreducible(f: int) -> int:
     for cand in range(1 << f, 1 << (f + 1)):
         if is_irreducible(cand):
             return cand
-    raise AssertionError("unreachable: irreducibles exist in every degree")
+    raise ConsistencyError("unreachable: irreducibles exist in every degree")
 
 
 def ddf_degrees(p: int) -> list[tuple[int, int]]:
@@ -252,7 +262,7 @@ def trace_f2f(a: F2fElem) -> int:
         acc ^= cur
         cur = fld.mul_bits(cur, cur)
     if acc not in (0, 1):
-        raise AssertionError("trace landed outside the prime field")
+        raise ConsistencyError("trace landed outside the prime field")
     return acc
 
 
@@ -313,5 +323,5 @@ def artin_schreier_solve(c: F2fElem) -> F2fElem | None:
             sol |= 1 << i
     v = F2fElem(fld, sol)
     if v * v + v != c:
-        raise AssertionError("linear solve produced a non-solution")
+        raise ConsistencyError("linear solve produced a non-solution")
     return v

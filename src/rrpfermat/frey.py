@@ -31,12 +31,11 @@ from dataclasses import dataclass
 
 from .cycfield import CycInt, RealCyclotomicField, alpha_beta_gamma, f_k_eval, reduce_mod
 from .errors import (
+    ConsistencyError,
     DegenerateCurveError,
     NotCoprimeError,
-    NotInertError,
     UnfactoredCofactorError,
 )
-from .ffpoly import ddf_degrees
 from .intlinalg import row_lattice_index
 from .numutil import is_prime, strip_factor, two_adic_valuation
 
@@ -70,7 +69,7 @@ def frey_curve(field: RealCyclotomicField, x, y, k1: int, k2: int, k3: int) -> F
     b = beta * f_k_eval(field, k2, x, y)
     c = gamma * f_k_eval(field, k3, x, y)
     if not (a + b + c).is_zero():
-        raise AssertionError("A + B + C != 0; construction is broken")
+        raise ConsistencyError("A + B + C != 0; construction is broken")
     return FreyCurve(field, (k1, k2, k3), x, y, a, b, c)
 
 
@@ -91,7 +90,7 @@ def invariants_from_abc(field: RealCyclotomicField, A: CycInt, B: CycInt, C: Cyc
     j_num = -256 * s * s * s
     j_den = abc * abc
     if not (c4 * c4 * c4 * j_den == j_num * delta):
-        raise AssertionError("c4^3 != j * Delta; invariant computation broken")
+        raise ConsistencyError("c4^3 != j * Delta; invariant computation broken")
     return FreyInvariants(delta=delta, c4=c4, j_num=j_num, j_den=j_den)
 
 
@@ -161,12 +160,7 @@ def inert_two_valuation(field: RealCyclotomicField, a: CycInt) -> int:
     a = field.element(a)
     if a.is_zero():
         raise ValueError("valuation of 0 is undefined")
-    psi_bits = 0
-    for i, c in enumerate(field.psi):
-        if c & 1:
-            psi_bits |= 1 << i
-    if ddf_degrees(psi_bits) != [(field.degree, 1)]:
-        raise NotInertError(f"2 is not inert for r = {field.r}")
+    field.require_two_inert()
     return min(two_adic_valuation(c) for c in a.coeffs if c)
 
 
@@ -292,12 +286,7 @@ def find_k1(field: RealCyclotomicField, x, y) -> int | None:
     None when no single such k exists.  Requires 2 inert."""
     x = field.element(x)
     y = field.element(y)
-    psi_bits = 0
-    for i, c in enumerate(field.psi):
-        if c & 1:
-            psi_bits |= 1 << i
-    if ddf_degrees(psi_bits) != [(field.degree, 1)]:
-        raise NotInertError(f"2 is not inert for r = {field.r}")
+    field.require_two_inert()
     hits = [
         k
         for k in range(field.degree + 1)

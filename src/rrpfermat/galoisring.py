@@ -15,8 +15,8 @@ full ring of integers (odd discriminant), which holds for every prime r here.
 from __future__ import annotations
 
 from .cycfield import RealCyclotomicField
-from .errors import ConsistencyError, NonUnitError, NotInertError, PrecisionError
-from .ffpoly import F2Field, F2fElem, artin_schreier_solve, ddf_degrees, sqrt_f2f, trace_f2f
+from .errors import ConsistencyError, NonUnitError, PrecisionError
+from .ffpoly import F2Field, F2fElem, artin_schreier_solve, f2_from_coeffs, sqrt_f2f, trace_f2f
 
 
 class GaloisRing:
@@ -33,11 +33,7 @@ class GaloisRing:
         f = len(mod) - 1
         if f < 1:
             raise ValueError("modulus must have degree >= 1")
-        bits = 0
-        for i, c in enumerate(mod):
-            if c & 1:
-                bits |= 1 << i
-        self.residue_field = F2Field(f, bits)  # raises if reducible mod 2
+        self.residue_field = F2Field(f, f2_from_coeffs(mod))  # raises if reducible mod 2
         self.n = n
         self.f = f
         self.modulus = tuple(mod)
@@ -76,11 +72,7 @@ class GaloisRing:
         return v[:f]
 
     def residue(self, a: "GaloisRingElem") -> F2fElem:
-        bits = 0
-        for i, c in enumerate(a.coeffs):
-            if c & 1:
-                bits |= 1 << i
-        return F2fElem(self.residue_field, bits)
+        return F2fElem(self.residue_field, f2_from_coeffs(a.coeffs))
 
     def lift(self, b: F2fElem) -> "GaloisRingElem":
         return self.elem([(b.bits >> i) & 1 for i in range(self.f)])
@@ -257,19 +249,11 @@ def is_square_pi_r(field: RealCyclotomicField, n: int = 5) -> bool:
     """Whether pi_r = theta - 2 is a square in O/P^n at the inert prime P
     above 2 (default n = 5, the mod-P^(4e+1) level with e = 1).
 
-    Requires 2 inert in Q(theta); when 2 is not inert the quotient at a
-    single prime above 2 is not this Galois ring and the caller must fall
-    back to the norm-residue criterion instead.
+    Requires 2 inert in Q(theta) (NotInertError otherwise); when 2 is not
+    inert the quotient at a single prime above 2 is not this Galois ring and
+    the caller must fall back to the norm-residue criterion instead.
     """
-    psi_mod2 = 0
-    for i, c in enumerate(field.psi):
-        if c & 1:
-            psi_mod2 |= 1 << i
-    shape = ddf_degrees(psi_mod2)
-    if shape != [(field.degree, 1)]:
-        raise NotInertError(
-            f"2 is not inert for r = {field.r}: factor shape {shape}"
-        )
+    field.require_two_inert()
     ring = GaloisRing(n, field.psi)
     u = ring.elem(list(field.pi_r().coeffs))
     return gr_sqrt(u) is not None

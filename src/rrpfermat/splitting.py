@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .cycfield import RealCyclotomicField, build_field
-from .errors import NotCoprimeError
-from .ffpoly import F2Field, ddf_degrees, trace_f2f
+from .errors import ConsistencyError, NotCoprimeError
+from .ffpoly import F2Field, trace_f2f
 from .numutil import is_prime, is_squarefree, legendre_symbol
 
 
@@ -65,25 +65,17 @@ class SplittingReport:
         }
 
 
-def _psi_mod2_bits(fld: RealCyclotomicField) -> int:
-    bits = 0
-    for i, c in enumerate(fld.psi):
-        if c & 1:
-            bits |= 1 << i
-    return bits
-
-
 def _as_field(r) -> RealCyclotomicField:
     return r if isinstance(r, RealCyclotomicField) else build_field(r)
 
 
 def split_2_in_Qplus(r) -> SplittingReport:
     """Decomposition of 2 in Q(theta_r): unramified with residue degrees
-    given by the distinct-degree shape of psi_r mod 2."""
+    given by the distinct-degree shape of psi_r mod 2 (memoized on the
+    field)."""
     fld = _as_field(r)
-    shape = ddf_degrees(_psi_mod2_bits(fld))
     primes = []
-    for deg, count in shape:
+    for deg, count in fld.two_shape():
         primes.extend([(1, deg)] * count)
     return SplittingReport(2, fld.degree, tuple(sorted(primes)))
 
@@ -149,7 +141,7 @@ def split_r_in_Qplus(r) -> SplittingReport:
     for c in reversed(fld.psi):
         norm_pi = norm_pi * 2 + c
     if abs(norm_pi) != fld.r:
-        raise AssertionError(f"|psi_r(2)| = {abs(norm_pi)} != r = {fld.r}")
+        raise ConsistencyError(f"|psi_r(2)| = {abs(norm_pi)} != r = {fld.r}")
     return SplittingReport(fld.r, fld.degree, ((fld.degree, 1),))
 
 

@@ -187,3 +187,18 @@ def test_json_frey_roundtrip(capsys):
         capsys, "frey", "--r", "5", "--x", "2", "--y", "1", "--json"
     )
     assert out == out2
+
+
+def test_internal_cross_check_failure_exits_70(monkeypatch, capsys):
+    import rrpfermat.frey
+
+    original = rrpfermat.frey.alpha_beta_gamma
+
+    def broken(field, k1, k2, k3):
+        alpha, beta, gamma = original(field, k1, k2, k3)
+        return alpha, beta, gamma + 1  # A + B + C no longer vanishes
+
+    monkeypatch.setattr(rrpfermat.frey, "alpha_beta_gamma", broken)
+    code, _, err = run(capsys, "frey", "--r", "5", "--x", "2", "--y", "1")
+    assert code == EXIT_INTERNAL
+    assert err.startswith("error:") and "A + B + C" in err
