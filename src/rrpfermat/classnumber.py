@@ -4,14 +4,24 @@ number h_r^- of Q(zeta_r).
 For K = Q the chain is classical: h+ of Q(theta_r) divides h of Q(zeta_r),
 and the latter is odd exactly when h_r^- is odd (Hasse), so oddness of h_r^-
 certifies 2 not dividing h+.  h_r^- itself comes from the Maillet/Carlitz-
-Olson determinant: with m = (r-1)/2 and M[a][b] the least positive residue
-of a * b^-1 mod r (1 <= a, b <= m),
+Olson determinant: with m = (r-1)/2, c_b = b^-1 mod r and M[a][b] the least
+positive residue of a * c_b mod r (1 <= a, b <= m),
 
-    det M = +- r^((r-3)/2) * h_r^-,
+    det M = +- r^((r-3)/2) * h_r^-.
 
-an identity this module enforces by exact division (a remainder is a hard
-internal error, never rounded away).  The determinant is computed by Bareiss
-fraction-free elimination over Z.
+The factor r^((r-3)/2) is taken out of the matrix before elimination: row 1
+of M is (c_b), and row_a - a * row_1 = -r * (a * c_b // r), so the r-reduced
+matrix M'' with row 1 equal to (c_b) and row a >= 2 equal to
+(-(a * c_b // r)) satisfies
+
+    det M = r^((r-3)/2) * det M''    (sign included),
+
+hence h_r^- = |det M''|.  det M'' is computed by Bareiss fraction-free
+elimination over Z; its entries are below r in absolute value.  A second,
+independent route checks the bit that gates the verdict: r is odd, so
+det M = h_r^- (mod 2), and the GF(2) determinant of the unreduced M mod 2
+must equal the parity of h_r^-.  A mismatch, or h_r^- < 1, is a hard
+internal error (ConsistencyError).
 
 For quadratic base fields no desk-scale algorithm is implemented; parity of
 h+ for the compositum is read from an attested external table shipped as
@@ -27,7 +37,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ConsistencyError, TableError
-from .intlinalg import bareiss_det
+from .intlinalg import bareiss_det, gf2_det
 from .numutil import is_prime
 
 ODD = "odd"
@@ -57,32 +67,33 @@ class HPlusTableEntry:
 
 
 def maillet_h_minus(r: int) -> HMinusResult:
-    """Exact h_r^- for a prime 5 <= r <= MAX_R via the Maillet determinant."""
+    """Exact h_r^- for a prime 5 <= r <= MAX_R via the r-reduced Maillet
+    determinant, with its parity checked against GF(2) elimination of M."""
     if not is_prime(r) or not 5 <= r <= MAX_R:
         raise ValueError(f"r = {r} must be a prime with 5 <= r <= {MAX_R}")
     m = (r - 1) // 2
-    matrix = []
-    for a in range(1, m + 1):
-        row = []
-        for b in range(1, m + 1):
-            b_inv = pow(b, -1, r)
-            row.append((a * b_inv) % r)
-        matrix.append(row)
-    det = bareiss_det(matrix)
-    exponent = (r - 3) // 2
-    scale = r**exponent
-    quotient, remainder = divmod(abs(det), scale)
-    if remainder != 0:
+    inverses = [pow(b, -1, r) for b in range(1, m + 1)]
+    reduced = [inverses]
+    reduced += [[-(a * c // r) for c in inverses] for a in range(2, m + 1)]
+    det_reduced = bareiss_det(reduced)
+    h_minus = abs(det_reduced)
+    if h_minus < 1:
+        raise ConsistencyError(f"h^- computed as {h_minus} < 1 for r = {r}")
+    mod2_rows = [
+        sum(((a * c) % r & 1) << j for j, c in enumerate(inverses))
+        for a in range(1, m + 1)
+    ]
+    if gf2_det(mod2_rows) != h_minus % 2:
         raise ConsistencyError(
-            f"Maillet determinant for r = {r} is not divisible by r^{exponent}"
+            f"GF(2) determinant of the Maillet matrix for r = {r} disagrees "
+            f"with the parity of h^- = {h_minus}"
         )
-    if quotient < 1:
-        raise ConsistencyError(f"h^- computed as {quotient} < 1 for r = {r}")
+    exponent = (r - 3) // 2
     return HMinusResult(
         r=r,
-        h_minus=quotient,
-        parity=ODD if quotient % 2 else EVEN,
-        determinant=det,
+        h_minus=h_minus,
+        parity=ODD if h_minus % 2 else EVEN,
+        determinant=r**exponent * det_reduced,
         scaling_exponent=exponent,
     )
 

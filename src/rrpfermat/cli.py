@@ -44,6 +44,10 @@ EXIT_UNDETERMINED = 2
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
 
+# Largest --d accepted: squarefreeness is decided by trial division up to
+# sqrt(d), which takes under a second at this bound.
+MAX_D = 10**12
+
 _VERDICT_EXIT = {
     criteria.PASS: EXIT_PASS,
     criteria.FAIL: EXIT_FAIL,
@@ -199,6 +203,8 @@ def cmd_check_quad(args) -> int:
     _require_prime_r(args.r)
     if args.d == 0 and not args.theorem:
         raise UsageError("--d 0 (rational base) is only meaningful with --theorem")
+    if args.d > MAX_D:
+        raise UsageError(f"--d {args.d}: desk-scale guard is d <= {MAX_D}")
     if args.d != 0 and (args.d <= 1 or not is_squarefree(args.d)):
         raise UsageError(f"--d {args.d}: must be a squarefree integer > 1 (or 0 with --theorem)")
     table = None

@@ -1,6 +1,8 @@
-"""Exact integer linear algebra: fraction-free determinants and row-lattice
-indices.  Matrices here stay small (at most ~80x80), so the classical cubic
-algorithms are plenty; exactness is the only requirement."""
+"""Exact integer linear algebra: fraction-free determinants, row-lattice
+indices and determinants over GF(2).  Matrices here stay small (at most
+99x99, the Maillet matrix at r = 199), so the classical cubic algorithms are
+plenty; exactness is the only requirement.  `gf2_det` takes bit-packed rows
+(Python ints) and eliminates by XOR."""
 
 from __future__ import annotations
 
@@ -38,6 +40,31 @@ def bareiss_det(rows) -> int:
             row_i[k] = 0
         prev = pk
     return sign * a[n - 1][n - 1]
+
+
+def gf2_det(rows) -> int:
+    """Determinant over GF(2) (0 or 1) of the square matrix whose row i is
+    the int rows[i], bit j holding the entry in column j.
+
+    Each row is reduced by XOR against the pivots found so far, keyed by
+    their highest set bit; the determinant is 1 exactly when every row
+    leaves a new pivot, i.e. the rows are independent.
+    """
+    n = len(rows)
+    pivots: dict[int, int] = {}
+    for row in rows:
+        if row < 0 or row >> n:
+            raise ValueError("matrix must be square: row bits must lie in columns 0..n-1")
+        while row:
+            top = row.bit_length() - 1
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = row
+                break
+            row ^= pivot
+        else:
+            return 0
+    return 1
 
 
 def row_lattice_index(rows, dim: int) -> int:

@@ -145,6 +145,21 @@ def h_minus_analytic(r: int) -> int:
     return int(acc[0])
 
 
+# -- full Maillet matrix -------------------------------------------------------
+
+
+def maillet_matrix(r: int) -> list[list[int]]:
+    """The unreduced Maillet matrix M[a][b] = a * b^-1 mod r, 1 <= a, b <= m,
+    entry by entry; det M = +- r^((r-3)/2) * h_r^- (Carlitz-Olson)."""
+    m = (r - 1) // 2
+    return [[a * pow(b, -1, r) % r for b in range(1, m + 1)] for a in range(1, m + 1)]
+
+
+def packed_mod2(matrix) -> list[int]:
+    """Rows of an integer matrix mod 2 as ints, column j in bit j."""
+    return [sum((x & 1) << j for j, x in enumerate(row)) for row in matrix]
+
+
 # -- global splitting oracle for the quadratic tower --------------------------
 
 
