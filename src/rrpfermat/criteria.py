@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import classnumber, descent, galoisring, splitting
 from .cycfield import build_field
 from .errors import NotCoprimeError
-from .numutil import is_squarefree, primes_upto
+from .numutil import primes_upto
 
 PASS = "pass"
 FAIL = "fail"
@@ -127,9 +127,8 @@ def check_corollary_quad(d: int, r: int, table=None) -> Verdict:
     a unique prime above 2 in the compositum, and odd h+ (table-attested).
     The Legendre-symbol inertness of r in Q(sqrt(d)) is recorded as a
     diagnostic; it is not one of the gates."""
-    field = build_field(r)
-    if not is_squarefree(d) or d <= 1:
-        raise ValueError(f"d = {d} must be a squarefree integer > 1")
+    # split_2_in_Kplus refuses a d that is not a squarefree integer > 1.
+    report = splitting.split_2_in_Kplus(d, build_field(r))
     conditions = []
 
     conditions.append(
@@ -146,7 +145,7 @@ def check_corollary_quad(d: int, r: int, table=None) -> Verdict:
             {"r_mod_8": r % 8, "d_mod_8": d % 8, "requirement": "r mod 8 not in {1, d mod 8}"},
         )
     )
-    conditions.append(_unique_prime_above_2(splitting.split_2_in_Kplus(d, field)))
+    conditions.append(_unique_prime_above_2(report))
     conditions.append(_parity_condition(d, r, table))
 
     diagnostics = {}
@@ -203,8 +202,8 @@ def check_four_hypotheses(base_d: int, r: int, table=None) -> Verdict:
         r_inert = Condition("r inert in K", PASS, {"base": "Q", "note": "trivial for K = Q"})
         report = splitting.split_2_in_Qplus(field)
     else:
-        if not is_squarefree(base_d) or base_d <= 1:
-            raise ValueError(f"d = {base_d} must be 0 or a squarefree integer > 1")
+        # split_2_in_Kplus refuses a base_d that is not a squarefree integer > 1.
+        report = splitting.split_2_in_Kplus(base_d, field)
         try:
             inert = splitting.check_r_inert_in_quadratic(base_d, r)
             r_inert = Condition(
@@ -214,7 +213,6 @@ def check_four_hypotheses(base_d: int, r: int, table=None) -> Verdict:
             )
         except NotCoprimeError:
             r_inert = Condition("r inert in K", FAIL, {"reason": "r divides d"})
-        report = splitting.split_2_in_Kplus(base_d, field)
     conditions = (
         r_inert,
         _unique_prime_above_2(report),

@@ -14,6 +14,11 @@ power basis 1, theta, ..., theta^(d-1).  Z[theta] is the full ring of
 integers here (disc(psi_r) is odd, a power of r), so this basis is an
 integral basis and all reductions are canonical.
 
+One dense kernel, `polyrem` and `polymulmod`, multiplies and reduces
+coefficient vectors modulo a monic polynomial, over Z (m = 0) or over Z/m.
+CycInt uses it over Z with psi_r; galoisring's GR(2^n, f) uses it over
+Z/2^n with psi_r mod 2^n.
+
 Everything is immutable after construction and every operation is a pure
 function, so values can be shared freely across threads.  Memoized field
 data (power sums, the splitting shape of 2) is a function of r alone, so a
@@ -26,6 +31,39 @@ from .errors import NotInertError
 from .ffpoly import ddf_degrees, f2_from_coeffs
 from .intlinalg import bareiss_det
 from .numutil import is_prime
+
+
+def polyrem(vec, modulus, m: int = 0) -> tuple[int, ...]:
+    """Remainder of the coefficient vector `vec` modulo the monic polynomial
+    `modulus` (both constant term first), over Z when m == 0 and over Z/m
+    when m > 0.  Returns deg(modulus) coefficients, each in [0, m) when
+    m > 0."""
+    d = len(modulus) - 1
+    v = list(vec)
+    for i in range(len(v) - 1, d - 1, -1):
+        # Over Z/m only the coefficient being eliminated needs reducing; the
+        # others stay congruent and are reduced once at the end.
+        c = v[i] % m if m else v[i]
+        if c:
+            base = i - d
+            for j in range(d):
+                v[base + j] -= c * modulus[j]
+    v = v[:d]
+    if m:
+        v = [x % m for x in v]
+    v += [0] * (d - len(v))
+    return tuple(v)
+
+
+def polymulmod(a, b, modulus, m: int = 0) -> tuple[int, ...]:
+    """Product of the coefficient vectors a and b reduced by `polyrem`."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    prod[i + j] += ai * bj
+    return polyrem(prod, modulus, m)
 
 
 class RealCyclotomicField:
@@ -74,15 +112,11 @@ class RealCyclotomicField:
                 raise ValueError("element belongs to a different field")
             return coeffs
         if isinstance(coeffs, int):
-            vec = [coeffs] + [0] * (self.degree - 1)
-            return CycInt(self, tuple(vec))
+            coeffs = [coeffs]
         vec = list(coeffs)
         if any(not isinstance(c, int) for c in vec):
             raise TypeError("coefficients must be integers")
-        if len(vec) > self.degree:
-            vec = list(self.reduce(vec))
-        vec += [0] * (self.degree - len(vec))
-        return CycInt(self, tuple(vec))
+        return CycInt(self, polyrem(vec, self.psi))
 
     @property
     def zero(self) -> "CycInt":
@@ -95,22 +129,6 @@ class RealCyclotomicField:
     @property
     def theta(self) -> "CycInt":
         return self.element([0, 1])
-
-    def reduce(self, vec) -> tuple[int, ...]:
-        """Reduce an integer coefficient vector modulo the monic psi."""
-        v = list(vec)
-        d = self.degree
-        psi = self.psi
-        for i in range(len(v) - 1, d - 1, -1):
-            c = v[i]
-            if c:
-                v[i] = 0
-                base = i - d
-                for j in range(d):
-                    v[base + j] -= c * psi[j]
-        v = v[:d]
-        v += [0] * (d - len(v))
-        return tuple(v)
 
     def theta_power_sum(self, k: int) -> "CycInt":
         """zeta_r^k + zeta_r^-k in the theta basis, 0 <= k <= r-1.
@@ -150,18 +168,22 @@ class RealCyclotomicField:
         above r."""
         return self.theta - 2
 
+    def multiplication_rows(self, a: "CycInt") -> list[tuple[int, ...]]:
+        """The rows a, a*theta, ..., a*theta^(d-1) on the power basis: the
+        matrix of multiplication by a, and a Z-basis of the ideal (a)."""
+        rows = [a.coeffs]
+        for _ in range(self.degree - 1):
+            # times theta: shift up one place, then reduce
+            rows.append(polyrem((0,) + rows[-1], self.psi))
+        return rows
+
     def norm(self, a) -> int:
         """Norm from Q(theta) down to Q, as the exact determinant of the
         multiplication-by-a matrix on the power basis.  Multiplicative."""
         a = self.element(a)
         if a.is_zero():
             return 0
-        rows = []
-        cur = a
-        for _ in range(self.degree):
-            rows.append(list(cur.coeffs))
-            cur = cur * self.theta
-        return bareiss_det(rows)
+        return bareiss_det(self.multiplication_rows(a))
 
     def __repr__(self) -> str:
         return f"RealCyclotomicField(r={self.r})"
@@ -226,15 +248,7 @@ class CycInt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        d = self.field.degree
-        prod = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        return CycInt(self.field, self.field.reduce(prod))
+        return CycInt(self.field, polymulmod(self.coeffs, o.coeffs, self.field.psi))
 
     __rmul__ = __mul__
 
@@ -291,18 +305,6 @@ class CycInt:
 def build_field(r: int) -> RealCyclotomicField:
     """Field of theta = zeta_r + zeta_r^-1 for a prime r >= 5."""
     return RealCyclotomicField(r)
-
-
-def theta_power_sum(field: RealCyclotomicField, k: int) -> CycInt:
-    return field.theta_power_sum(k)
-
-
-def pi_r(field: RealCyclotomicField) -> CycInt:
-    return field.pi_r()
-
-
-def norm(field: RealCyclotomicField, a) -> int:
-    return field.norm(a)
 
 
 def f_k_eval(field: RealCyclotomicField, k: int, x, y) -> CycInt:

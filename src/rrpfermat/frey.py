@@ -217,12 +217,8 @@ def _ideal_norm(field: RealCyclotomicField, gens: list[CycInt]) -> int:
     """|O / (g_1, ..., g_k)| through the row lattice spanned by theta^i*g_j."""
     rows = []
     for g in gens:
-        if g.is_zero():
-            continue
-        cur = g
-        for _ in range(field.degree):
-            rows.append(list(cur.coeffs))
-            cur = cur * field.theta
+        if not g.is_zero():
+            rows += field.multiplication_rows(g)
     if not rows:
         raise ValueError("all generators are zero")
     return row_lattice_index(rows, field.degree)

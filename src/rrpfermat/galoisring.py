@@ -10,11 +10,13 @@ u = v^2 mod P^n once n >= 3.
 For the field Q(zeta_r + 1/zeta_r) with 2 inert, O/2^n O is GR(2^n, (r-1)/2)
 with modulus psi_r mod 2^n; this identification uses that Z[theta] is the
 full ring of integers (odd discriminant), which holds for every prime r here.
+Products and reductions use cycfield's kernel (`polymulmod`, `polyrem`) over
+Z/2^n, so the ring is Z[theta]'s arithmetic reduced mod 2^n.
 """
 
 from __future__ import annotations
 
-from .cycfield import RealCyclotomicField
+from .cycfield import RealCyclotomicField, polymulmod, polyrem
 from .errors import ConsistencyError, NonUnitError, PrecisionError
 from .ffpoly import F2Field, F2fElem, artin_schreier_solve, f2_from_coeffs, sqrt_f2f, trace_f2f
 
@@ -44,11 +46,7 @@ class GaloisRing:
     def elem(self, coeffs) -> "GaloisRingElem":
         if isinstance(coeffs, int):
             coeffs = [coeffs]
-        vec = [c % self.mask for c in coeffs]
-        if len(vec) > self.f:
-            vec = self._reduce(vec)
-        vec += [0] * (self.f - len(vec))
-        return GaloisRingElem(self, tuple(vec))
+        return GaloisRingElem(self, polyrem(coeffs, self.modulus, self.mask))
 
     @property
     def zero(self) -> "GaloisRingElem":
@@ -57,19 +55,6 @@ class GaloisRing:
     @property
     def one(self) -> "GaloisRingElem":
         return self.elem(1)
-
-    def _reduce(self, vec: list[int]) -> list[int]:
-        mod = self.modulus
-        f = self.f
-        v = [c % self.mask for c in vec]
-        for i in range(len(v) - 1, f - 1, -1):
-            c = v[i]
-            if c:
-                v[i] = 0
-                base = i - f
-                for j in range(f):
-                    v[base + j] = (v[base + j] - c * mod[j]) % self.mask
-        return v[:f]
 
     def residue(self, a: "GaloisRingElem") -> F2fElem:
         return F2fElem(self.residue_field, f2_from_coeffs(a.coeffs))
@@ -179,14 +164,8 @@ class GaloisRingElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        f = self.ring.f
-        prod = [0] * (2 * f - 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai:
-                for j, bj in enumerate(o.coeffs):
-                    if bj:
-                        prod[i + j] += ai * bj
-        return GaloisRingElem(self.ring, tuple(self.ring._reduce(prod)))
+        ring = self.ring
+        return GaloisRingElem(ring, polymulmod(self.coeffs, o.coeffs, ring.modulus, ring.mask))
 
     __rmul__ = __mul__
 

@@ -30,6 +30,25 @@ def poly_mul(a, b):
     return out
 
 
+def schoolbook_cyc_mul(field: RealCyclotomicField, a: CycInt, b: CycInt) -> tuple[int, ...]:
+    """Coefficients of a*b by the schoolbook product and a term-by-term
+    reduction modulo psi_r, the CycInt multiply before the shared kernel."""
+    d = field.degree
+    prod = [0] * (2 * d - 1)
+    for i, ai in enumerate(a.coeffs):
+        if ai:
+            for j, bj in enumerate(b.coeffs):
+                if bj:
+                    prod[i + j] += ai * bj
+    for i in range(len(prod) - 1, d - 1, -1):
+        c = prod[i]
+        if c:
+            prod[i] = 0
+            for j in range(d):
+                prod[i - d + j] -= c * field.psi[j]
+    return tuple(prod[:d])
+
+
 def poly_add(a, b):
     n = max(len(a), len(b))
     return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]

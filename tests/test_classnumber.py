@@ -46,8 +46,8 @@ def test_analytic_oracle_matches_fixtures_live():
 
 
 def test_exact_scaling_divides_for_all_r():
-    # r^((r-3)/2) divides the determinant exactly for every prime r <= 150;
-    # maillet_h_minus raises ConsistencyError otherwise.
+    # The Maillet determinant is r^((r-3)/2) * h^- up to sign for every prime
+    # r <= 150; the scaling holds by construction of the r-reduced matrix.
     for r in primes_upto(150):
         if r < 5:
             continue

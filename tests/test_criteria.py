@@ -147,6 +147,15 @@ def test_four_hypotheses_quadratic():
     assert v.condition("pi_r nonsquare mod P^(4e+1)").status == UNDETERMINED
 
 
+@pytest.mark.parametrize("d", [-5, 1, 12, 18])
+@pytest.mark.parametrize("r", [5, 11])
+def test_quadratic_checks_refuse_bad_d(d, r):
+    with pytest.raises(ValueError):
+        check_corollary_quad(d, r)
+    with pytest.raises(ValueError):
+        check_four_hypotheses(d, r)
+
+
 def test_four_hypotheses_d_1_mod_8_gives_undetermined_iv():
     v = check_four_hypotheses(17, 5)
     assert v.condition("unique prime above 2 in K+").status == FAIL

@@ -7,9 +7,7 @@ from rrpfermat.cycfield import (
     build_field,
     f_k_eval,
     phi_r_eval,
-    pi_r,
     reduce_mod,
-    theta_power_sum,
 )
 from rrpfermat.numutil import primes_upto
 
@@ -67,10 +65,10 @@ def test_discriminant_odd():
 
 def test_theta_power_sum_examples():
     f5 = build_field(5)
-    assert theta_power_sum(f5, 0) == 2
-    assert theta_power_sum(f5, 2).coeffs == (-1, -1)  # -theta - 1
+    assert f5.theta_power_sum(0) == 2
+    assert f5.theta_power_sum(2).coeffs == (-1, -1)  # -theta - 1
     f7 = build_field(7)
-    assert theta_power_sum(f7, 3).coeffs == (1, -1, -1)  # theta^3 - 3 theta reduced
+    assert f7.theta_power_sum(3).coeffs == (1, -1, -1)  # theta^3 - 3 theta reduced
 
 
 def test_theta_power_sum_recurrence_symmetry_and_range():
@@ -78,13 +76,13 @@ def test_theta_power_sum_recurrence_symmetry_and_range():
         f = build_field(r)
         th = f.theta
         for k in range(2, r):
-            assert theta_power_sum(f, k) == th * theta_power_sum(f, k - 1) - theta_power_sum(f, k - 2)
+            assert f.theta_power_sum(k) == th * f.theta_power_sum(k - 1) - f.theta_power_sum(k - 2)
         for k in range(r):
-            assert theta_power_sum(f, k) == theta_power_sum(f, (r - k) % r)
+            assert f.theta_power_sum(k) == f.theta_power_sum((r - k) % r)
     with pytest.raises(ValueError):
-        theta_power_sum(build_field(5), 5)
+        build_field(5).theta_power_sum(5)
     with pytest.raises(ValueError):
-        theta_power_sum(build_field(5), -1)
+        build_field(5).theta_power_sum(-1)
 
 
 def test_product_to_sum_identity():
@@ -93,18 +91,18 @@ def test_product_to_sum_identity():
         f = build_field(r)
         for k in range(r):
             for j in range(k + 1):
-                lhs = theta_power_sum(f, k) * theta_power_sum(f, j)
-                rhs = theta_power_sum(f, (k + j) % r) + theta_power_sum(f, k - j)
+                lhs = f.theta_power_sum(k) * f.theta_power_sum(j)
+                rhs = f.theta_power_sum((k + j) % r) + f.theta_power_sum(k - j)
                 assert lhs == rhs, (r, k, j)
 
 
 def test_pi_r_values_and_norm():
     f5, f7 = build_field(5), build_field(7)
-    assert pi_r(f5).coeffs == (-2, 1)
-    assert pi_r(f7).coeffs == (-2, 1, 0)
+    assert f5.pi_r().coeffs == (-2, 1)
+    assert f7.pi_r().coeffs == (-2, 1, 0)
     for r in [x for x in primes_upto(60) if x >= 5]:
         f = build_field(r)
-        assert abs(f.norm(pi_r(f))) == r, r
+        assert abs(f.norm(f.pi_r())) == r, r
 
 
 def test_norm_basics():
@@ -197,9 +195,9 @@ def test_alpha_beta_gamma_identity_all_triples():
             # identity in x, y: the x^2 and y^2 coefficients are a+b+g and
             # the xy coefficient is a s(k1) + b s(k2) + g s(k3).
             xy = (
-                a * theta_power_sum(f, k1)
-                + b * theta_power_sum(f, k2)
-                + g * theta_power_sum(f, k3)
+                a * f.theta_power_sum(k1)
+                + b * f.theta_power_sum(k2)
+                + g * f.theta_power_sum(k3)
             )
             assert xy.is_zero(), (r, k1, k2, k3)
 
@@ -238,7 +236,7 @@ def test_alpha_beta_gamma_rejects_bad_indices():
 
 def test_reduce_mod_examples():
     f5 = build_field(5)
-    assert reduce_mod(pi_r(f5), 4) == (2, 1)
+    assert reduce_mod(f5.pi_r(), 4) == (2, 1)
     assert reduce_mod(f5.element(2), 2) == (0, 0)
     assert reduce_mod(f5.theta * f5.theta, 3) == (1, 2)
     with pytest.raises(ValueError):
