@@ -32,9 +32,9 @@ undetermined rather than assumed.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConsistencyError, TableError
 from .intlinalg import bareiss_det, gf2_det
@@ -49,8 +49,7 @@ UNDETERMINED = "undetermined"
 MAX_R = 200
 
 
-@dataclass(frozen=True)
-class HMinusResult:
+class HMinusResult(NamedTuple):
     r: int
     h_minus: int
     parity: str
@@ -58,8 +57,7 @@ class HMinusResult:
     scaling_exponent: int
 
 
-@dataclass(frozen=True)
-class HPlusTableEntry:
+class HPlusTableEntry(NamedTuple):
     base_d: int
     r: int
     parity: str

@@ -45,7 +45,7 @@ EXIT_USAGE = 64
 EXIT_INTERNAL = 70
 
 # Largest --d accepted: squarefreeness is decided by trial division up to
-# sqrt(d), which takes under a second at this bound.
+# about d^(1/3) (numutil.is_squarefree), 10^4 divisions at this bound.
 MAX_D = 10**12
 
 _VERDICT_EXIT = {

@@ -11,7 +11,7 @@ yield identical verdicts and range scans can run in any order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import classnumber, descent, galoisring, splitting
 from .cycfield import build_field
@@ -23,8 +23,7 @@ FAIL = "fail"
 UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     name: str
     status: str
     evidence: dict
@@ -33,8 +32,7 @@ class Condition:
         return {"name": self.name, "status": self.status, "evidence": self.evidence}
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     target: str
     base_d: int
     r: int

@@ -29,8 +29,8 @@ Three independent pieces, all exact:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cycfield import CycInt, RealCyclotomicField
 from .errors import ConsistencyError, NotCoprimeError
@@ -129,8 +129,7 @@ class CycFrac:
         return f"CycFrac({self.num!r} / {self.den!r})"
 
 
-@dataclass(frozen=True)
-class DescentPair:
+class DescentPair(NamedTuple):
     """A solution (lambda, mu) of lambda + mu = 1, with optional valuations
     at the designated prime when the caller supplies a functional."""
 

@@ -3,11 +3,15 @@
 A polynomial is an int whose bit i is the coefficient of x^i.  Only the
 distinct-degree stage of factorization is implemented: splitting types need
 factor degrees and counts, never the factors themselves.
+
+Irreducibility has two routes.  least_irreducible searches with Ben-Or's
+test, which rejects a reducible candidate at the degree of its smallest
+factor (most candidates go after one squaring: x or x + 1 divides them).
+is_irreducible is Rabin's test, and F2Field re-runs it on every modulus, so
+the modulus the search returns is checked by the other route.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import ConsistencyError, NotSquarefreeError
 
@@ -123,13 +127,29 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
+def _ben_or_irreducible(p: int) -> bool:
+    """Ben-Or's test: p of degree n is irreducible exactly when
+    gcd(p, x^(2^i) - x) = 1 for i = 1..n//2.  A reducible p has a factor of
+    some degree i <= n//2, which divides x^(2^i) - x, so the loop stops there."""
+    n = f2_degree(p)
+    if n <= 0:
+        return False
+    h = X
+    for _ in range(n // 2):
+        h = f2_mulmod(h, h, p)
+        if f2_gcd(p, h ^ X) != 1:
+            return False
+    return True
+
+
 def least_irreducible(f: int) -> int:
     """The irreducible monic degree-f polynomial with the smallest bit
-    encoding; deterministic so residue-field reports are reproducible."""
+    encoding; deterministic so residue-field reports are reproducible.
+    Searched with Ben-Or's test; F2Field checks the result with Rabin's."""
     if f < 1:
         raise ValueError("degree must be >= 1")
     for cand in range(1 << f, 1 << (f + 1)):
-        if is_irreducible(cand):
+        if _ben_or_irreducible(cand):
             return cand
     raise ConsistencyError("unreachable: irreducibles exist in every degree")
 
@@ -221,10 +241,29 @@ class F2Field:
         return f"F2Field(f={self.f}, modulus={bin(self.modulus)})"
 
 
-@dataclass(frozen=True)
 class F2fElem:
-    field: F2Field
-    bits: int
+    """An element of GF(2^f), its bits reduced modulo the field's modulus.
+    Immutable and hashable."""
+
+    __slots__ = ("field", "bits")
+
+    def __init__(self, field: F2Field, bits: int):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "bits", bits)
+
+    def __setattr__(self, *_):
+        raise AttributeError("F2fElem is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, F2fElem):
+            return NotImplemented
+        return self.field == other.field and self.bits == other.bits
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.bits))
+
+    def __repr__(self) -> str:
+        return f"F2fElem(field={self.field!r}, bits={self.bits})"
 
     def __add__(self, other: "F2fElem") -> "F2fElem":
         self._check(other)

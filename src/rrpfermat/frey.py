@@ -27,7 +27,7 @@ claim without general ideal arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cycfield import CycInt, RealCyclotomicField, alpha_beta_gamma, f_k_eval, reduce_mod
 from .errors import (
@@ -40,8 +40,7 @@ from .intlinalg import row_lattice_index
 from .numutil import is_prime, strip_factor, two_adic_valuation
 
 
-@dataclass(frozen=True)
-class FreyCurve:
+class FreyCurve(NamedTuple):
     field: RealCyclotomicField
     k: tuple[int, int, int]
     x: CycInt
@@ -51,8 +50,7 @@ class FreyCurve:
     C: CycInt
 
 
-@dataclass(frozen=True)
-class FreyInvariants:
+class FreyInvariants(NamedTuple):
     delta: CycInt
     c4: CycInt
     j_num: CycInt
@@ -199,8 +197,7 @@ def j_valuation_identity_check(curve: FreyCurve, prime) -> bool:
 # -- coprimality of the quadratic factors ------------------------------------
 
 
-@dataclass(frozen=True)
-class CoprimalityReport:
+class CoprimalityReport(NamedTuple):
     r: int
     x: int
     y: int

@@ -35,16 +35,21 @@ def primes_upto(n: int) -> list[int]:
 
 
 def is_squarefree(n: int) -> bool:
+    """Trial division while p^3 <= m, m the cofactor left: from then on every
+    prime factor of m exceeds m^(1/3), so m has at most two and is squarefree
+    unless it is the square of a prime.  Costs about n^(1/3) divisions."""
     if n <= 0:
         return False
+    m = n
     p = 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        while n % p == 0:
-            n //= p
+    while p * p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return False
         p += 1 if p == 2 else 2
-    return True
+    s = math.isqrt(m)
+    return m == 1 or s * s != m
 
 
 def legendre_symbol(a: int, p: int) -> int:

@@ -18,41 +18,53 @@ excludes through r not dividing d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .cycfield import RealCyclotomicField, build_field
 from .errors import ConsistencyError, NotCoprimeError
 from .ffpoly import F2Field, trace_f2f
 from .numutil import is_prime, is_squarefree, legendre_symbol
 
 
-@dataclass(frozen=True)
 class SplittingReport:
     """Splitting type of a rational prime in a field of given degree.
 
     primes is a tuple of (ramification index e_i, residue degree f_i);
     the fundamental identity sum(e_i * f_i) = field_degree is enforced on
     construction, and the unique/inert flags are derived, not supplied.
+    Immutable and hashable.
     """
 
-    rational_prime: int
-    field_degree: int
-    primes: tuple[tuple[int, int], ...]
-    unique: bool = dc_field(init=False)
-    inert: bool = dc_field(init=False)
+    __slots__ = ("rational_prime", "field_degree", "primes", "unique", "inert")
 
-    def __post_init__(self):
-        total = sum(e * f for e, f in self.primes)
-        if total != self.field_degree:
-            raise ValueError(
-                f"sum(e*f) = {total} != field degree {self.field_degree}"
-            )
-        unique = len(self.primes) == 1
+    def __init__(self, rational_prime: int, field_degree: int, primes: tuple[tuple[int, int], ...]):
+        total = sum(e * f for e, f in primes)
+        if total != field_degree:
+            raise ValueError(f"sum(e*f) = {total} != field degree {field_degree}")
+        unique = len(primes) == 1
+        object.__setattr__(self, "rational_prime", rational_prime)
+        object.__setattr__(self, "field_degree", field_degree)
+        object.__setattr__(self, "primes", primes)
         object.__setattr__(self, "unique", unique)
-        object.__setattr__(
-            self,
-            "inert",
-            unique and self.primes[0] == (1, self.field_degree),
+        object.__setattr__(self, "inert", unique and primes[0] == (1, field_degree))
+
+    def __setattr__(self, *_):
+        raise AttributeError("SplittingReport is immutable")
+
+    def _key(self) -> tuple:
+        return (self.rational_prime, self.field_degree, self.primes)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SplittingReport):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"SplittingReport(rational_prime={self.rational_prime}, "
+            f"field_degree={self.field_degree}, primes={self.primes}, "
+            f"unique={self.unique}, inert={self.inert})"
         )
 
     def to_dict(self) -> dict:

@@ -11,8 +11,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 import sympy as sp
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p
 
 from rrpfermat.cycfield import CycInt, RealCyclotomicField
+from rrpfermat.ffpoly import is_irreducible
 
 _x = sp.symbols("x")
 _y = sp.symbols("y")
@@ -102,6 +105,22 @@ def gf2_factor_shape(coeffs_low_first) -> list[tuple[int, int]]:
         deg = fac.degree()
         shape[deg] = shape.get(deg, 0) + 1
     return sorted(shape.items())
+
+
+def gf2_is_irreducible(p: int) -> bool:
+    """sympy's irreducibility test over GF(2) on the bit-packed polynomial p
+    (the routine behind sympy.Poly(..., modulus=2).is_irreducible, called on
+    the dense coefficient list to skip building a Poly)."""
+    return bool(gf_irreducible_p([int(b) for b in bin(p)[2:]], 2, ZZ))
+
+
+def rabin_least_irreducible(f: int) -> int:
+    """The least bit-packed irreducible of degree f, scanned with Rabin's test
+    alone, the route that least_irreducible's search does not use."""
+    for cand in range(1 << f, 1 << (f + 1)):
+        if is_irreducible(cand):
+            return cand
+    raise AssertionError(f"no irreducible of degree {f}")
 
 
 def weierstrass_c4_delta(A: CycInt, B: CycInt) -> tuple[CycInt, CycInt]:

@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rrpfermat.cycfield import build_field
 from rrpfermat.errors import NotSquarefreeError
 from rrpfermat.ffpoly import (
     F2Field,
+    _ben_or_irreducible,
     artin_schreier_solve,
     ddf_degrees,
     f2_degree,
@@ -18,7 +21,7 @@ from rrpfermat.ffpoly import (
     sqrt_f2f,
     trace_f2f,
 )
-from rrpfermat.numutil import primes_upto
+from rrpfermat.numutil import is_prime, primes_upto
 
 import oracles
 
@@ -91,6 +94,49 @@ def test_least_irreducible_values():
     for f in range(1, 12):
         m = least_irreducible(f)
         assert f2_degree(m) == f and is_irreducible(m)
+
+
+def _irreducible_count(n: int) -> int:
+    """Number of monic irreducibles of degree n over GF(2), by Gauss's
+    formula (1/n) * sum over squarefree d | n of mu(d) * 2^(n/d)."""
+    total = 0
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        primes = [q for q in range(2, d + 1) if d % q == 0 and is_prime(q)]
+        if any(d % (q * q) == 0 for q in primes):
+            continue
+        total += (-1) ** len(primes) * 2 ** (n // d)
+    return total // n
+
+
+def test_irreducibility_routes_agree_exhaustive_to_degree_12():
+    counts = {}
+    for p in range(2, 1 << 13):
+        ben_or = _ben_or_irreducible(p)
+        assert ben_or == is_irreducible(p) == oracles.gf2_is_irreducible(p), bin(p)
+        counts[f2_degree(p)] = counts.get(f2_degree(p), 0) + ben_or
+    assert counts == {n: _irreducible_count(n) for n in range(1, 13)}
+
+
+_LEAST_60 = least_irreducible(60)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 120).flatmap(lambda n: st.integers(1 << n, (1 << (n + 1)) - 1)))
+@example(least_irreducible(120))  # irreducible of the top degree
+@example(1 << 120)  # x^120: rejected at i = 1
+@example(f2_mul(_LEAST_60, _LEAST_60))  # smallest factor at i = n//2, n even
+@example(f2_mul(least_irreducible(59), _LEAST_60))  # smallest factor at i = n//2, n odd
+def test_irreducibility_routes_agree_on_sample(p):
+    assert _ben_or_irreducible(p) == is_irreducible(p) == oracles.gf2_is_irreducible(p)
+
+
+def test_least_irreducible_matches_rabin_scan_at_every_residue_degree():
+    degrees = sorted({order_of_two_mod_pm1(r) for r in primes_upto(199) if r >= 5})
+    assert len(degrees) == 37 and degrees[-1] == 99
+    for f in degrees:
+        assert least_irreducible(f) == oracles.rabin_least_irreducible(f), f
 
 
 def test_f2_mul_divmod_roundtrip():

@@ -1,0 +1,53 @@
+"""is_squarefree trial-divides only while p^3 <= m, m the cofactor left, and
+finishes with a perfect-square test; checked against sympy.factorint."""
+
+import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rrpfermat.cli import MAX_D
+from rrpfermat.numutil import is_squarefree
+
+
+def _sympy_squarefree(n: int) -> bool:
+    return all(e == 1 for e in sp.factorint(n).values())
+
+
+_with_square_factor = st.builds(
+    lambda a, b: a * a * b, st.integers(2, 10**6), st.integers(1, 10**4)
+).filter(lambda n: n <= MAX_D)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(st.integers(1, MAX_D), _with_square_factor))
+def test_is_squarefree_matches_factorint(n):
+    assert is_squarefree(n) == _sympy_squarefree(n)
+
+
+def test_is_squarefree_small_range_and_nonpositive():
+    assert not is_squarefree(0) and not is_squarefree(-5)
+    for n in range(1, 5000):
+        assert is_squarefree(n) == _sympy_squarefree(n), n
+
+
+def test_is_squarefree_cofactors_with_at_most_two_primes():
+    # Near MAX_D the loop stops near p = 10^4 and leaves such cofactors.
+    p = sp.prevprime(10**6)  # p^2 < MAX_D
+    q = sp.prevprime(p)
+    s = sp.prevprime(10**4)
+    t = sp.prevprime(s)
+    u = sp.prevprime(t)
+    cases = [
+        (p, True),
+        (p * q, True),
+        (p * p, False),
+        (2 * sp.prevprime(7 * 10**5) ** 2, False),
+        (s * s * t, False),
+        (s**3, False),
+        (s * t * u, True),
+        (999999999989, True),  # prime, just below MAX_D
+    ]
+    for n, expected in cases:
+        assert n <= MAX_D
+        assert _sympy_squarefree(n) is expected, n
+        assert is_squarefree(n) is expected, n
