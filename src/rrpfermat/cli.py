@@ -13,6 +13,10 @@ Exit codes (scripts can branch on the tri-state):
     0  pass          1  fail          2  undetermined
     64 usage error   70 internal/computation error
 
+A usage error is bad input: an argument out of range, an --expect or
+--hplus-table file that cannot be read or parsed, or a singular Frey model
+(x + y = 0).  main is the only place that maps exceptions to exit codes.
+
 JSON reports (--json) are deterministic: stable key order, no timestamps,
 byte-identical for identical inputs and tool version.  Wall-clock timing is
 printed only in the human-readable form.
@@ -26,6 +30,7 @@ import math
 import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 from . import __version__, classnumber, criteria, frey
 from .cycfield import build_field
@@ -36,7 +41,8 @@ from .errors import (
     TableError,
     UnfactoredCofactorError,
 )
-from .numutil import is_prime, is_squarefree
+from .numutil import is_prime
+from .splitting import check_quadratic_d
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -111,18 +117,30 @@ def _require_prime_r(r: int):
         raise UsageError(f"--r {r}: desk-scale guard is r <= {classnumber.MAX_R}")
 
 
+def _print_json(args, body: dict) -> None:
+    """Print the --json report: the envelope (tool, version, command and the
+    parsed input), then the command's own keys in their given order."""
+    echo = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command", "json")}
+    payload = {"tool": "rrpfermat", "version": __version__, "command": args.command,
+               "input": echo, **body}
+    print(json.dumps(payload, indent=2))
+
+
+def _load_input(flag: str, path: str | None, load):
+    """load(path) for an input file named on the command line (None when the
+    flag is absent); an unreadable or malformed file (OSError, ValueError:
+    decoding, integers, TableError) is a usage error that names the flag."""
+    if path is None:
+        return None
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"{flag} {path}: {exc}")
+
+
 def _emit_verdict(verdict, args, extra: dict | None = None, elapsed: float = 0.0) -> int:
     if args.json:
-        payload = {
-            "tool": "rrpfermat",
-            "version": __version__,
-            "command": args.command,
-            "input": _input_echo(args),
-            "verdict": verdict.to_dict(),
-        }
-        if extra:
-            payload.update(extra)
-        print(json.dumps(payload, indent=2))
+        _print_json(args, {"verdict": verdict.to_dict(), **(extra or {})})
     else:
         print(f"target: {verdict.target}  base_d={verdict.base_d}  r={verdict.r}")
         for cond in verdict.conditions:
@@ -138,11 +156,6 @@ def _emit_verdict(verdict, args, extra: dict | None = None, elapsed: float = 0.0
     return _VERDICT_EXIT[verdict.overall]
 
 
-def _input_echo(args) -> dict:
-    skip = {"func", "command", "json"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-
-
 def cmd_check_q(args) -> int:
     _require_prime_r(args.r)
     t0 = time.monotonic()
@@ -155,28 +168,15 @@ def cmd_scan_q(args) -> int:
         raise UsageError(f"--max-r {args.max_r}: desk-scale guard is {classnumber.MAX_R}")
     if args.max_r < 0:
         raise UsageError("--max-r must be nonnegative")
+    expected = _load_input("--expect", args.expect, _read_int_list)
     t0 = time.monotonic()
     passing = criteria.scan_Q(args.max_r)
     elapsed = time.monotonic() - t0
-    expected = None
-    if args.expect is not None:
-        try:
-            text = open(args.expect, encoding="utf-8").read()
-        except OSError as exc:
-            raise UsageError(f"--expect {args.expect}: {exc}")
-        expected = _parse_int_list(text)
     if args.json:
-        payload = {
-            "tool": "rrpfermat",
-            "version": __version__,
-            "command": "scan-q",
-            "input": _input_echo(args),
-            "passing_r": passing,
-        }
+        body = {"passing_r": passing}
         if expected is not None:
-            payload["expected_r"] = expected
-            payload["match"] = passing == expected
-        print(json.dumps(payload, indent=2))
+            body.update(expected_r=expected, match=passing == expected)
+        _print_json(args, body)
     else:
         print(" ".join(str(r) for r in passing))
         if expected is not None:
@@ -187,9 +187,10 @@ def cmd_scan_q(args) -> int:
     return EXIT_PASS
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _read_int_list(path: str) -> list[int]:
+    """Whitespace-separated integers, # comments, UTF-8."""
     out = []
-    for raw in text.splitlines():
+    for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.split("#", 1)[0]
         out.extend(int(tok) for tok in line.split())
     return out
@@ -205,21 +206,18 @@ def cmd_check_quad(args) -> int:
         raise UsageError("--d 0 (rational base) is only meaningful with --theorem")
     if args.d > MAX_D:
         raise UsageError(f"--d {args.d}: desk-scale guard is d <= {MAX_D}")
-    if args.d != 0 and (args.d <= 1 or not is_squarefree(args.d)):
-        raise UsageError(f"--d {args.d}: must be a squarefree integer > 1 (or 0 with --theorem)")
-    table = None
-    if args.hplus_table is not None:
+    if args.d != 0:
         try:
-            table = classnumber.load_hplus_table(args.hplus_table)
-        except (OSError, TableError) as exc:
-            raise UsageError(f"--hplus-table: {exc}")
+            check_quadratic_d(args.d)
+        except ValueError:
+            raise UsageError(f"--d {args.d}: must be a squarefree integer > 1 (or 0 with --theorem)")
+    table = _load_input("--hplus-table", args.hplus_table, classnumber.load_hplus_table)
     t0 = time.monotonic()
     if args.theorem:
         verdict = criteria.check_four_hypotheses(args.d, args.r, table)
     else:
         verdict = criteria.check_corollary_quad(args.d, args.r, table)
-    digest = classnumber.table_digest(args.hplus_table)
-    extra = {"hplus_table_sha256": digest}
+    extra = {"hplus_table_sha256": classnumber.table_digest(args.hplus_table)}
     code = _emit_verdict(verdict, args, extra=extra, elapsed=time.monotonic() - t0)
     if code == EXIT_UNDETERMINED and not args.json:
         for cond in verdict.conditions:
@@ -248,10 +246,6 @@ def cmd_frey(args) -> int:
     support = frey.conductor_support_outside_S(curve, args.smoothness_bound)
     elapsed = time.monotonic() - t0
     report = {
-        "tool": "rrpfermat",
-        "version": __version__,
-        "command": "frey",
-        "input": _input_echo(args),
         "A": list(curve.A.coeffs),
         "B": list(curve.B.coeffs),
         "C": list(curve.C.coeffs),
@@ -265,7 +259,7 @@ def cmd_frey(args) -> int:
         "conductor_support_outside_S": list(support),
     }
     if args.json:
-        print(json.dumps(report, indent=2))
+        _print_json(args, report)
     else:
         for key in ("A", "B", "C", "A_plus_B_plus_C", "delta", "c4", "j_num", "j_den"):
             print(f"{key}: {report[key]}")
@@ -276,19 +270,13 @@ def cmd_frey(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, DegenerateCurveError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DegenerateCurveError, UnfactoredCofactorError, NotCoprimeError,
-            ConsistencyError, TableError) as exc:
+    except (UnfactoredCofactorError, NotCoprimeError, ConsistencyError, TableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -86,6 +86,14 @@ def _unique_prime_above_2(report) -> Condition:
     )
 
 
+def _r_inert_in_K(d: int, r: int) -> bool | None:
+    """Whether r stays prime in K = Q(sqrt(d)); None when r divides d."""
+    try:
+        return splitting.check_r_inert_in_quadratic(d, r)
+    except NotCoprimeError:
+        return None
+
+
 def check_corollary_Q(r: int) -> Verdict:
     """The three rational-base hypotheses: r not 1 mod 8, 2 inert in
     Q(theta_r), h+ odd.  When 2 is inert the direct Galois-ring test of the
@@ -146,16 +154,12 @@ def check_corollary_quad(d: int, r: int, table=None) -> Verdict:
     conditions.append(_unique_prime_above_2(report))
     conditions.append(_parity_condition(d, r, table))
 
-    diagnostics = {}
-    try:
-        inert = splitting.check_r_inert_in_quadratic(d, r)
-        diagnostics["r_inert_in_K"] = inert
-        if not inert:
-            diagnostics["r_inert_note"] = (
-                "r splits in Q(sqrt(d)) despite r not dividing d; recorded, not gated"
-            )
-    except NotCoprimeError:
-        diagnostics["r_inert_in_K"] = "r divides d"
+    inert = _r_inert_in_K(d, r)
+    diagnostics = {"r_inert_in_K": "r divides d" if inert is None else inert}
+    if inert is False:
+        diagnostics["r_inert_note"] = (
+            "r splits in Q(sqrt(d)) despite r not dividing d; recorded, not gated"
+        )
     return Verdict("corollary-quad", d, r, tuple(conditions), diagnostics)
 
 
@@ -202,15 +206,15 @@ def check_four_hypotheses(base_d: int, r: int, table=None) -> Verdict:
     else:
         # split_2_in_Kplus refuses a base_d that is not a squarefree integer > 1.
         report = splitting.split_2_in_Kplus(base_d, field)
-        try:
-            inert = splitting.check_r_inert_in_quadratic(base_d, r)
+        inert = _r_inert_in_K(base_d, r)
+        if inert is None:
+            r_inert = Condition("r inert in K", FAIL, {"reason": "r divides d"})
+        else:
             r_inert = Condition(
                 "r inert in K",
                 PASS if inert else FAIL,
                 {"legendre_d_mod_r": -1 if inert else 1},
             )
-        except NotCoprimeError:
-            r_inert = Condition("r inert in K", FAIL, {"reason": "r divides d"})
     conditions = (
         r_inert,
         _unique_prime_above_2(report),

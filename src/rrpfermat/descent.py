@@ -34,7 +34,8 @@ from typing import NamedTuple
 
 from .cycfield import CycInt, RealCyclotomicField
 from .errors import ConsistencyError, NotCoprimeError
-from .numutil import is_prime, is_squarefree
+from .numutil import is_prime
+from .splitting import check_quadratic_d
 
 
 class CycFrac:
@@ -217,8 +218,7 @@ def norm_necessary_condition(base_d: int, r: int) -> bool:
         if brute != closed:
             raise ConsistencyError("mod-32 square set disagrees with n mod 8")
         return brute
-    if not is_squarefree(base_d):
-        raise ValueError(f"d = {base_d} must be squarefree and positive")
+    check_quadratic_d(base_d)
     if base_d % r == 0:
         raise NotCoprimeError(f"r = {r} divides d = {base_d}")
     d = base_d

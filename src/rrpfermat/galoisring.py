@@ -201,12 +201,13 @@ def gr_sqrt(u: GaloisRingElem) -> GaloisRingElem | None:
     if not u.is_unit():
         raise NonUnitError("gr_sqrt needs a unit")
 
-    s = ring.lift(sqrt_f2f(ring.residue(u)))
-    diff = u - s * s
-    if any(c % 4 for c in diff.coeffs):
+    root = sqrt_f2f(ring.residue(u))
+    s = ring.lift(root)
+    s2 = s * s
+    if any(c % 4 for c in (u - s2).coeffs):
         return None
 
-    w = u * ring.inverse(s) * ring.inverse(s)  # = 1 mod 4
+    w = u * ring.inverse(s2)  # = 1 mod 4
     c_elem = ring.residue(ring.exact_div_pow2(w - ring.one, 2))
     if trace_f2f(c_elem) == 1:
         return None
@@ -215,9 +216,11 @@ def gr_sqrt(u: GaloisRingElem) -> GaloisRingElem | None:
         raise ConsistencyError("trace 0 but no Artin-Schreier solution")
     s = s * (ring.one + 2 * ring.lift(v))  # now s^2 = u mod 8
 
+    # s = lift(root) mod 2 throughout, so the residue inverse is fixed.
+    root_inv = root.inverse()
     for k in range(3, ring.n):
         rem = ring.exact_div_pow2(u - s * s, k)
-        t = ring.residue(rem) * ring.residue(s).inverse()
+        t = ring.residue(rem) * root_inv
         s = s + (1 << (k - 1)) * ring.lift(t)
     if not (s * s == u):
         raise ConsistencyError("lifted root does not square back to u")

@@ -92,16 +92,16 @@ def split_2_in_Qplus(r) -> SplittingReport:
     return SplittingReport(2, fld.degree, tuple(sorted(primes)))
 
 
-def _check_quadratic_d(d: int):
-    if d <= 0 or d == 1:
+def check_quadratic_d(d: int):
+    """The one rule for a real quadratic base Q(sqrt(d)): d must be a
+    squarefree integer > 1 (ValueError otherwise)."""
+    if d <= 1 or not is_squarefree(d):
         raise ValueError(f"d = {d} must be a squarefree integer > 1")
-    if not is_squarefree(d):
-        raise ValueError(f"d = {d} is not squarefree")
 
 
 def split_2_in_quadratic(d: int) -> SplittingReport:
     """Decomposition of 2 in Q(sqrt(d)) by the classical residue table."""
-    _check_quadratic_d(d)
+    check_quadratic_d(d)
     if d % 8 == 1:
         primes = ((1, 1), (1, 1))
     elif d % 8 == 5:
@@ -135,7 +135,7 @@ def split_2_in_Kplus(d: int, r) -> SplittingReport:
     """Decomposition of 2 in K+ = Q(sqrt(d), theta_r) by the local tower
     rule: base step in Q+ (unramified, residue degree f per prime), then the
     quadratic fiber over each of those primes."""
-    _check_quadratic_d(d)
+    check_quadratic_d(d)
     fld = _as_field(r)
     base = split_2_in_Qplus(fld)
     primes: list[tuple[int, int]] = []

@@ -85,10 +85,25 @@ def test_check_quad_undetermined_names_missing_entry(capsys):
 
 
 def test_check_quad_usage(capsys):
-    code, _, _ = run(capsys, "check-quad", "--d", "12", "--r", "11")
-    assert code == EXIT_USAGE
+    for d in ("1", "-5", "12"):
+        code, _, err = run(capsys, "check-quad", "--d", d, "--r", "11")
+        assert code == EXIT_USAGE and err.startswith(f"usage error: --d {d}: "), d
     code, _, _ = run(capsys, "check-quad", "--d", "0", "--r", "11")
     assert code == EXIT_USAGE  # d = 0 needs --theorem
+
+
+@pytest.mark.parametrize("flag, argv, content", [
+    ("--expect", ["scan-q", "--max-r", "13"], b"5 7 eleven 13\n"),
+    ("--expect", ["scan-q", "--max-r", "13"], b"\xff\xfe 5 7\n"),
+    ("--hplus-table", ["check-quad", "--d", "7", "--r", "11"], b"7 11 odd \xff\n"),
+], ids=["expect-not-integer", "expect-not-utf8", "hplus-table-not-utf8"])
+def test_malformed_input_file_is_usage_error(flag, argv, content, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(content)
+    code, out, err = run(capsys, *argv, flag, str(bad), "--json")
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(f"usage error: {flag} {bad}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_check_quad_theorem_mode(capsys):
@@ -132,9 +147,9 @@ def test_frey_guards(capsys):
     assert code == EXIT_USAGE
 
 
-def test_frey_degenerate_is_internal_error(capsys):
+def test_frey_degenerate_is_usage_error(capsys):
     code, _, err = run(capsys, "frey", "--r", "5", "--x", "1", "--y", "-1")
-    assert code == EXIT_INTERNAL and "singular" in err
+    assert code == EXIT_USAGE and "singular" in err
 
 
 def test_frey_unfactored_cofactor(capsys):

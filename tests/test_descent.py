@@ -151,6 +151,8 @@ def test_norm_necessary_condition_guards():
         norm_necessary_condition(17, 5)  # d = 1 mod 8: no unique prime
     with pytest.raises(ValueError):
         norm_necessary_condition(12, 5)  # not squarefree
+    with pytest.raises(ValueError, match="squarefree integer > 1"):
+        norm_necessary_condition(1, 5)  # refused by the d rule, not as 1 mod 8
     with pytest.raises(ValueError):
         norm_necessary_condition(0, 9)
 
