@@ -26,7 +26,8 @@ internal error (ConsistencyError).
 For quadratic base fields no desk-scale algorithm is implemented; parity of
 h+ for the compositum is read from an attested external table shipped as
 data (see data/hplus_parity.txt), and a missing entry is reported as
-undetermined rather than assumed.
+undetermined rather than assumed.  load_hplus_table reads a table file once
+and records the SHA-256 of exactly the bytes it parsed.
 """
 
 from __future__ import annotations
@@ -99,16 +100,22 @@ def maillet_h_minus(r: int) -> HMinusResult:
 # -- external h+ parity table ----------------------------------------------
 
 
-def shipped_table_path() -> Path:
-    return Path(str(resources.files("rrpfermat").joinpath("data/hplus_parity.txt")))
+class HPlusTable(dict):
+    """(d, r) -> HPlusTableEntry; `sha256` digests the bytes parsed."""
+
+    __slots__ = ("sha256",)
 
 
-def load_hplus_table(path: str | Path | None = None) -> dict[tuple[int, int], HPlusTableEntry]:
-    """Parse a parity table: lines of `d r parity source...`, # comments,
-    UTF-8.  Duplicate (d, r) keys are an error."""
-    src = Path(path) if path is not None else shipped_table_path()
-    table: dict[tuple[int, int], HPlusTableEntry] = {}
-    for lineno, raw in enumerate(src.read_text(encoding="utf-8").splitlines(), 1):
+def load_hplus_table(path: str | Path | None = None) -> HPlusTable:
+    """Parse a parity table, the shipped one by default: lines of `d r parity
+    source...`, # comments, UTF-8.  Duplicate (d, r) keys are an error."""
+    if path is None:
+        path = resources.files("rrpfermat").joinpath("data/hplus_parity.txt")
+    src = Path(str(path))
+    data = src.read_bytes()
+    table = HPlusTable()
+    table.sha256 = table_digest(data)
+    for lineno, raw in enumerate(data.decode("utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -128,16 +135,11 @@ def load_hplus_table(path: str | Path | None = None) -> dict[tuple[int, int], HP
     return table
 
 
-def table_digest(path: str | Path | None = None) -> str:
-    src = Path(path) if path is not None else shipped_table_path()
-    return hashlib.sha256(src.read_bytes()).hexdigest()
+def table_digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
-def h_plus_parity(
-    base_d: int,
-    r: int,
-    table: dict[tuple[int, int], HPlusTableEntry] | None = None,
-) -> tuple[str, dict]:
+def h_plus_parity(base_d: int, r: int, table: HPlusTable | None = None) -> tuple[str, dict]:
     """Parity of h+ of the real field attached to (base_d, r), plus evidence.
 
     base_d = 0 means the rational base: the parity is that of h_r^- from the

@@ -14,6 +14,7 @@ the modulus the search returns is checked by the other route.
 from __future__ import annotations
 
 from .errors import ConsistencyError, NotSquarefreeError
+from .intlinalg import gf2_solve
 
 X = 0b10  # the polynomial x
 
@@ -317,49 +318,15 @@ def sqrt_f2f(a: F2fElem) -> F2fElem:
 def artin_schreier_solve(c: F2fElem) -> F2fElem | None:
     """Some v with v^2 + v = c, or None when there is none (trace 1).
 
-    The map v -> v^2 + v is GF(2)-linear with kernel {0, 1}; solve the f x f
-    linear system over GF(2) by elimination on bitmask rows.
+    The map v -> v^2 + v is GF(2)-linear with kernel {0, 1}: v is the XOR of
+    the basis elements t^i whose images t^(2i) + t^i add up to c, found by
+    intlinalg.gf2_solve.
     """
     fld = c.field
-    f = fld.f
-    cols = [fld.mul_bits(1 << i, 1 << i) ^ (1 << i) for i in range(f)]
-    # Row j: sum_i cols[i][bit j] * v_i = c[bit j].
-    rows = []
-    for j in range(f):
-        mask = 0
-        for i in range(f):
-            if (cols[i] >> j) & 1:
-                mask |= 1 << i
-        rows.append([mask, (c.bits >> j) & 1])
-    pivot_of = {}
-    for row in rows:
-        mask, rhs = row
-        while mask:
-            low = mask & -mask
-            i = low.bit_length() - 1
-            if i in pivot_of:
-                pmask, prhs = pivot_of[i]
-                mask ^= pmask
-                rhs ^= prhs
-            else:
-                pivot_of[i] = (mask, rhs)
-                break
-        else:
-            if rhs:
-                return None
-    # Back-substitute with free variables set to 0.
-    sol = 0
-    for i in sorted(pivot_of, reverse=True):
-        pmask, prhs = pivot_of[i]
-        acc = prhs
-        rest = pmask & ~(1 << i)
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            acc ^= (sol >> j) & 1
-            rest ^= low
-        if acc:
-            sol |= 1 << i
+    cols = [fld.mul_bits(1 << i, 1 << i) ^ (1 << i) for i in range(fld.f)]
+    sol = gf2_solve(cols, c.bits)
+    if sol is None:
+        return None
     v = F2fElem(fld, sol)
     if v * v + v != c:
         raise ConsistencyError("linear solve produced a non-solution")

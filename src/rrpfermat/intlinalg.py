@@ -1,8 +1,9 @@
 """Exact integer linear algebra: fraction-free determinants, row-lattice
 indices and determinants over GF(2).  Matrices here stay small (at most
 99x99, the Maillet matrix at r = 199), so the classical cubic algorithms are
-plenty; exactness is the only requirement.  `gf2_det` takes bit-packed rows
-(Python ints) and eliminates by XOR."""
+plenty; exactness is the only requirement.  GF(2) vectors are bit-packed
+ints, and one XOR eliminator, `_gf2_insert`, serves `gf2_det` (the Maillet
+parity) and `gf2_solve` (the Artin-Schreier equation in ffpoly)."""
 
 from __future__ import annotations
 
@@ -42,29 +43,47 @@ def bareiss_det(rows) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _gf2_insert(pivots: dict, vec: int, combo: int) -> tuple[int, int]:
+    """Reduce vec by XOR against the pivots ({highest set bit: (vector,
+    combo)}), where combo is the bitmask of inputs whose XOR is the vector.
+    A nonzero remainder becomes a new pivot.  Returns the reduced (vec,
+    combo): vec is 0 exactly when the input lay in the pivots' span."""
+    while vec:
+        top = vec.bit_length() - 1
+        pivot = pivots.get(top)
+        if pivot is None:
+            pivots[top] = (vec, combo)
+            break
+        vec ^= pivot[0]
+        combo ^= pivot[1]
+    return vec, combo
+
+
 def gf2_det(rows) -> int:
     """Determinant over GF(2) (0 or 1) of the square matrix whose row i is
-    the int rows[i], bit j holding the entry in column j.
-
-    Each row is reduced by XOR against the pivots found so far, keyed by
-    their highest set bit; the determinant is 1 exactly when every row
-    leaves a new pivot, i.e. the rows are independent.
-    """
+    the int rows[i], bit j holding the entry in column j: 1 exactly when
+    every row leaves a new pivot, i.e. the rows are independent."""
     n = len(rows)
-    pivots: dict[int, int] = {}
+    pivots: dict = {}
     for row in rows:
         if row < 0 or row >> n:
             raise ValueError("matrix must be square: row bits must lie in columns 0..n-1")
-        while row:
-            top = row.bit_length() - 1
-            pivot = pivots.get(top)
-            if pivot is None:
-                pivots[top] = row
-                break
-            row ^= pivot
-        else:
+        if not _gf2_insert(pivots, row, 0)[0]:
             return 0
     return 1
+
+
+def gf2_solve(columns, target: int) -> int | None:
+    """A bitmask of columns (bit i for columns[i], each a nonnegative int
+    read as a GF(2) vector) whose XOR is target, or None when target is not
+    in their span."""
+    if target < 0 or any(col < 0 for col in columns):
+        raise ValueError("GF(2) vectors must be nonnegative ints")
+    pivots: dict = {}
+    for i, col in enumerate(columns):
+        _gf2_insert(pivots, col, 1 << i)
+    rest, combo = _gf2_insert(pivots, target, 0)
+    return None if rest else combo
 
 
 def row_lattice_index(rows, dim: int) -> int:

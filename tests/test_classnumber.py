@@ -1,3 +1,6 @@
+import hashlib
+from importlib import resources
+
 import pytest
 
 from rrpfermat.classnumber import (
@@ -7,7 +10,6 @@ from rrpfermat.classnumber import (
     h_plus_parity,
     load_hplus_table,
     maillet_h_minus,
-    shipped_table_path,
     table_digest,
 )
 from rrpfermat.errors import TableError
@@ -101,5 +103,8 @@ def test_table_parsing_errors(tmp_path):
 
 
 def test_table_digest_stable():
-    assert table_digest() == table_digest(shipped_table_path())
-    assert len(table_digest()) == 64
+    shipped = resources.files("rrpfermat").joinpath("data/hplus_parity.txt").read_bytes()
+    digest = load_hplus_table().sha256
+    assert digest == load_hplus_table().sha256 == table_digest(shipped)
+    assert digest == hashlib.sha256(shipped).hexdigest()
+    assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")

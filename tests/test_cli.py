@@ -1,7 +1,10 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+from rrpfermat import criteria
 from rrpfermat.cli import (
     EXIT_FAIL,
     EXIT_INTERNAL,
@@ -129,6 +132,39 @@ def test_check_quad_custom_table(tmp_path, capsys):
         capsys, "check-quad", "--d", "7", "--r", "11", "--hplus-table", str(bad)
     )
     assert code == EXIT_USAGE
+
+
+def test_check_quad_reads_the_table_file_once(tmp_path, monkeypatch, capsys):
+    table = tmp_path / "table.txt"
+    table.write_text("7 11 odd local attestation\n", encoding="utf-8")
+    reads = []
+    for name in ("read_bytes", "read_text"):
+        def counting(self, *args, _name=name, _original=getattr(Path, name), **kwargs):
+            if Path(self) == table:
+                reads.append(_name)
+            return _original(self, *args, **kwargs)
+        monkeypatch.setattr(Path, name, counting)
+    code, _, _ = run(capsys, "check-quad", "--d", "7", "--r", "11",
+                     "--hplus-table", str(table), "--json")
+    assert code == EXIT_PASS
+    assert len(reads) == 1, reads
+
+
+def test_table_digest_names_the_parsed_bytes(tmp_path, monkeypatch, capsys):
+    table = tmp_path / "table.txt"
+    parsed = b"7 11 odd local attestation\n"
+    table.write_bytes(parsed)
+    original = criteria.check_corollary_quad
+
+    def rewrite_mid_op(d, r, tbl=None):
+        table.write_bytes(b"7 11 even another attestation\n")
+        return original(d, r, tbl)
+
+    monkeypatch.setattr(criteria, "check_corollary_quad", rewrite_mid_op)
+    code, out, _ = run(capsys, "check-quad", "--d", "7", "--r", "11",
+                       "--hplus-table", str(table), "--json")
+    assert code == EXIT_PASS
+    assert json.loads(out)["hplus_table_sha256"] == hashlib.sha256(parsed).hexdigest()
 
 
 def test_frey_report(capsys):

@@ -5,7 +5,7 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rrpfermat.intlinalg import bareiss_det, gf2_det
+from rrpfermat.intlinalg import bareiss_det, gf2_det, gf2_solve
 
 import oracles
 
@@ -38,3 +38,26 @@ def test_gf2_det_rejects_non_square_rows():
     with pytest.raises(ValueError):
         gf2_det([0b100, 0b001])
     assert gf2_det([]) == 1
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 255), max_size=8), st.integers(0, 255))
+@example([], 0)
+@example([], 1)
+@example([0b11, 0b01], 0b10)
+@example([0b110, 0b011, 0b101], 0b111)
+def test_gf2_solve_matches_brute_force(columns, target):
+    def xor_of(mask):
+        acc = 0
+        for i, col in enumerate(columns):
+            if mask >> i & 1:
+                acc ^= col
+        return acc
+
+    reachable = any(xor_of(mask) == target for mask in range(1 << len(columns)))
+    mask = gf2_solve(columns, target)
+    if reachable:
+        assert mask is not None and mask >> len(columns) == 0
+        assert xor_of(mask) == target
+    else:
+        assert mask is None
