@@ -37,9 +37,9 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
+from .cycfield import check_prime_r
 from .errors import ConsistencyError, TableError
 from .intlinalg import bareiss_det, gf2_det
-from .numutil import is_prime
 
 ODD = "odd"
 EVEN = "even"
@@ -68,8 +68,9 @@ class HPlusTableEntry(NamedTuple):
 def maillet_h_minus(r: int) -> HMinusResult:
     """Exact h_r^- for a prime 5 <= r <= MAX_R via the r-reduced Maillet
     determinant, with its parity checked against GF(2) elimination of M."""
-    if not is_prime(r) or not 5 <= r <= MAX_R:
-        raise ValueError(f"r = {r} must be a prime with 5 <= r <= {MAX_R}")
+    check_prime_r(r)
+    if r > MAX_R:
+        raise ValueError(f"r = {r} exceeds MAX_R = {MAX_R}")
     m = (r - 1) // 2
     inverses = [pow(b, -1, r) for b in range(1, m + 1)]
     reduced = [inverses]

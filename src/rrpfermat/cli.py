@@ -13,9 +13,9 @@ Exit codes (scripts can branch on the tri-state):
     0  pass          1  fail          2  undetermined
     64 usage error   70 internal/computation error
 
-A usage error is bad input: an argument out of range (a --smoothness-bound
-outside 3..MAX_SMOOTHNESS_BOUND among them), an --expect or --hplus-table
-file that cannot be read or parsed, or a singular Frey model (x + y = 0).
+A usage error is bad input: an argument out of range (frey's --r, --x, --y
+and --smoothness-bound among them), an --expect or --hplus-table file that
+cannot be read or parsed, --hplus-table with --d 0, or a singular Frey model.
 main is the only place that maps exceptions to exit codes.
 
 JSON reports (--json) are deterministic: stable key order, no timestamps,
@@ -34,7 +34,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__, classnumber, criteria, frey
-from .cycfield import build_field
+from .cycfield import build_field, check_prime_r
 from .errors import (
     ConsistencyError,
     DegenerateCurveError,
@@ -42,7 +42,6 @@ from .errors import (
     TableError,
     UnfactoredCofactorError,
 )
-from .numutil import is_prime
 from .splitting import check_quadratic_d
 
 EXIT_PASS = 0
@@ -59,6 +58,13 @@ MAX_D = 10**12
 # every odd number up to it.  On a 2-vCPU Xeon, with no factor below the bound,
 # 10^7 took 0.4 s at r = 47 and 1.4 s at r = 199; 10^8 took 4.0 s and 12.8 s.
 MAX_SMOOTHNESS_BOUND = 10**7
+
+# Largest frey --r and |--x|, |--y| accepted.  Whole process, 2-vCPU Xeon: at
+# x = 3, y = 2, r = 23 / 31 / 37 / 47 took 0.2 / 0.4 / 0.9 / 3.3 s (r = 199: no
+# result in 30 s); the corner r = 31, x = 10^4, y = 10^4 - 1 with
+# --smoothness-bound 10^7 took 2.7-3.1 s, and x = 10^6 took 3.7-5.2 s.
+MAX_FREY_R = 31
+MAX_FREY_XY = 10**4
 
 _VERDICT_EXIT = {
     criteria.PASS: EXIT_PASS,
@@ -109,7 +115,8 @@ def build_parser() -> _Parser:
     p.add_argument("--y", type=int, required=True)
     p.add_argument("--k", type=str, default="0,1,2",
                    help="comma-separated distinct indices k1,k2,k3 (default 0,1,2)")
-    p.add_argument("--smoothness-bound", type=int, default=100_000, dest="smoothness_bound")
+    p.add_argument("--smoothness-bound", type=int, default=frey.DEFAULT_SMOOTHNESS_BOUND,
+                   dest="smoothness_bound")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_frey)
 
@@ -117,7 +124,9 @@ def build_parser() -> _Parser:
 
 
 def _require_prime_r(r: int):
-    if not is_prime(r) or r < 5:
+    try:
+        check_prime_r(r)
+    except ValueError:
         raise UsageError(f"--r {r}: must be a prime >= 5")
     if r > classnumber.MAX_R:
         raise UsageError(f"--r {r}: desk-scale guard is r <= {classnumber.MAX_R}")
@@ -208,23 +217,28 @@ def shipped_q_list_path() -> str:
 
 def cmd_check_quad(args) -> int:
     _require_prime_r(args.r)
-    if args.d == 0 and not args.theorem:
-        raise UsageError("--d 0 (rational base) is only meaningful with --theorem")
     if args.d > MAX_D:
         raise UsageError(f"--d {args.d}: desk-scale guard is d <= {MAX_D}")
-    if args.d != 0:
+    if args.d == 0:
+        # The rational-base parity comes from the Maillet determinant: no table.
+        if not args.theorem:
+            raise UsageError("--d 0 (rational base) is only meaningful with --theorem")
+        if args.hplus_table is not None:
+            raise UsageError(f"--hplus-table {args.hplus_table}: no table is read with --d 0")
+        table = extra = None
+    else:
         try:
             check_quadratic_d(args.d)
         except ValueError:
             raise UsageError(f"--d {args.d}: must be a squarefree integer > 1 (or 0 with --theorem)")
-    table = (_load_input("--hplus-table", args.hplus_table, classnumber.load_hplus_table)
-             if args.hplus_table is not None else classnumber.load_hplus_table())
+        table = (_load_input("--hplus-table", args.hplus_table, classnumber.load_hplus_table)
+                 if args.hplus_table is not None else classnumber.load_hplus_table())
+        extra = {"hplus_table_sha256": table.sha256}
     t0 = time.monotonic()
     if args.theorem:
         verdict = criteria.check_four_hypotheses(args.d, args.r, table)
     else:
         verdict = criteria.check_corollary_quad(args.d, args.r, table)
-    extra = {"hplus_table_sha256": table.sha256}
     code = _emit_verdict(verdict, args, extra=extra, elapsed=time.monotonic() - t0)
     if code == EXIT_UNDETERMINED and not args.json:
         for cond in verdict.conditions:
@@ -236,6 +250,11 @@ def cmd_check_quad(args) -> int:
 
 def cmd_frey(args) -> int:
     _require_prime_r(args.r)
+    if args.r > MAX_FREY_R:
+        raise UsageError(f"--r {args.r}: frey's desk-scale guard is r <= {MAX_FREY_R}")
+    for name, value in (("x", args.x), ("y", args.y)):
+        if abs(value) > MAX_FREY_XY:
+            raise UsageError(f"--{name} {value}: desk-scale guard is |{name}| <= {MAX_FREY_XY}")
     if math.gcd(args.x, args.y) != 1:
         raise UsageError(f"--x {args.x} --y {args.y}: gcd must be 1")
     try:

@@ -33,6 +33,12 @@ from .intlinalg import bareiss_det
 from .numutil import is_prime
 
 
+def check_prime_r(r: int) -> None:
+    """The one rule for the exponent r: a prime >= 5 (ValueError otherwise)."""
+    if r < 5 or not is_prime(r):
+        raise ValueError(f"r = {r} must be a prime >= 5")
+
+
 def polyrem(vec, modulus, m: int = 0) -> tuple[int, ...]:
     """Remainder of the coefficient vector `vec` modulo the monic polynomial
     `modulus` (both constant term first), over Z when m == 0 and over Z/m
@@ -79,8 +85,7 @@ class RealCyclotomicField:
     __slots__ = ("r", "degree", "psi", "_power_sums", "_two_shape")
 
     def __init__(self, r: int):
-        if r < 5 or not is_prime(r):
-            raise ValueError(f"r = {r} must be a prime >= 5")
+        check_prime_r(r)
         self.r = r
         self.degree = (r - 1) // 2
         self.psi = self._minimal_polynomial(self.degree)

@@ -32,9 +32,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cycfield import CycInt, RealCyclotomicField
+from .cycfield import CycInt, RealCyclotomicField, check_prime_r
 from .errors import ConsistencyError, NotCoprimeError
-from .numutil import is_prime
 from .splitting import check_quadratic_d
 
 
@@ -207,8 +206,7 @@ def norm_necessary_condition(base_d: int, r: int) -> bool:
     enumeration of the residue system and by the closed-form congruence, and
     any disagreement raises ConsistencyError.
     """
-    if not is_prime(r) or r < 5:
-        raise ValueError(f"r = {r} must be a prime >= 5")
+    check_prime_r(r)
     n = signed_norm_of_pi_r(r)
     if base_d == 0:
         # The norm of a square is an odd square mod 2^5, and the odd squares

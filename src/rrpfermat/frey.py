@@ -249,8 +249,10 @@ def coprimality_check(field: RealCyclotomicField, x: int, y: int) -> Coprimality
 
 # -- conductor support --------------------------------------------------------
 
+DEFAULT_SMOOTHNESS_BOUND = 100_000
 
-def conductor_support_outside_S(curve: FreyCurve, smoothness_bound: int = 100_000) -> tuple[int, ...]:
+
+def conductor_support_outside_S(curve: FreyCurve, smoothness_bound: int = DEFAULT_SMOOTHNESS_BOUND) -> tuple[int, ...]:
     """Rational primes q outside {2, r} dividing Norm(ABC): the support of
     the semistable part of the conductor.  Trial division only; a cofactor
     surviving the bound raises instead of passing silently."""

@@ -5,7 +5,8 @@ main operation is the unit square root: in an unramified 2-adic ring a unit
 u is a square exactly when two finite obstructions vanish, one mod 4 and one
 mod 8 (an Artin-Schreier trace condition); beyond mod 8 Hensel lifting is
 unobstructed.  That yields an exact decision procedure for congruences
-u = v^2 mod P^n once n >= 3.
+u = v^2 mod P^n once n >= 3.  The mod-8 obstruction is read in the residue
+field GF(2^f), so the only inverse taken is that of the residue root.
 
 For the field Q(zeta_r + 1/zeta_r) with 2 inert, O/2^n O is GR(2^n, (r-1)/2)
 with modulus psi_r mod 2^n; this identification uses that Z[theta] is the
@@ -49,10 +50,6 @@ class GaloisRing:
         return GaloisRingElem(self, polyrem(coeffs, self.modulus, self.mask))
 
     @property
-    def zero(self) -> "GaloisRingElem":
-        return self.elem(0)
-
-    @property
     def one(self) -> "GaloisRingElem":
         return self.elem(1)
 
@@ -70,35 +67,6 @@ class GaloisRing:
                 raise ConsistencyError("coefficient not divisible by 2^k")
             out.append(c >> k)
         return self.elem(out)
-
-    def inverse(self, a: "GaloisRingElem") -> "GaloisRingElem":
-        """Inverse of a unit by Newton lifting from the residue field."""
-        if not a.is_unit():
-            raise NonUnitError("inverse of a non-unit in GR(2^n, f)")
-        x = self.lift(self.residue(a).inverse())
-        # Each step doubles the 2-adic precision of a*x = 1.
-        steps = max(1, (self.n - 1).bit_length())
-        for _ in range(steps):
-            x = x * (self.elem(2) - a * x)
-        if not (a * x == self.one):
-            raise ConsistencyError("Newton inversion failed to converge")
-        return x
-
-    def elements(self):
-        """All 2^(n*f) elements; for exhaustive tests at tiny sizes only."""
-        def rec(prefix):
-            if len(prefix) == self.f:
-                yield GaloisRingElem(self, tuple(prefix))
-                return
-            for c in range(self.mask):
-                yield from rec(prefix + [c])
-
-        yield from rec([])
-
-    def units(self):
-        for a in self.elements():
-            if a.is_unit():
-                yield a
 
     def __eq__(self, other) -> bool:
         return (
@@ -191,9 +159,11 @@ def gr_sqrt(u: GaloisRingElem) -> GaloisRingElem | None:
     square.  Requires a unit u and precision n >= 3.
 
     Stages: unique residue-field root; mod-4 obstruction (the square of any
-    lift of the residue root is well defined mod 4); mod-8 Artin-Schreier
-    obstruction trace((u/s^2 - 1)/4) = 0; then linear Hensel steps, which
-    never obstruct once k >= 3.
+    lift s of the residue root is well defined mod 4); mod-8 Artin-Schreier
+    obstruction trace(c) = 0 with c = (u/s^2 - 1)/4 mod P, computed in the
+    residue field as residue((u - s^2)/4) / root^2; then linear Hensel steps,
+    which never obstruct once k >= 3.  The residue root is inverted once and
+    no Galois-ring inverse is taken.
     """
     ring = u.ring
     if ring.n < 3:
@@ -202,13 +172,14 @@ def gr_sqrt(u: GaloisRingElem) -> GaloisRingElem | None:
         raise NonUnitError("gr_sqrt needs a unit")
 
     root = sqrt_f2f(ring.residue(u))
+    root_inv = root.inverse()
     s = ring.lift(root)
-    s2 = s * s
-    if any(c % 4 for c in (u - s2).coeffs):
+    diff = u - s * s
+    if any(c % 4 for c in diff.coeffs):
         return None
 
-    w = u * ring.inverse(s2)  # = 1 mod 4
-    c_elem = ring.residue(ring.exact_div_pow2(w - ring.one, 2))
+    # (u/s^2 - 1)/4 = (u - s^2)/4 * s^-2, and s = root mod 2.
+    c_elem = ring.residue(ring.exact_div_pow2(diff, 2)) * root_inv * root_inv
     if trace_f2f(c_elem) == 1:
         return None
     v = artin_schreier_solve(c_elem)
@@ -216,8 +187,7 @@ def gr_sqrt(u: GaloisRingElem) -> GaloisRingElem | None:
         raise ConsistencyError("trace 0 but no Artin-Schreier solution")
     s = s * (ring.one + 2 * ring.lift(v))  # now s^2 = u mod 8
 
-    # s = lift(root) mod 2 throughout, so the residue inverse is fixed.
-    root_inv = root.inverse()
+    # s = lift(root) mod 2 throughout, so root_inv inverts every residue of s.
     for k in range(3, ring.n):
         rem = ring.exact_div_pow2(u - s * s, k)
         t = ring.residue(rem) * root_inv

@@ -9,6 +9,7 @@ number formula evaluated exactly over cyclotomic rationals.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import sympy as sp
 from sympy.polys.domains import ZZ
@@ -196,6 +197,24 @@ def maillet_matrix(r: int) -> list[list[int]]:
 def packed_mod2(matrix) -> list[int]:
     """Rows of an integer matrix mod 2 as ints, column j in bit j."""
     return [sum((x & 1) << j for j, x in enumerate(row)) for row in matrix]
+
+
+# -- Galois-ring squares -------------------------------------------------------
+
+
+def gr_elements(ring):
+    """All 2^(n*f) elements of a small GR(2^n, f), one per coefficient vector."""
+    return map(ring.elem, product(range(ring.mask), repeat=ring.f))
+
+
+def gr_units(ring):
+    return (v for v in gr_elements(ring) if v.is_unit())
+
+
+def gr_square_set(ring) -> frozenset:
+    """Coefficient tuples of every square in a small GR(2^n, f), found by
+    squaring each of its elements."""
+    return frozenset((v * v).coeffs for v in gr_elements(ring))
 
 
 # -- global splitting oracle for the quadratic tower --------------------------

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from rrpfermat import criteria
+from rrpfermat import classnumber, criteria
 from rrpfermat.cli import (
     EXIT_FAIL,
     EXIT_INTERNAL,
@@ -14,6 +14,8 @@ from rrpfermat.cli import (
     main,
     shipped_q_list_path,
 )
+from rrpfermat.cycfield import build_field
+from rrpfermat.descent import norm_necessary_condition
 
 
 def run(capsys, *argv):
@@ -117,6 +119,39 @@ def test_check_quad_theorem_mode(capsys):
     # r = 7: literal hypothesis (iv) fails over Q
     code, _, _ = run(capsys, "check-quad", "--theorem", "--d", "0", "--r", "7")
     assert code == EXIT_FAIL
+
+
+def test_check_quad_rational_base_reads_no_table(tmp_path, monkeypatch, capsys):
+    # --d 0 takes its parity from the Maillet determinant: no table is
+    # loaded, no digest is printed, and naming a table is a usage error.
+    def no_table(*_):
+        raise AssertionError("h+ table loaded for --d 0")
+
+    monkeypatch.setattr(classnumber, "load_hplus_table", no_table)
+    code, out, _ = run(capsys, "check-quad", "--theorem", "--d", "0", "--r", "11", "--json")
+    assert code == EXIT_PASS
+    payload = json.loads(out)
+    assert "hplus_table_sha256" not in payload
+    assert list(payload) == ["tool", "version", "command", "input", "verdict"]
+    table = tmp_path / "table.txt"
+    table.write_text("7 11 odd local attestation\n", encoding="utf-8")
+    code, out, err = run(capsys, "check-quad", "--theorem", "--d", "0", "--r", "11",
+                         "--hplus-table", str(table), "--json")
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"usage error: --hplus-table {table}: no table is read with --d 0\n"
+
+
+def test_r_rule_is_shared(capsys):
+    # One rule for "r is a prime >= 5": the CLI keeps its message, and the
+    # library callers raise the same ValueError.
+    for r in (-7, 0, 1, 2, 3, 4, 9, 15):
+        code, out, err = run(capsys, "check-q", "--r", str(r))
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"usage error: --r {r}: must be a prime >= 5\n"
+        for call in (build_field, classnumber.maillet_h_minus,
+                     lambda r: norm_necessary_condition(2, r)):
+            with pytest.raises(ValueError, match=f"^r = {r} must be a prime >= 5$"):
+                call(r)
 
 
 def test_check_quad_custom_table(tmp_path, capsys):

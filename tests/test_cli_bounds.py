@@ -2,7 +2,15 @@
 
 import time
 
-from rrpfermat.cli import EXIT_INTERNAL, EXIT_USAGE, MAX_D, MAX_SMOOTHNESS_BOUND, main
+from rrpfermat.cli import (
+    EXIT_INTERNAL,
+    EXIT_USAGE,
+    MAX_D,
+    MAX_FREY_R,
+    MAX_FREY_XY,
+    MAX_SMOOTHNESS_BOUND,
+    main,
+)
 
 
 def test_check_quad_refuses_huge_d_quickly(capsys):
@@ -31,3 +39,39 @@ def test_frey_smoothness_bound_3_still_refuses_the_cofactor(capsys):
     code = main(["frey", "--r", "5", "--x", "2", "--y", "1", "--smoothness-bound", "3"])
     assert code == EXIT_INTERNAL
     assert capsys.readouterr().err == "error: cofactor 121 has no prime factor <= 3\n"
+
+
+def test_frey_refuses_large_r_quickly(capsys):
+    for r in ("37", "47", "199"):
+        t0 = time.monotonic()
+        code = main(["frey", "--r", r, "--x", "3", "--y", "2"])
+        elapsed = time.monotonic() - t0
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"usage error: --r {r}: frey's desk-scale guard is r <= {MAX_FREY_R}\n")
+        assert elapsed < 1.0
+
+
+def test_frey_refuses_large_x_y_quickly(capsys):
+    big = MAX_FREY_XY + 1
+    for name, x, y, value in (("x", -big, 1, -big), ("y", 1, big, big)):
+        t0 = time.monotonic()
+        code = main(["frey", "--r", "5", "--x", str(x), "--y", str(y)])
+        elapsed = time.monotonic() - t0
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"usage error: --{name} {value}: desk-scale guard is |{name}| <= {MAX_FREY_XY}\n")
+        assert elapsed < 1.0
+
+
+def test_frey_corner_finishes_in_bounded_time(capsys):
+    # The largest accepted r, |x|, |y| and smoothness bound together: the
+    # cofactor survives trial division, so the whole loop runs (about 3 s on
+    # a 2-vCPU Xeon), and the op is refused rather than left running.
+    t0 = time.monotonic()
+    code = main(["frey", "--r", str(MAX_FREY_R), "--x", str(MAX_FREY_XY),
+                 "--y", str(MAX_FREY_XY - 1), "--smoothness-bound", str(MAX_SMOOTHNESS_BOUND)])
+    elapsed = time.monotonic() - t0
+    assert code == EXIT_INTERNAL
+    assert capsys.readouterr().err.endswith(f"has no prime factor <= {MAX_SMOOTHNESS_BOUND}\n")
+    assert elapsed < 10.0

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrpfermat.cycfield import build_field
 from rrpfermat.errors import NonUnitError, NotInertError, PrecisionError
@@ -9,6 +11,8 @@ from rrpfermat.galoisring import GaloisRing, gr_sqrt, is_square_pi_r
 from rrpfermat.numutil import primes_upto
 from rrpfermat.splitting import split_2_in_Qplus
 
+import oracles
+
 EXHAUSTIVE_SIZES = [(3, 1), (4, 1), (5, 1), (3, 2), (5, 2), (3, 3)]
 
 
@@ -16,10 +20,6 @@ def make_ring(n: int, f: int) -> GaloisRing:
     m = least_irreducible(f)
     coeffs = [(m >> i) & 1 for i in range(f + 1)]
     return GaloisRing(n, coeffs)
-
-
-def brute_square_set(ring: GaloisRing) -> set:
-    return {(v * v).coeffs for v in ring.elements()}
 
 
 def test_ring_construction_guards():
@@ -43,7 +43,7 @@ def test_gr_sqrt_guards():
 def test_odd_squares_mod_32():
     ring = make_ring(5, 1)  # Z/32
     squares = sorted(
-        c[0] for c in brute_square_set(ring) if c[0] % 2
+        c[0] for c in oracles.gr_square_set(ring) if c[0] % 2
     )
     assert squares == [1, 9, 17, 25]
     detected = sorted(
@@ -57,9 +57,9 @@ def test_gr_sqrt_exhaustive_agreement():
     # roots square back, for every unit of every listed ring.
     for n, f in EXHAUSTIVE_SIZES:
         ring = make_ring(n, f)
-        squares = brute_square_set(ring)
+        squares = oracles.gr_square_set(ring)
         mismatches = 0
-        for u in ring.units():
+        for u in oracles.gr_units(ring):
             root = gr_sqrt(u)
             if (u.coeffs in squares) != (root is not None):
                 mismatches += 1
@@ -153,3 +153,43 @@ def test_gr_sqrt_larger_precision_roundtrip():
         u = w * w
         root = gr_sqrt(u)
         assert root is not None and root * root == u
+
+
+# Irreducible polynomials mod 2 of degree 1..6, found by sympy.
+IRREDUCIBLE_MOD_2 = {
+    f: [p for p in range(1 << f, 2 << f) if oracles.gf2_is_irreducible(p)]
+    for f in range(1, 7)
+}
+
+
+@st.composite
+def ring_and_units(draw):
+    """A random GR(2^n, f), 3 <= n <= 10, 1 <= f <= 6: an irreducible modulus
+    mod 2 with random higher 2-adic digits, and two random units."""
+    n = draw(st.integers(3, 10))
+    f = draw(st.integers(1, 6))
+    low = draw(st.sampled_from(IRREDUCIBLE_MOD_2[f]))
+    lifts = draw(st.lists(st.integers(0, (1 << (n - 1)) - 1), min_size=f, max_size=f))
+    ring = GaloisRing(n, [((low >> i) & 1) + 2 * c for i, c in enumerate(lifts)] + [1])
+
+    def unit():
+        coeffs = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=f, max_size=f))
+        odd_at = draw(st.integers(0, f - 1))
+        coeffs[odd_at] |= 1
+        return ring.elem(coeffs)
+
+    return ring, unit(), unit()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ring_and_units())
+def test_gr_sqrt_properties(case):
+    ring, u, w = case
+    root = gr_sqrt(w * w)
+    assert root is not None and root * root == w * w
+    u_root = gr_sqrt(u)
+    assert (u_root is None) == (gr_sqrt(u * w * w) is None)
+    if u_root is not None:
+        assert u_root * u_root == u
+    if ring.n * ring.f <= 10:
+        assert (u_root is not None) == (u.coeffs in oracles.gr_square_set(ring))
