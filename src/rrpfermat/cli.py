@@ -124,12 +124,13 @@ def build_parser() -> _Parser:
 
 
 def _require_prime_r(r: int):
+    # The bound comes first: the primality test trial-divides up to sqrt(r).
+    if r > classnumber.MAX_R:
+        raise UsageError(f"--r {r}: desk-scale guard is r <= {classnumber.MAX_R}")
     try:
         check_prime_r(r)
     except ValueError:
         raise UsageError(f"--r {r}: must be a prime >= 5")
-    if r > classnumber.MAX_R:
-        raise UsageError(f"--r {r}: desk-scale guard is r <= {classnumber.MAX_R}")
 
 
 def _print_json(args, body: dict) -> None:

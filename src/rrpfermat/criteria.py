@@ -123,7 +123,7 @@ def check_corollary_Q(r: int) -> Verdict:
 
     diagnostics = {}
     if report.inert:
-        is_sq = galoisring.is_square_pi_r(field, 5)
+        is_sq = galoisring.is_square_pi_r(field)
         diagnostics["pi_r_square_mod_P5"] = is_sq
     return Verdict("corollary-Q", 0, r, tuple(conditions), diagnostics)
 
@@ -168,11 +168,11 @@ def _condition_iv(base_d: int, field, report) -> Condition:
     is inert, otherwise by the norm-residue necessary condition."""
     name = "pi_r nonsquare mod P^(4e+1)"
     if base_d == 0 and report.inert:
-        is_sq = galoisring.is_square_pi_r(field, 5)
+        is_sq = galoisring.is_square_pi_r(field)
         return Condition(
             name,
             FAIL if is_sq else PASS,
-            {"method": "galois-ring", "precision": 5, "is_square": is_sq},
+            {"method": "galois-ring", "precision": galoisring.PI_R_PRECISION, "is_square": is_sq},
         )
     try:
         survives = descent.norm_necessary_condition(base_d, field.r)

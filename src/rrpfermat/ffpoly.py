@@ -2,7 +2,9 @@
 
 A polynomial is an int whose bit i is the coefficient of x^i.  Only the
 distinct-degree stage of factorization is implemented: splitting types need
-factor degrees and counts, never the factors themselves.
+factor degrees and counts, never the factors themselves.  An element of
+GF(2^f) is such an int of degree < f; F2Field's methods (mul, inverse,
+sqrt, trace, artin_schreier) are the one home of its arithmetic.
 
 Irreducibility has two routes.  least_irreducible searches with Ben-Or's
 test, which rejects a reducible candidate at the degree of its smallest
@@ -189,7 +191,9 @@ def ddf_degrees(p: int) -> list[tuple[int, int]]:
 class F2Field:
     """GF(2^f) = GF(2)[t]/(m), m irreducible of degree f.
 
-    When no modulus is given the deterministic least_irreducible(f) is used.
+    Elements are bit-packed ints of degree < f, like every polynomial in this
+    module; the methods take and return them.  When no modulus is given the
+    deterministic least_irreducible(f) is used.
     """
 
     __slots__ = ("f", "modulus")
@@ -204,130 +208,47 @@ class F2Field:
         self.f = f
         self.modulus = modulus
 
-    def elem(self, bits: int) -> "F2fElem":
-        return F2fElem(self, f2_mod(bits, self.modulus))
-
-    @property
-    def zero(self) -> "F2fElem":
-        return F2fElem(self, 0)
-
-    @property
-    def one(self) -> "F2fElem":
-        return F2fElem(self, 1)
-
-    def mul_bits(self, a: int, b: int) -> int:
+    def mul(self, a: int, b: int) -> int:
         return f2_mulmod(a, b, self.modulus)
 
-    def inv_bits(self, a: int) -> int:
+    def inverse(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF(2^f)")
         # a^(2^f - 2); f is small so square-and-multiply is plenty.
         return f2_powmod(a, (1 << self.f) - 2, self.modulus)
 
-    def elements(self):
-        for bits in range(1 << self.f):
-            yield F2fElem(self, bits)
+    def sqrt(self, a: int) -> int:
+        """The unique square root: squaring is a bijection in characteristic
+        2, with inverse a -> a^(2^(f-1))."""
+        for _ in range(self.f - 1):
+            a = self.mul(a, a)
+        return a
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, F2Field)
-            and other.f == self.f
-            and other.modulus == self.modulus
-        )
+    def trace(self, a: int) -> int:
+        """Absolute trace over GF(2), as 0 or 1.
 
-    def __hash__(self) -> int:
-        return hash(("F2Field", self.f, self.modulus))
+        v^2 + v = c is solvable exactly when trace(c) = 0.
+        """
+        acc = 0
+        for _ in range(self.f):
+            acc ^= a
+            a = self.mul(a, a)
+        if acc not in (0, 1):
+            raise ConsistencyError("trace landed outside the prime field")
+        return acc
+
+    def artin_schreier(self, c: int) -> int | None:
+        """Some v with v^2 + v = c, or None when there is none (trace 1).
+
+        The map v -> v^2 + v is GF(2)-linear with kernel {0, 1}: v is the XOR
+        of the basis elements t^i whose images t^(2i) + t^i add up to c,
+        found by intlinalg.gf2_solve.
+        """
+        cols = [self.mul(1 << i, 1 << i) ^ (1 << i) for i in range(self.f)]
+        v = gf2_solve(cols, c)
+        if v is not None and self.mul(v, v) ^ v != c:
+            raise ConsistencyError("linear solve produced a non-solution")
+        return v
 
     def __repr__(self) -> str:
         return f"F2Field(f={self.f}, modulus={bin(self.modulus)})"
-
-
-class F2fElem:
-    """An element of GF(2^f), its bits reduced modulo the field's modulus.
-    Immutable and hashable."""
-
-    __slots__ = ("field", "bits")
-
-    def __init__(self, field: F2Field, bits: int):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, *_):
-        raise AttributeError("F2fElem is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, F2fElem):
-            return NotImplemented
-        return self.field == other.field and self.bits == other.bits
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.bits))
-
-    def __repr__(self) -> str:
-        return f"F2fElem(field={self.field!r}, bits={self.bits})"
-
-    def __add__(self, other: "F2fElem") -> "F2fElem":
-        self._check(other)
-        return F2fElem(self.field, self.bits ^ other.bits)
-
-    __sub__ = __add__
-
-    def __mul__(self, other: "F2fElem") -> "F2fElem":
-        self._check(other)
-        return F2fElem(self.field, self.field.mul_bits(self.bits, other.bits))
-
-    def __pow__(self, e: int) -> "F2fElem":
-        return F2fElem(self.field, f2_powmod(self.bits, e, self.field.modulus))
-
-    def inverse(self) -> "F2fElem":
-        return F2fElem(self.field, self.field.inv_bits(self.bits))
-
-    def _check(self, other: "F2fElem"):
-        if self.field != other.field:
-            raise ValueError("mixed GF(2^f) fields")
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-
-def trace_f2f(a: F2fElem) -> int:
-    """Absolute trace of GF(2^f) over GF(2), as 0 or 1.
-
-    v^2 + v = c is solvable in GF(2^f) exactly when trace_f2f(c) = 0.
-    """
-    fld = a.field
-    acc = 0
-    cur = a.bits
-    for _ in range(fld.f):
-        acc ^= cur
-        cur = fld.mul_bits(cur, cur)
-    if acc not in (0, 1):
-        raise ConsistencyError("trace landed outside the prime field")
-    return acc
-
-
-def sqrt_f2f(a: F2fElem) -> F2fElem:
-    """The unique square root: squaring is a bijection in characteristic 2,
-    with inverse a -> a^(2^(f-1))."""
-    cur = a.bits
-    for _ in range(a.field.f - 1):
-        cur = a.field.mul_bits(cur, cur)
-    return F2fElem(a.field, cur)
-
-
-def artin_schreier_solve(c: F2fElem) -> F2fElem | None:
-    """Some v with v^2 + v = c, or None when there is none (trace 1).
-
-    The map v -> v^2 + v is GF(2)-linear with kernel {0, 1}: v is the XOR of
-    the basis elements t^i whose images t^(2i) + t^i add up to c, found by
-    intlinalg.gf2_solve.
-    """
-    fld = c.field
-    cols = [fld.mul_bits(1 << i, 1 << i) ^ (1 << i) for i in range(fld.f)]
-    sol = gf2_solve(cols, c.bits)
-    if sol is None:
-        return None
-    v = F2fElem(fld, sol)
-    if v * v + v != c:
-        raise ConsistencyError("linear solve produced a non-solution")
-    return v

@@ -6,7 +6,9 @@ u is a square exactly when two finite obstructions vanish, one mod 4 and one
 mod 8 (an Artin-Schreier trace condition); beyond mod 8 Hensel lifting is
 unobstructed.  That yields an exact decision procedure for congruences
 u = v^2 mod P^n once n >= 3.  The mod-8 obstruction is read in the residue
-field GF(2^f), so the only inverse taken is that of the residue root.
+field GF(2^f): `residue` and `lift` move between the ring and its
+`residue_field`, an ffpoly.F2Field whose elements are bit-packed ints, and
+the only inverse taken is that of the residue root.
 
 For the field Q(zeta_r + 1/zeta_r) with 2 inert, O/2^n O is GR(2^n, (r-1)/2)
 with modulus psi_r mod 2^n; this identification uses that Z[theta] is the
@@ -19,7 +21,10 @@ from __future__ import annotations
 
 from .cycfield import RealCyclotomicField, polymulmod, polyrem
 from .errors import ConsistencyError, NonUnitError, PrecisionError
-from .ffpoly import F2Field, F2fElem, artin_schreier_solve, f2_from_coeffs, sqrt_f2f, trace_f2f
+from .ffpoly import F2Field, f2_from_coeffs
+
+# Precision n of O/P^n for hypothesis (iv): the mod-P^(4e+1) level, e = 1.
+PI_R_PRECISION = 5
 
 
 class GaloisRing:
@@ -53,11 +58,13 @@ class GaloisRing:
     def one(self) -> "GaloisRingElem":
         return self.elem(1)
 
-    def residue(self, a: "GaloisRingElem") -> F2fElem:
-        return F2fElem(self.residue_field, f2_from_coeffs(a.coeffs))
+    def residue(self, a: "GaloisRingElem") -> int:
+        """a mod 2, as an element of residue_field (a bit-packed int)."""
+        return f2_from_coeffs(a.coeffs)
 
-    def lift(self, b: F2fElem) -> "GaloisRingElem":
-        return self.elem([(b.bits >> i) & 1 for i in range(self.f)])
+    def lift(self, b: int) -> "GaloisRingElem":
+        """The lift of the residue-field element b with 0/1 coefficients."""
+        return self.elem([(b >> i) & 1 for i in range(self.f)])
 
     def exact_div_pow2(self, a: "GaloisRingElem", k: int) -> "GaloisRingElem":
         """Divide every coefficient by 2^k; the division must be exact."""
@@ -166,23 +173,24 @@ def gr_sqrt(u: GaloisRingElem) -> GaloisRingElem | None:
     no Galois-ring inverse is taken.
     """
     ring = u.ring
+    fld = ring.residue_field
     if ring.n < 3:
         raise PrecisionError("square obstructions need precision n >= 3")
     if not u.is_unit():
         raise NonUnitError("gr_sqrt needs a unit")
 
-    root = sqrt_f2f(ring.residue(u))
-    root_inv = root.inverse()
+    root = fld.sqrt(ring.residue(u))
+    root_inv = fld.inverse(root)
     s = ring.lift(root)
     diff = u - s * s
     if any(c % 4 for c in diff.coeffs):
         return None
 
     # (u/s^2 - 1)/4 = (u - s^2)/4 * s^-2, and s = root mod 2.
-    c_elem = ring.residue(ring.exact_div_pow2(diff, 2)) * root_inv * root_inv
-    if trace_f2f(c_elem) == 1:
+    c = fld.mul(fld.mul(ring.residue(ring.exact_div_pow2(diff, 2)), root_inv), root_inv)
+    if fld.trace(c) == 1:
         return None
-    v = artin_schreier_solve(c_elem)
+    v = fld.artin_schreier(c)
     if v is None:
         raise ConsistencyError("trace 0 but no Artin-Schreier solution")
     s = s * (ring.one + 2 * ring.lift(v))  # now s^2 = u mod 8
@@ -190,22 +198,22 @@ def gr_sqrt(u: GaloisRingElem) -> GaloisRingElem | None:
     # s = lift(root) mod 2 throughout, so root_inv inverts every residue of s.
     for k in range(3, ring.n):
         rem = ring.exact_div_pow2(u - s * s, k)
-        t = ring.residue(rem) * root_inv
+        t = fld.mul(ring.residue(rem), root_inv)
         s = s + (1 << (k - 1)) * ring.lift(t)
     if not (s * s == u):
         raise ConsistencyError("lifted root does not square back to u")
     return s
 
 
-def is_square_pi_r(field: RealCyclotomicField, n: int = 5) -> bool:
-    """Whether pi_r = theta - 2 is a square in O/P^n at the inert prime P
-    above 2 (default n = 5, the mod-P^(4e+1) level with e = 1).
+def is_square_pi_r(field: RealCyclotomicField) -> bool:
+    """Whether pi_r = theta - 2 is a square in O/P^PI_R_PRECISION at the
+    inert prime P above 2.
 
     Requires 2 inert in Q(theta) (NotInertError otherwise); when 2 is not
     inert the quotient at a single prime above 2 is not this Galois ring and
     the caller must fall back to the norm-residue criterion instead.
     """
     field.require_two_inert()
-    ring = GaloisRing(n, field.psi)
+    ring = GaloisRing(PI_R_PRECISION, field.psi)
     u = ring.elem(list(field.pi_r().coeffs))
     return gr_sqrt(u) is not None

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .cycfield import RealCyclotomicField, build_field
 from .errors import ConsistencyError, NotCoprimeError
-from .ffpoly import F2Field, trace_f2f
+from .ffpoly import F2Field
 from .numutil import is_prime, is_squarefree, legendre_symbol
 
 
@@ -124,9 +124,7 @@ def _quadratic_fiber(d: int, f: int) -> tuple[tuple[int, int], ...]:
         return ((2, f),)
     # d = 1 mod 4: unramified extension; square vs inert by the trace of
     # c = (d - 1)/4 mod 2 in GF(2^f).
-    gf = F2Field(f)
-    c = gf.one if ((d - 1) // 4) & 1 else gf.zero
-    if trace_f2f(c) == 0:
+    if F2Field(f).trace(((d - 1) // 4) & 1) == 0:
         return ((1, f), (1, f))
     return ((1, 2 * f),)
 

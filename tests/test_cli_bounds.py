@@ -2,6 +2,7 @@
 
 import time
 
+from rrpfermat.classnumber import MAX_R
 from rrpfermat.cli import (
     EXIT_INTERNAL,
     EXIT_USAGE,
@@ -32,6 +33,23 @@ def test_frey_refuses_smoothness_bound_out_of_range_quickly(capsys):
         err = capsys.readouterr().err
         assert code == EXIT_USAGE, bound
         assert err.startswith(f"usage error: --smoothness-bound {bound}: "), err
+        assert elapsed < 1.0
+
+
+def test_huge_r_is_refused_before_the_primality_test(capsys, monkeypatch):
+    # Trial division up to sqrt(r) never finishes on a 31-digit r; the bound
+    # must be checked first, so is_prime is never reached.
+    def no_trial_division(n):
+        raise AssertionError(f"is_prime({n}) ran before the desk-scale guard")
+
+    monkeypatch.setattr("rrpfermat.cycfield.is_prime", no_trial_division)
+    r = str(10**30 + 57)
+    for argv in (["check-q"], ["check-quad", "--d", "2"], ["frey", "--x", "3", "--y", "2"]):
+        t0 = time.monotonic()
+        code = main([*argv, "--r", r])
+        elapsed = time.monotonic() - t0
+        assert code == EXIT_USAGE, argv
+        assert capsys.readouterr().err == f"usage error: --r {r}: desk-scale guard is r <= {MAX_R}\n"
         assert elapsed < 1.0
 
 

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -9,7 +10,6 @@ from rrpfermat.errors import NotSquarefreeError
 from rrpfermat.ffpoly import (
     F2Field,
     _ben_or_irreducible,
-    artin_schreier_solve,
     ddf_degrees,
     f2_degree,
     f2_derivative,
@@ -18,8 +18,6 @@ from rrpfermat.ffpoly import (
     f2_mul,
     is_irreducible,
     least_irreducible,
-    sqrt_f2f,
-    trace_f2f,
 )
 from rrpfermat.numutil import is_prime, primes_upto
 
@@ -151,23 +149,23 @@ def test_f2_mul_divmod_roundtrip():
 
 def test_trace_examples():
     gf8 = F2Field(3)
-    assert trace_f2f(gf8.zero) == 0
-    assert trace_f2f(gf8.one) == 1  # trace of 1 is f mod 2
+    assert gf8.trace(0) == 0
+    assert gf8.trace(1) == 1  # trace of 1 is f mod 2
     gf4 = F2Field(2)
-    assert trace_f2f(gf4.one) == 0
+    assert gf4.trace(1) == 0
     # v^2 + v = 1 is solvable in GF(4): the roots of x^2+x+1
-    sols = [v for v in gf4.elements() if v * v + v == gf4.one]
+    sols = [v for v in range(4) if gf4.mul(v, v) ^ v == 1]
     assert len(sols) == 2
 
 
 def test_trace_matches_artin_schreier_solvability_exhaustive():
     for f in range(1, 9):
         fld = F2Field(f)
-        for c in fld.elements():
-            solvable = any(v * v + v == c for v in fld.elements()) if f <= 6 else None
-            v = artin_schreier_solve(c)
-            if trace_f2f(c) == 0:
-                assert v is not None and v * v + v == c
+        for c in range(1 << f):
+            solvable = any(fld.mul(v, v) ^ v == c for v in range(1 << f)) if f <= 6 else None
+            v = fld.artin_schreier(c)
+            if fld.trace(c) == 0:
+                assert v is not None and fld.mul(v, v) ^ v == c
                 if solvable is not None:
                     assert solvable
             else:
@@ -179,23 +177,62 @@ def test_trace_matches_artin_schreier_solvability_exhaustive():
 def test_sqrt_exhaustive():
     for f in range(1, 9):
         fld = F2Field(f)
-        for a in fld.elements():
-            s = sqrt_f2f(a)
-            assert s * s == a
-            assert sqrt_f2f(a * a) == a
+        for a in range(1 << f):
+            s = fld.sqrt(a)
+            assert fld.mul(s, s) == a
+            assert fld.sqrt(fld.mul(a, a)) == a
 
 
 def test_sqrt_example_gf4():
     gf4 = F2Field(2)  # t^2 = t + 1
-    t = gf4.elem(0b10)
-    s = sqrt_f2f(t)
-    assert s == t * t and s * s == t
+    t = 0b10
+    s = gf4.sqrt(t)
+    assert s == gf4.mul(t, t) and gf4.mul(s, s) == t
 
 
 def test_trace_is_additive():
     rng = random.Random(88)
     fld = F2Field(7)
     for _ in range(100):
-        a = fld.elem(rng.getrandbits(7))
-        b = fld.elem(rng.getrandbits(7))
-        assert trace_f2f(a + b) == trace_f2f(a) ^ trace_f2f(b)
+        a = rng.getrandbits(7)
+        b = rng.getrandbits(7)
+        assert fld.trace(a ^ b) == fld.trace(a) ^ fld.trace(b)
+
+
+# 2 is inert in Q(theta_r) exactly when psi_r mod 2 is irreducible, of
+# degree f = (r - 1)/2; these are the residue fields gr_sqrt works in.
+INERT_R = [r for r in primes_upto(199) if r >= 5 and order_of_two_mod_pm1(r) == (r - 1) // 2]
+
+
+@functools.cache
+def psi_field(r: int) -> F2Field:
+    return F2Field((r - 1) // 2, psi_bits(r))
+
+
+def _field_and_two_elements():
+    def pair(r):
+        elem = st.integers(0, (1 << (r - 1) // 2) - 1)
+        return st.tuples(st.just(r), elem, elem)
+    return st.sampled_from(INERT_R).flatmap(pair)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_field_and_two_elements())
+@example((199, (1 << 99) - 1, 1))
+@example((5, 1, 0))
+def test_f2field_arithmetic_on_psi_moduli(case):
+    r, a, b = case
+    assert len(INERT_R) == 30 and INERT_R[-1] == 199
+    fld = psi_field(r)
+    with pytest.raises(ZeroDivisionError):
+        fld.inverse(0)
+    if a:
+        assert fld.mul(fld.inverse(a), a) == 1
+    s = fld.sqrt(a)
+    assert fld.mul(s, s) == a
+    assert fld.trace(a ^ b) == fld.trace(a) ^ fld.trace(b)
+    assert fld.trace(fld.mul(a, a)) == fld.trace(a)
+    v = fld.artin_schreier(a)
+    assert (v is not None) == (fld.trace(a) == 0)
+    if v is not None:
+        assert fld.mul(v, v) ^ v == a

@@ -30,7 +30,7 @@ def test_inert_consumers_raise_exactly_when_two_splits(r):
     field = build_field(r)
     inert = order_of_two_mod_pm1(r) == field.degree
     consumers = [
-        lambda: is_square_pi_r(field, 5),
+        lambda: is_square_pi_r(field),
         lambda: inert_two_valuation(field, field.element(2)),
         lambda: find_k1(field, 1, 1),
     ]
