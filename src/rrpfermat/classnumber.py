@@ -68,9 +68,9 @@ class HPlusTableEntry(NamedTuple):
 def maillet_h_minus(r: int) -> HMinusResult:
     """Exact h_r^- for a prime 5 <= r <= MAX_R via the r-reduced Maillet
     determinant, with its parity checked against GF(2) elimination of M."""
-    check_prime_r(r)
     if r > MAX_R:
         raise ValueError(f"r = {r} exceeds MAX_R = {MAX_R}")
+    check_prime_r(r)
     m = (r - 1) // 2
     inverses = [pow(b, -1, r) for b in range(1, m + 1)]
     reduced = [inverses]

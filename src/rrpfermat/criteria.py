@@ -124,7 +124,7 @@ def check_corollary_Q(r: int) -> Verdict:
     diagnostics = {}
     if report.inert:
         is_sq = galoisring.is_square_pi_r(field)
-        diagnostics["pi_r_square_mod_P5"] = is_sq
+        diagnostics[f"pi_r_square_mod_P{galoisring.PI_R_PRECISION}"] = is_sq
     return Verdict("corollary-Q", 0, r, tuple(conditions), diagnostics)
 
 

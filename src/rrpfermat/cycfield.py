@@ -14,10 +14,11 @@ power basis 1, theta, ..., theta^(d-1).  Z[theta] is the full ring of
 integers here (disc(psi_r) is odd, a power of r), so this basis is an
 integral basis and all reductions are canonical.
 
-One dense kernel, `polyrem` and `polymulmod`, multiplies and reduces
-coefficient vectors modulo a monic polynomial, over Z (m = 0) or over Z/m.
-CycInt uses it over Z with psi_r; galoisring's GR(2^n, f) uses it over
-Z/2^n with psi_r mod 2^n.
+One element class, CycInt, holds a coefficient vector modulo its owner's
+monic polynomial, over Z (m = 0) or over Z/m, and one dense kernel,
+`polyrem` and `polymulmod`, multiplies and reduces for it.  Over Z the
+owner is a RealCyclotomicField and psi_r; over Z/2^n it is galoisring's
+GR(2^n, f), whose GaloisRingElem is CycInt under its own name.
 
 Everything is immutable after construction and every operation is a pure
 function, so values can be shared freely across threads.  Memoized field
@@ -80,9 +81,11 @@ class RealCyclotomicField:
         degree: d = (r-1)/2.
         psi: minimal polynomial of theta as a tuple of d+1 integers,
              constant term first, leading coefficient 1.
+        m: 0, the coefficient ring of its elements is Z.
     """
 
     __slots__ = ("r", "degree", "psi", "_power_sums", "_two_shape")
+    m = 0
 
     def __init__(self, r: int):
         check_prime_r(r)
@@ -201,19 +204,29 @@ class RealCyclotomicField:
 
 
 class CycInt:
-    """An algebraic integer of Q(theta) as an integer vector on the power
-    basis 1, theta, ..., theta^(d-1).  Immutable and hashable."""
+    """A coefficient vector on the power basis 1, theta, ..., theta^(d-1),
+    taken modulo its owner's monic polynomial `psi`, over Z when the owner's
+    `m` is 0 and over Z/m otherwise.  The owner (`field`) is a
+    RealCyclotomicField, for the algebraic integers of Q(theta), or a
+    galoisring.GaloisRing; CycInt reads only its `degree`, `psi`, `m`,
+    `element()` and `one`.  Immutable and hashable."""
 
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: RealCyclotomicField, coeffs: tuple[int, ...]):
+    def __init__(self, field, coeffs: tuple[int, ...]):
         if len(coeffs) != field.degree:
             raise ValueError("coefficient vector has wrong length")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, *_):
-        raise AttributeError("CycInt is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _new(self, coeffs) -> "CycInt":
+        """An element of the same ring, each coefficient reduced mod m when
+        m is set."""
+        m = self.field.m
+        return type(self)(self.field, tuple(c % m for c in coeffs) if m else tuple(coeffs))
 
     def _coerce(self, other) -> "CycInt | None":
         if isinstance(other, CycInt):
@@ -228,7 +241,7 @@ class CycInt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycInt(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._new(a + b for a, b in zip(self.coeffs, o.coeffs))
 
     __radd__ = __add__
 
@@ -236,24 +249,23 @@ class CycInt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycInt(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._new(a - b for a, b in zip(self.coeffs, o.coeffs))
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return NotImplemented if o is None else o - self
 
     def __neg__(self):
-        return CycInt(self.field, tuple(-a for a in self.coeffs))
+        return self._new(-a for a in self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return CycInt(self.field, tuple(a * other for a in self.coeffs))
+            return self._new(a * other for a in self.coeffs)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycInt(self.field, polymulmod(self.coeffs, o.coeffs, self.field.psi))
+        field = self.field
+        return self._new(polymulmod(self.coeffs, o.coeffs, field.psi, field.m))
 
     __rmul__ = __mul__
 
@@ -277,13 +289,10 @@ class CycInt:
         return self.field == other.field and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash((self.field.r, self.coeffs))
+        return hash((self.field, self.coeffs))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def norm(self) -> int:
-        return self.field.norm(self)
 
     def __repr__(self) -> str:
         terms = []

@@ -13,13 +13,14 @@ the only inverse taken is that of the residue root.
 For the field Q(zeta_r + 1/zeta_r) with 2 inert, O/2^n O is GR(2^n, (r-1)/2)
 with modulus psi_r mod 2^n; this identification uses that Z[theta] is the
 full ring of integers (odd discriminant), which holds for every prime r here.
-Products and reductions use cycfield's kernel (`polymulmod`, `polyrem`) over
-Z/2^n, so the ring is Z[theta]'s arithmetic reduced mod 2^n.
+A GaloisRing is a view of Z[theta]'s arithmetic mod 2^n: its elements are
+cycfield.CycInt coefficient vectors reduced mod m = 2^n, and GaloisRingElem
+adds only `is_unit`, its repr and its own name for the product.
 """
 
 from __future__ import annotations
 
-from .cycfield import RealCyclotomicField, polymulmod, polyrem
+from .cycfield import CycInt, RealCyclotomicField, polyrem
 from .errors import ConsistencyError, NonUnitError, PrecisionError
 from .ffpoly import F2Field, f2_from_coeffs
 
@@ -28,35 +29,37 @@ PI_R_PRECISION = 5
 
 
 class GaloisRing:
-    """GR(2^n, f) with a fixed monic modulus, irreducible mod 2."""
+    """GR(2^n, f) with a fixed monic modulus `psi` of degree f, irreducible
+    mod 2.  It owns its elements the way a RealCyclotomicField does: `degree`
+    is f, `psi` the modulus mod 2^n and `m` = 2^n."""
 
-    __slots__ = ("n", "f", "modulus", "mask", "residue_field")
+    __slots__ = ("n", "degree", "psi", "m", "residue_field")
 
     def __init__(self, n: int, modulus_coeffs) -> None:
         if n < 1:
             raise ValueError("precision exponent n must be >= 1")
-        mod = [c % (1 << n) for c in modulus_coeffs]
-        if not mod or mod[-1] != 1:
+        psi = [c % (1 << n) for c in modulus_coeffs]
+        if not psi or psi[-1] != 1:
             raise ValueError("modulus must be monic")
-        f = len(mod) - 1
+        f = len(psi) - 1
         if f < 1:
             raise ValueError("modulus must have degree >= 1")
-        self.residue_field = F2Field(f, f2_from_coeffs(mod))  # raises if reducible mod 2
+        self.residue_field = F2Field(f, f2_from_coeffs(psi))  # raises if reducible mod 2
         self.n = n
-        self.f = f
-        self.modulus = tuple(mod)
-        self.mask = 1 << n
+        self.degree = f
+        self.psi = tuple(psi)
+        self.m = 1 << n
 
     # -- element plumbing --------------------------------------------------
 
-    def elem(self, coeffs) -> "GaloisRingElem":
+    def element(self, coeffs) -> "GaloisRingElem":
         if isinstance(coeffs, int):
             coeffs = [coeffs]
-        return GaloisRingElem(self, polyrem(coeffs, self.modulus, self.mask))
+        return GaloisRingElem(self, polyrem(coeffs, self.psi, self.m))
 
     @property
     def one(self) -> "GaloisRingElem":
-        return self.elem(1)
+        return self.element(1)
 
     def residue(self, a: "GaloisRingElem") -> int:
         """a mod 2, as an element of residue_field (a bit-packed int)."""
@@ -64,7 +67,7 @@ class GaloisRing:
 
     def lift(self, b: int) -> "GaloisRingElem":
         """The lift of the residue-field element b with 0/1 coefficients."""
-        return self.elem([(b >> i) & 1 for i in range(self.f)])
+        return self.element([(b >> i) & 1 for i in range(self.degree)])
 
     def exact_div_pow2(self, a: "GaloisRingElem", k: int) -> "GaloisRingElem":
         """Divide every coefficient by 2^k; the division must be exact."""
@@ -73,92 +76,32 @@ class GaloisRing:
             if c % (1 << k):
                 raise ConsistencyError("coefficient not divisible by 2^k")
             out.append(c >> k)
-        return self.elem(out)
+        return self.element(out)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GaloisRing)
-            and other.n == self.n
-            and other.modulus == self.modulus
-        )
+        return isinstance(other, GaloisRing) and other.n == self.n and other.psi == self.psi
 
     def __hash__(self) -> int:
-        return hash(("GaloisRing", self.n, self.modulus))
+        return hash(("GaloisRing", self.n, self.psi))
 
     def __repr__(self) -> str:
-        return f"GaloisRing(n={self.n}, f={self.f})"
+        return f"GaloisRing(n={self.n}, f={self.degree})"
 
 
-class GaloisRingElem:
-    __slots__ = ("ring", "coeffs")
+class GaloisRingElem(CycInt):
+    """An element of a GaloisRing: CycInt's arithmetic over Z/2^n.  Its own
+    binding of `__mul__` lets ring products be counted apart from products
+    in Z[theta]."""
 
-    def __init__(self, ring: GaloisRing, coeffs: tuple[int, ...]):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, *_):
-        raise AttributeError("GaloisRingElem is immutable")
-
-    def _coerce(self, other):
-        if isinstance(other, GaloisRingElem):
-            if other.ring != self.ring:
-                raise ValueError("mixed rings")
-            return other
-        if isinstance(other, int):
-            return self.ring.elem(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        m = self.ring.mask
-        return GaloisRingElem(
-            self.ring, tuple((a + b) % m for a, b in zip(self.coeffs, o.coeffs))
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        m = self.ring.mask
-        return GaloisRingElem(
-            self.ring, tuple((a - b) % m for a, b in zip(self.coeffs, o.coeffs))
-        )
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else o - self
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            m = self.ring.mask
-            return GaloisRingElem(self.ring, tuple((a * other) % m for a in self.coeffs))
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        ring = self.ring
-        return GaloisRingElem(ring, polymulmod(self.coeffs, o.coeffs, ring.modulus, ring.mask))
-
+    __slots__ = ()
+    __mul__ = CycInt.__mul__
     __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = self.ring.elem(other)
-        if not isinstance(other, GaloisRingElem):
-            return NotImplemented
-        return self.ring == other.ring and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.ring.n, self.ring.modulus, self.coeffs))
 
     def is_unit(self) -> bool:
         return any(c & 1 for c in self.coeffs)
 
     def __repr__(self) -> str:
-        return f"GaloisRingElem({list(self.coeffs)} mod 2^{self.ring.n})"
+        return f"GaloisRingElem({list(self.coeffs)} mod 2^{self.field.n})"
 
 
 def gr_sqrt(u: GaloisRingElem) -> GaloisRingElem | None:
@@ -172,7 +115,7 @@ def gr_sqrt(u: GaloisRingElem) -> GaloisRingElem | None:
     which never obstruct once k >= 3.  The residue root is inverted once and
     no Galois-ring inverse is taken.
     """
-    ring = u.ring
+    ring = u.field
     fld = ring.residue_field
     if ring.n < 3:
         raise PrecisionError("square obstructions need precision n >= 3")
@@ -215,5 +158,5 @@ def is_square_pi_r(field: RealCyclotomicField) -> bool:
     """
     field.require_two_inert()
     ring = GaloisRing(PI_R_PRECISION, field.psi)
-    u = ring.elem(list(field.pi_r().coeffs))
+    u = ring.element(field.pi_r().coeffs)
     return gr_sqrt(u) is not None

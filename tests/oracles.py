@@ -204,7 +204,7 @@ def packed_mod2(matrix) -> list[int]:
 
 def gr_elements(ring):
     """All 2^(n*f) elements of a small GR(2^n, f), one per coefficient vector."""
-    return map(ring.elem, product(range(ring.mask), repeat=ring.f))
+    return map(ring.element, product(range(ring.m), repeat=ring.degree))
 
 
 def gr_units(ring):

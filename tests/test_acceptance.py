@@ -102,7 +102,7 @@ def test_criterion_4_galois_ring_soundness():
                 mismatches += 1
     ring32 = GaloisRing(5, [1, 1])
     odd_squares = sorted(
-        u for u in range(1, 32, 2) if gr_sqrt(ring32.elem(u)) is not None
+        u for u in range(1, 32, 2) if gr_sqrt(ring32.element(u)) is not None
     )
     elapsed = time.monotonic() - t0
     _report(4, mismatches == 0 and odd_squares == [1, 9, 17, 25] and elapsed < 5.0,

@@ -33,6 +33,17 @@ def test_maillet_guards():
             maillet_h_minus(bad)
 
 
+def test_maillet_checks_the_bound_before_primality(monkeypatch):
+    # A huge r is refused by the bound alone, before any trial division.
+    def no_primality_test(_):
+        raise AssertionError("primality tested before the MAX_R bound")
+
+    monkeypatch.setattr("rrpfermat.cycfield.is_prime", no_primality_test)
+    r = 10**30 + 57
+    with pytest.raises(ValueError, match=f"r = {r} exceeds MAX_R = 200"):
+        maillet_h_minus(r)
+
+
 def test_maillet_matches_frozen_fixtures():
     for r, expected in H_MINUS.items():
         res = maillet_h_minus(r)

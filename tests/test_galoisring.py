@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from rrpfermat.cycfield import build_field
 from rrpfermat.errors import NonUnitError, NotInertError, PrecisionError
 from rrpfermat.ffpoly import least_irreducible
-from rrpfermat.galoisring import GaloisRing, gr_sqrt, is_square_pi_r
+from rrpfermat.galoisring import GaloisRing, GaloisRingElem, gr_sqrt, is_square_pi_r
 from rrpfermat.numutil import primes_upto
 from rrpfermat.splitting import split_2_in_Qplus
 
@@ -34,7 +35,7 @@ def test_ring_construction_guards():
 def test_gr_sqrt_guards():
     ring = make_ring(5, 2)
     with pytest.raises(NonUnitError):
-        gr_sqrt(ring.elem([2, 0]))
+        gr_sqrt(ring.element([2, 0]))
     low = make_ring(2, 2)
     with pytest.raises(PrecisionError):
         gr_sqrt(low.one)
@@ -47,7 +48,7 @@ def test_odd_squares_mod_32():
     )
     assert squares == [1, 9, 17, 25]
     detected = sorted(
-        u for u in range(1, 32, 2) if gr_sqrt(ring.elem(u)) is not None
+        u for u in range(1, 32, 2) if gr_sqrt(ring.element(u)) is not None
     )
     assert detected == [1, 9, 17, 25]
 
@@ -73,7 +74,7 @@ def test_gr_sqrt_one_and_squares():
     assert gr_sqrt(ring.one) == ring.one
     rng = random.Random(1234)
     for _ in range(50):
-        w = ring.elem([rng.randrange(32) for _ in range(3)])
+        w = ring.element([rng.randrange(32) for _ in range(3)])
         if not w.is_unit():
             continue
         root = gr_sqrt(w * w)
@@ -86,8 +87,8 @@ def test_square_multiplicativity():
     ring = make_ring(5, 2)
     count = 0
     while count < 100:
-        u = ring.elem([rng.randrange(32), rng.randrange(32)])
-        w = ring.elem([rng.randrange(32), rng.randrange(32)])
+        u = ring.element([rng.randrange(32), rng.randrange(32)])
+        w = ring.element([rng.randrange(32), rng.randrange(32)])
         if not (u.is_unit() and w.is_unit()):
             continue
         if gr_sqrt(u) is None:
@@ -109,7 +110,7 @@ def test_is_square_pi_r_small():
 def test_pi_7_square_root_verifies():
     field = build_field(7)
     ring = GaloisRing(5, field.psi)
-    u = ring.elem(list(field.pi_r().coeffs))
+    u = ring.element(list(field.pi_r().coeffs))
     root = gr_sqrt(u)
     assert root is not None and root * root == u
 
@@ -117,7 +118,7 @@ def test_pi_7_square_root_verifies():
 def test_square_of_pi_r_is_square():
     field = build_field(5)
     ring = GaloisRing(5, field.psi)
-    u = ring.elem(list((field.pi_r() * field.pi_r()).coeffs))
+    u = ring.element(list((field.pi_r() * field.pi_r()).coeffs))
     root = gr_sqrt(u)
     assert root is not None and root * root == u
 
@@ -147,7 +148,7 @@ def test_gr_sqrt_larger_precision_roundtrip():
     rng = random.Random(5151)
     ring = make_ring(8, 3)
     for _ in range(30):
-        w = ring.elem([rng.getrandbits(8) for _ in range(3)])
+        w = ring.element([rng.getrandbits(8) for _ in range(3)])
         if not w.is_unit():
             continue
         u = w * w
@@ -176,7 +177,7 @@ def ring_and_units(draw):
         coeffs = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=f, max_size=f))
         odd_at = draw(st.integers(0, f - 1))
         coeffs[odd_at] |= 1
-        return ring.elem(coeffs)
+        return ring.element(coeffs)
 
     return ring, unit(), unit()
 
@@ -191,5 +192,58 @@ def test_gr_sqrt_properties(case):
     assert (u_root is None) == (gr_sqrt(u * w * w) is None)
     if u_root is not None:
         assert u_root * u_root == u
-    if ring.n * ring.f <= 10:
+    if ring.n * ring.degree <= 10:
         assert (u_root is not None) == (u.coeffs in oracles.gr_square_set(ring))
+
+
+INERT_R = [r for r in primes_upto(61) if r >= 5 and split_2_in_Qplus(r).inert]
+
+
+@st.composite
+def ring_and_cycints(draw):
+    """An inert r <= 61, GR(2^n, (r-1)/2) for 3 <= n <= 8 with modulus psi_r,
+    two random elements of Z[theta], an int and a small exponent."""
+    field = build_field(draw(st.sampled_from(INERT_R)))
+    ring = GaloisRing(draw(st.integers(3, 8)), field.psi)
+    vector = st.lists(st.integers(-10**6, 10**6), min_size=field.degree, max_size=field.degree)
+    a, b = field.element(draw(vector)), field.element(draw(vector))
+    return ring, a, b, draw(st.integers(-10**6, 10**6)), draw(st.integers(0, 5))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ring_and_cycints())
+def test_reduction_mod_2n_commutes_with_cycint_arithmetic(case):
+    # GR(2^n, f) is Z[theta] reduced mod 2^n, so reading CycInts in the ring
+    # is a ring homomorphism.
+    ring, a, b, k, e = case
+
+    def reduce(x):
+        return ring.element(x.coeffs)
+
+    ra, rb = reduce(a), reduce(b)
+    assert reduce(a + b) == ra + rb
+    assert reduce(a - b) == ra - rb
+    assert reduce(-a) == -ra
+    assert reduce(a * k) == ra * k == k * ra
+    assert reduce(a * b) == ra * rb
+    assert reduce(a**e) == ra**e
+    assert ring.element(k) == k
+    for x in (ra + rb, ra - rb, -ra, ra * k, ra * rb, ra**e):
+        assert type(x) is GaloisRingElem and x.field == ring
+        assert all(0 <= c < ring.m for c in x.coeffs)
+
+
+def test_galois_ring_elements_do_not_mix():
+    field = build_field(5)
+    ring = GaloisRing(5, field.psi)
+    u = ring.element([1, 2])
+    for stranger in (field.element([1, 2]), GaloisRing(4, field.psi).element([1, 2])):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError, match="mixed fields"):
+                op(u, stranger)
+            with pytest.raises(ValueError, match="mixed fields"):
+                op(stranger, u)
+    with pytest.raises(AttributeError):
+        u.coeffs = (0, 0)
+    with pytest.raises(AttributeError):
+        u.extra = 1
