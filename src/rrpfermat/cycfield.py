@@ -289,7 +289,15 @@ class CycInt:
         return self.field == other.field and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash((self.field, self.coeffs))
+        """Equal elements hash alike, and a constant c hashes as the int
+        coeffs[0].  Over Z (m = 0) that is c itself, so an element and an int
+        that compare equal hash alike.  Over Z/m a constant equals every int
+        congruent to it mod m but hashes only as its residue in [0, m), so
+        in a set or dict it meets the int key in [0, m) and no other."""
+        c = self.coeffs
+        if not any(c[1:]):
+            return hash(c[0])
+        return hash((self.field, c))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

@@ -6,6 +6,13 @@ factor degrees and counts, never the factors themselves.  An element of
 GF(2^f) is such an int of degree < f; F2Field's methods (mul, inverse,
 sqrt, trace, artin_schreier) are the one home of its arithmetic.
 
+The kernel follows Hankerson, Menezes and Vanstone, Guide to Elliptic Curve
+Cryptography, section 2.3: f2_divmod and f2_mod clear the leading bit of the
+dividend at each step, read off bit_length, and f2_mod builds no quotient; a
+square is spread a byte at a time through a 256-entry table; any other product
+loops over the set bits of the shorter operand.  f2_mulmod is the one
+product-mod entry point, and f2_mulmod(a, a, m) squares by the table.
+
 Irreducibility has two routes.  least_irreducible searches with Ben-Or's
 test, which rejects a reducible candidate at the degree of its smallest
 factor (most candidates go after one squaring: x or x + 1 divides them).
@@ -36,33 +43,60 @@ def f2_from_coeffs(coeffs) -> int:
     return bits
 
 
+# Squares of the bytes 0..255: squaring in characteristic 2 spreads the bits,
+# coefficient i moving to 2i; "0".join interleaves the binary digits with 0s.
+_SPREAD = tuple(int("0".join(f"{i:b}"), 2) for i in range(256))
+
+
 def f2_mul(a: int, b: int) -> int:
+    """Product; a square is spread a byte at a time through _SPREAD, any
+    other product loops over the set bits of the shorter operand."""
+    if a == b:
+        acc = shift = 0
+        while a:
+            acc |= _SPREAD[a & 0xFF] << shift
+            a >>= 8
+            shift += 16
+        return acc
+    if a.bit_length() < b.bit_length():
+        a, b = b, a
     acc = 0
     while b:
-        if b & 1:
-            acc ^= a
-        a <<= 1
-        b >>= 1
+        low = b & -b
+        acc ^= a << (low.bit_length() - 1)
+        b ^= low
     return acc
 
 
 def f2_divmod(a: int, b: int) -> tuple[int, int]:
+    """Quotient and remainder; each step clears the leading bit of a, read
+    off bit_length."""
     if b == 0:
         raise ZeroDivisionError("division by the zero polynomial")
-    db = f2_degree(b)
+    nb = b.bit_length()
     q = 0
-    while f2_degree(a) >= db:
-        shift = f2_degree(a) - db
+    shift = a.bit_length() - nb
+    while shift >= 0:
         q ^= 1 << shift
         a ^= b << shift
+        shift = a.bit_length() - nb
     return q, a
 
 
 def f2_mod(a: int, b: int) -> int:
-    return f2_divmod(a, b)[1]
+    """The remainder of f2_divmod, without building the quotient."""
+    if b == 0:
+        raise ZeroDivisionError("division by the zero polynomial")
+    nb = b.bit_length()
+    shift = a.bit_length() - nb
+    while shift >= 0:
+        a ^= b << shift
+        shift = a.bit_length() - nb
+    return a
 
 
 def f2_mulmod(a: int, b: int, m: int) -> int:
+    """a * b mod m: the one product-mod entry point of this module."""
     return f2_mod(f2_mul(a, b), m)
 
 

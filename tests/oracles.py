@@ -77,6 +77,35 @@ def folded_psi_equals_cyclotomic(field: RealCyclotomicField) -> bool:
     return acc == [1] * field.r
 
 
+# -- GF(2)[x], bit-packed (bit i is the coefficient of x^i) --------------------
+
+
+def f2_mul_loop(a: int, b: int) -> int:
+    """Shift-and-add over every bit of b, the ffpoly product before the
+    shorter-operand loop and the squaring table."""
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        a <<= 1
+        b >>= 1
+    return acc
+
+
+def f2_divmod_loop(a: int, b: int) -> tuple[int, int]:
+    """Long division reading the degree afresh at every step, the ffpoly
+    division before the bit_length reduce loop."""
+    if b == 0:
+        raise ZeroDivisionError("division by the zero polynomial")
+    db = b.bit_length() - 1
+    q = 0
+    while a.bit_length() - 1 >= db:
+        shift = a.bit_length() - 1 - db
+        q ^= 1 << shift
+        a ^= b << shift
+    return q, a
+
+
 # -- sympy-backed oracles -----------------------------------------------------
 
 

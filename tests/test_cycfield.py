@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rrpfermat.cycfield import (
     alpha_beta_gamma,
@@ -9,6 +11,7 @@ from rrpfermat.cycfield import (
     phi_r_eval,
     reduce_mod,
 )
+from rrpfermat.galoisring import GaloisRing
 from rrpfermat.numutil import primes_upto
 
 import oracles
@@ -270,3 +273,38 @@ def test_cycint_immutability_and_hash():
     assert f.theta != build_field(7).theta  # == across fields is just False
     with pytest.raises(ValueError):
         f.theta + build_field(7).theta
+
+
+@st.composite
+def _ring_and_values(draw):
+    """A field Z[theta_r] (n = 0) or a ring GR(2^n, f) on the same psi_r
+    (2 is inert at r = 5, 11, 13), and a few ints and elements with small
+    coefficients, so that equal pairs turn up."""
+    r = draw(st.sampled_from([5, 11, 13]))
+    n = draw(st.sampled_from([0, 1, 3, 5]))
+    ring = GaloisRing(n, build_field(r).psi) if n else build_field(r)
+    ints = st.integers(0, ring.m - 1) if n else st.integers(-3, 3)
+    coeffs = st.lists(st.integers(-1, 1), min_size=1, max_size=ring.degree)
+    value = st.one_of(ints, ints.map(ring.element), coeffs.map(ring.element))
+    return ring, draw(st.lists(value, min_size=2, max_size=6))
+
+
+_Q5 = build_field(5)
+_GR5 = GaloisRing(5, _Q5.psi)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_ring_and_values())
+@example((_Q5, [_Q5.element(3), 3]))
+@example((_Q5, [_Q5.element(-2), -2]))
+@example((_GR5, [_GR5.element(-1), 31]))
+def test_equal_values_hash_alike(case):
+    ring, values = case
+    for a in values:
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b), (ring, a, b)
+    for c in (0, 1, ring.m - 1) if ring.m else (0, 1, -3):
+        e = ring.element(c)
+        assert e == c and hash(e) == hash(c)
+        assert c in {e} and e in {c} and {e: 1}[c] == 1

@@ -1,5 +1,6 @@
 import functools
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +16,9 @@ from rrpfermat.ffpoly import (
     f2_derivative,
     f2_divmod,
     f2_gcd,
+    f2_mod,
     f2_mul,
+    f2_mulmod,
     is_irreducible,
     least_irreducible,
 )
@@ -145,6 +148,86 @@ def test_f2_mul_divmod_roundtrip():
         q, rem = f2_divmod(a, b)
         assert f2_mul(q, b) ^ rem == a
         assert f2_degree(rem) < f2_degree(b)
+
+
+# -- the kernel against the reference loops in oracles ----------------------
+
+# Operands of every length up to 400 bits: 0 and 1 come up as the 0- and
+# 1-bit draws.
+_POLY = st.integers(0, 400).flatmap(lambda n: st.integers(0, (1 << n) - 1))
+_LONG = (1 << 400) - 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_POLY, _POLY, _POLY.filter(bool), st.booleans())
+@example(0, 0, 1, True)
+@example(1, 1, 1, True)
+@example(0, 0b1011, 0b1011, False)
+@example(1, _LONG, 0b111, False)
+@example(_LONG, 0, (1 << 400) | 1, True)  # square of a 400-bit operand
+@example(0b101, 0b11, (1 << 400) | 1, False)  # dividend shorter than the divisor
+def test_kernel_matches_reference_loops(a, b, m, square):
+    if square:
+        b = a
+    prod = oracles.f2_mul_loop(a, b)
+    assert f2_mul(a, b) == f2_mul(b, a) == prod
+    q, rem = oracles.f2_divmod_loop(prod, m)
+    assert f2_divmod(prod, m) == (q, rem)
+    assert f2_mod(prod, m) == f2_mulmod(a, b, m) == rem
+    q, rem = oracles.f2_divmod_loop(a, m)
+    assert f2_divmod(a, m) == (q, rem) and f2_mod(a, m) == rem
+
+
+def test_kernel_matches_reference_loops_exhaustive():
+    for a in range(1 << 16):  # every byte of the squaring table, low and high
+        assert f2_mul(a, a) == oracles.f2_mul_loop(a, a), a
+    for a in range(1 << 7):
+        for b in range(1 << 7):
+            assert f2_mul(a, b) == oracles.f2_mul_loop(a, b), (a, b)
+            if b:
+                assert f2_divmod(a, b) == oracles.f2_divmod_loop(a, b), (a, b)
+                assert f2_mod(a, b) == oracles.f2_divmod_loop(a, b)[1], (a, b)
+
+
+def test_division_by_the_zero_polynomial_raises():
+    for a in (0, 1, 0b1011, _LONG):
+        for call in (f2_divmod, f2_mod, oracles.f2_divmod_loop):
+            with pytest.raises(ZeroDivisionError):
+                call(a, 0)
+        with pytest.raises(ZeroDivisionError):
+            f2_mulmod(a, a, 0)
+        with pytest.raises(ZeroDivisionError):
+            f2_mulmod(a, 1, 0)
+
+
+def _lines_run(fn, *args) -> int:
+    """Line events in fn's own frame while it runs on args: a count of the
+    loop steps it takes, free of timing noise."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if frame.f_code is not fn.__code__:
+            return None
+        if event == "line":
+            count += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_f2_mul_loops_over_the_shorter_operand_and_squares_by_table():
+    short = 0b101
+    over_long = _lines_run(f2_mul, _LONG, _LONG ^ 1)  # 399 set bits to loop over
+    for a, b in ((short, _LONG), (_LONG, short)):  # 2 set bits in the shorter operand
+        assert _lines_run(f2_mul, a, b) < over_long // 50
+    assert _lines_run(f2_mul, _LONG, _LONG) < over_long // 2  # 50 bytes, not 400 bits
 
 
 def test_trace_examples():
