@@ -10,7 +10,7 @@ The kernel follows Hankerson, Menezes and Vanstone, Guide to Elliptic Curve
 Cryptography, section 2.3: f2_divmod and f2_mod clear the leading bit of the
 dividend at each step, read off bit_length, and f2_mod builds no quotient; a
 square is spread a byte at a time through a 256-entry table; any other product
-loops over the set bits of the shorter operand.  f2_mulmod is the one
+loops over the set bits of its second operand.  f2_mulmod is the one
 product-mod entry point, and f2_mulmod(a, a, m) squares by the table.
 
 Irreducibility has two routes.  least_irreducible searches with Ben-Or's
@@ -50,7 +50,7 @@ _SPREAD = tuple(int("0".join(f"{i:b}"), 2) for i in range(256))
 
 def f2_mul(a: int, b: int) -> int:
     """Product; a square is spread a byte at a time through _SPREAD, any
-    other product loops over the set bits of the shorter operand."""
+    other product loops over the set bits of b."""
     if a == b:
         acc = shift = 0
         while a:
@@ -58,8 +58,6 @@ def f2_mul(a: int, b: int) -> int:
             a >>= 8
             shift += 16
         return acc
-    if a.bit_length() < b.bit_length():
-        a, b = b, a
     acc = 0
     while b:
         low = b & -b

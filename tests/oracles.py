@@ -82,7 +82,7 @@ def folded_psi_equals_cyclotomic(field: RealCyclotomicField) -> bool:
 
 def f2_mul_loop(a: int, b: int) -> int:
     """Shift-and-add over every bit of b, the ffpoly product before the
-    shorter-operand loop and the squaring table."""
+    set-bit loop and the squaring table."""
     acc = 0
     while b:
         if b & 1:
