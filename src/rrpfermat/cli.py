@@ -54,15 +54,20 @@ EXIT_INTERNAL = 70
 # about d^(1/3) (numutil.is_squarefree), 10^4 divisions at this bound.
 MAX_D = 10**12
 
-# Largest --smoothness-bound accepted: the conductor support trial-divides by
-# every odd number up to it.  On a 2-vCPU Xeon, with no factor below the bound,
-# 10^7 took 0.4 s at r = 47 and 1.4 s at r = 199; 10^8 took 4.0 s and 12.8 s.
+# Largest --smoothness-bound accepted: the conductor support trial-divides
+# |x + y| by odd numbers and Phi(x, y) only by the 1 + 2rt, both up to the
+# bound, so at most bound/2r divisions of Phi.  On a 2-vCPU Xeon, a Phi with
+# two prime factors just above the bound took 0.15 s at r = 5 and 0.03 s at
+# r = 31 for 10^7, 1.8 s and 0.3 s for 10^8; the whole process at the frey
+# corner below (a 120-digit Phi, no factor below the bound) took 0.2-0.4 s
+# for 10^7 and 0.5-0.7 s for 10^8.
 MAX_SMOOTHNESS_BOUND = 10**7
 
 # Largest frey --r and |--x|, |--y| accepted.  Whole process, 2-vCPU Xeon: at
-# x = 3, y = 2, r = 23 / 31 / 37 / 47 took 0.2 / 0.4 / 0.9 / 3.3 s (r = 199: no
-# result in 30 s); the corner r = 31, x = 10^4, y = 10^4 - 1 with
-# --smoothness-bound 10^7 took 2.7-3.1 s, and x = 10^6 took 3.7-5.2 s.
+# x = 3, y = 2, r = 23 / 31 / 37 / 47 took 0.1 / 0.1 / 0.2 / 0.5-0.8 s; the
+# corner r = 31, x = 10^4, y = 10^4 - 1 with --smoothness-bound 10^7 took
+# 0.2-0.4 s, and x = 10^6 took 0.2-0.3 s.  The coprimality check takes
+# (r^2 - 1)/8 lattice indices, with entries up to Phi(x, y) ~ |x|^(r-1).
 MAX_FREY_R = 31
 MAX_FREY_XY = 10**4
 

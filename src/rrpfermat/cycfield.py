@@ -224,9 +224,11 @@ class CycInt:
 
     def _new(self, coeffs) -> "CycInt":
         """An element of the same ring, each coefficient reduced mod m when
-        m is set."""
+        m is set.  Callers pass a list or tuple, never a generator: tuple()
+        of a generator allocates ten slots and resizes, which leaves idle
+        tuples of every other length on the interpreter's free lists."""
         m = self.field.m
-        return type(self)(self.field, tuple(c % m for c in coeffs) if m else tuple(coeffs))
+        return type(self)(self.field, tuple([c % m for c in coeffs] if m else coeffs))
 
     def _coerce(self, other) -> "CycInt | None":
         if isinstance(other, CycInt):
@@ -241,7 +243,7 @@ class CycInt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._new(a + b for a, b in zip(self.coeffs, o.coeffs))
+        return self._new([a + b for a, b in zip(self.coeffs, o.coeffs)])
 
     __radd__ = __add__
 
@@ -249,18 +251,18 @@ class CycInt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._new(a - b for a, b in zip(self.coeffs, o.coeffs))
+        return self._new([a - b for a, b in zip(self.coeffs, o.coeffs)])
 
     def __rsub__(self, other):
         o = self._coerce(other)
         return NotImplemented if o is None else o - self
 
     def __neg__(self):
-        return self._new(-a for a in self.coeffs)
+        return self._new([-a for a in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return self._new(a * other for a in self.coeffs)
+            return self._new([a * other for a in self.coeffs])
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -388,4 +390,4 @@ def reduce_mod(a: CycInt, m: int) -> tuple[int, ...]:
     map is the ring homomorphism onto (Z/m)[x]/(psi_r mod m)."""
     if m < 2:
         raise ValueError(f"modulus m = {m} must be >= 2")
-    return tuple(c % m for c in a.coeffs)
+    return tuple([c % m for c in a.coeffs])

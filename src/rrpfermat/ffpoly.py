@@ -165,9 +165,13 @@ def _prime_divisors(n: int) -> list[int]:
 def _ben_or_irreducible(p: int) -> bool:
     """Ben-Or's test: p of degree n is irreducible exactly when
     gcd(p, x^(2^i) - x) = 1 for i = 1..n//2.  A reducible p has a factor of
-    some degree i <= n//2, which divides x^(2^i) - x, so the loop stops there."""
+    some degree i <= n//2, which divides x^(2^i) - x, so the loop stops there.
+    Past degree 1, an even constant term (the factor x) or an even number of
+    terms (p(1) = 0, the factor x + 1) rejects p before any gcd."""
     n = f2_degree(p)
     if n <= 0:
+        return False
+    if n >= 2 and (not p & 1 or p.bit_count() % 2 == 0):
         return False
     h = X
     for _ in range(n // 2):

@@ -36,7 +36,7 @@ from .errors import (
     NotCoprimeError,
     UnfactoredCofactorError,
 )
-from .intlinalg import row_lattice_index
+from .intlinalg import hermite_basis, row_lattice_index
 from .numutil import is_prime, strip_factor, two_adic_valuation
 
 
@@ -129,7 +129,7 @@ def valuation_at_split_prime(field: RealCyclotomicField, a: CycInt, q: int, root
 
 
 def _derivative(poly: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(i * c for i, c in enumerate(poly))[1:]
+    return tuple([i * c for i, c in enumerate(poly)][1:])
 
 
 def _poly_eval_mod(poly, t: int, m: int) -> int:
@@ -210,23 +210,15 @@ class CoprimalityReport(NamedTuple):
         return not self.offending
 
 
-def _ideal_norm(field: RealCyclotomicField, gens: list[CycInt]) -> int:
-    """|O / (g_1, ..., g_k)| through the row lattice spanned by theta^i*g_j."""
-    rows = []
-    for g in gens:
-        if not g.is_zero():
-            rows += field.multiplication_rows(g)
-    if not rows:
-        raise ValueError("all generators are zero")
-    return row_lattice_index(rows, field.degree)
-
-
 def coprimality_check(field: RealCyclotomicField, x: int, y: int) -> CoprimalityReport:
     """Certify that the f_k(x, y) are pairwise coprime outside r.
 
     For each pair i < j the norm of the ideal (f_i(x,y), f_j(x,y)) is
     computed exactly and stripped of its r-part; a leftover > 1 names an
-    offending pair.  (Coprimality of ideals is strictly stronger than
+    offending pair.  The norm is the index of the lattice spanned by the
+    Hermite bases of the principal ideals (f_i) and (f_j), each reduced once
+    from the rows f_k, f_k*theta, ..., f_k*theta^(d-1); a zero f_k has an
+    empty basis.  (Coprimality of ideals is strictly stronger than
     coprimality of element norms: conjugate factors share their norm without
     sharing any prime, so norm gcds would flag false positives.)
     """
@@ -234,12 +226,13 @@ def coprimality_check(field: RealCyclotomicField, x: int, y: int) -> Coprimality
         raise TypeError("desk-scale coprimality check takes rational integers")
     if math.gcd(x, y) != 1:
         raise NotCoprimeError(f"gcd({x}, {y}) != 1")
-    values = [f_k_eval(field, k, x, y) for k in range(field.degree + 1)]
+    bases = [hermite_basis(field.multiplication_rows(f_k_eval(field, k, x, y)))
+             for k in range(field.degree + 1)]
     pairs = []
     offending = []
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            norm_ij = _ideal_norm(field, [values[i], values[j]])
+    for i in range(len(bases)):
+        for j in range(i + 1, len(bases)):
+            norm_ij = row_lattice_index(bases[i] + bases[j], field.degree)
             outside_r = strip_factor(norm_ij, field.r)
             pairs.append((i, j, outside_r))
             if outside_r != 1:
@@ -254,26 +247,71 @@ DEFAULT_SMOOTHNESS_BOUND = 100_000
 
 def conductor_support_outside_S(curve: FreyCurve, smoothness_bound: int = DEFAULT_SMOOTHNESS_BOUND) -> tuple[int, ...]:
     """Rational primes q outside {2, r} dividing Norm(ABC): the support of
-    the semistable part of the conductor.  Trial division only; a cofactor
-    surviving the bound raises instead of passing silently."""
-    n = abs(curve.field.norm(curve.A * curve.B * curve.C))
+    the semistable part of the conductor, for rational integers x, y with
+    gcd 1.
+
+    Two routes give the norm.  One is the exact determinant of ABC.  The
+    other is the closed form: N(f_0) = (x + y)^(r-1), N(f_k) = Phi(x, y) =
+    (x^r + y^r)/(x + y) for k >= 1, and N(alpha), N(beta), N(gamma) are
+    +-powers of r; outside {2, r} the two must agree.  The closed-form
+    factors are then trial-divided up to smoothness_bound: |x + y| by odd
+    numbers, Phi only by 1 + 2rt, since every prime of Phi other than r is
+    1 mod 2r (-x/y has order r modulo it).  A cofactor surviving the bound
+    raises instead of passing silently."""
+    field, r = curve.field, curve.field.r
+    n = abs(field.norm(curve.A * curve.B * curve.C))
     if n == 0:
         raise DegenerateCurveError("ABC = 0 has no conductor support")
-    n = strip_factor(n, 2)
-    n = strip_factor(n, curve.field.r)
-    support = []
-    p = 3
-    while p <= smoothness_bound and n > 1:
+    x, y = _rational(curve.x), _rational(curve.y)
+    if math.gcd(x, y) != 1:
+        raise NotCoprimeError(f"gcd({x}, {y}) != 1")
+    x_plus_y = _outside_2_r(x + y, r)
+    phi = _outside_2_r(sum((-1) ** i * x ** (r - 1 - i) * y**i for i in range(r)), r)
+    e0 = r - 1 if 0 in curve.k else 0
+    m = sum(1 for k in curve.k if k)
+    if _outside_2_r(n, r) != x_plus_y**e0 * phi**m:
+        raise ConsistencyError("Norm(ABC) disagrees with |x + y|^e0 * Phi^m outside {2, r}")
+    support, rest = _trial_divide(phi, 2 * r + 1, 2 * r, smoothness_bound)
+    cofactor = rest**m
+    if e0:
+        found, rest = _trial_divide(x_plus_y, 3, 2, smoothness_bound)
+        support += found
+        cofactor *= rest**e0
+    if cofactor > 1:
+        raise UnfactoredCofactorError(
+            f"cofactor {cofactor} has no prime factor <= {smoothness_bound}"
+        )
+    return tuple(sorted(set(support)))
+
+
+def _rational(a: CycInt) -> int:
+    if any(a.coeffs[1:]):
+        raise TypeError("the closed-form conductor takes rational integers x, y")
+    return a.coeffs[0]
+
+
+def _outside_2_r(n: int, r: int) -> int:
+    return strip_factor(strip_factor(n, 2), r)
+
+
+def _trial_divide(n: int, p: int, step: int, bound: int) -> tuple[list[int], int]:
+    """Divide n > 0 by p, p + step, ... up to bound, where every prime factor
+    of n is one of these candidates.  Returns the prime factors found and
+    the part of n left, whose prime factors all exceed bound."""
+    found = []
+    while p <= bound and n > 1:
+        if p * p > n:
+            # n is prime: its factors are candidates >= p.
+            if n <= bound:
+                found.append(n)
+                n = 1
+            break
         if n % p == 0:
-            support.append(p)
+            found.append(p)
             while n % p == 0:
                 n //= p
-        p += 2
-    if n > 1:
-        raise UnfactoredCofactorError(
-            f"cofactor {n} has no prime factor <= {smoothness_bound}"
-        )
-    return tuple(support)
+        p += step
+    return found, n
 
 
 def find_k1(field: RealCyclotomicField, x, y) -> int | None:

@@ -1,9 +1,11 @@
 """Exact integer linear algebra: fraction-free determinants, row-lattice
-indices and determinants over GF(2).  Matrices here stay small (at most
-99x99, the Maillet matrix at r = 199), so the classical cubic algorithms are
-plenty; exactness is the only requirement.  GF(2) vectors are bit-packed
-ints, and one XOR eliminator, `_gf2_insert`, serves `gf2_det` (the Maillet
-parity) and `gf2_solve` (the Artin-Schreier equation in ffpoly)."""
+indices, Hermite bases and determinants over GF(2).  Matrices here stay
+small (at most 99x99, the Maillet matrix at r = 199), so the classical cubic
+algorithms are plenty; exactness is the only requirement.  One row-echelon
+eliminator over Z, `_echelon`, serves `row_lattice_index` and
+`hermite_basis`.  GF(2) vectors are bit-packed ints, and one XOR eliminator,
+`_gf2_insert`, serves `gf2_det` (the Maillet parity) and `gf2_solve` (the
+Artin-Schreier equation in ffpoly)."""
 
 from __future__ import annotations
 
@@ -86,31 +88,90 @@ def gf2_solve(columns, target: int) -> int | None:
     return None if rest else combo
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, rem = divmod(a, b)
+        a, b = b, rem
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
+def _echelon(rows) -> dict[int, list[int]]:
+    """Row-echelon form of the lattice spanned by the integer rows, as
+    {pivot column c: the pivot row's entries from column c on}.
+
+    Rows are inserted one at a time.  A row meeting a pivot in its leading
+    column is combined with it by the unimodular 2x2 transform of the
+    extended gcd of the two leading entries (one row operation when the
+    pivot divides), so the span is kept: the gcd row stays as the pivot and
+    the other row, now zero there, is inserted further right.  A row already
+    in echelon position costs only the scan to its leading entry."""
+    pivots: dict[int, list[int]] = {}
+    for row in rows:
+        row = list(row)
+        col = 0
+        while True:
+            skip = 0
+            while skip < len(row) and not row[skip]:
+                skip += 1
+            if skip == len(row):
+                break
+            del row[:skip]
+            col += skip
+            piv = pivots.get(col)
+            if piv is None:
+                pivots[col] = row
+                break
+            a, b = piv[0], row[0]
+            if b % a == 0:
+                q = b // a
+                row = [y - q * x for x, y in zip(piv, row)]
+            else:
+                g, s, t = _xgcd(a, b)
+                a, b = a // g, b // g
+                pivots[col] = [s * x + t * y for x, y in zip(piv, row)]
+                row = [a * y - b * x for x, y in zip(piv, row)]
+    return pivots
+
+
 def row_lattice_index(rows, dim: int) -> int:
     """|Z^dim / L| for the lattice L spanned by the given integer rows.
 
     Returns 0 when the rows do not span a finite-index sublattice (rank
-    deficient).  Triangularizes by integer row operations (Euclid within
-    each column); the index is the product of the pivots.
+    deficient).  Triangularizes by integer row operations (`_echelon`); the
+    index is the product of the pivots.
     """
-    mat = [list(r) for r in rows if any(r)]
-    top = 0
+    pivots = _echelon(rows)
+    if len(pivots) < dim:
+        return 0
     index = 1
-    for col in range(dim):
-        while True:
-            nz = [i for i in range(top, len(mat)) if mat[i][col]]
-            if not nz:
-                return 0
-            if len(nz) == 1:
-                piv = nz[0]
-                break
-            nz.sort(key=lambda i: abs(mat[i][col]))
-            base = nz[0]
-            for i in nz[1:]:
-                q = mat[i][col] // mat[base][col]
-                if q:
-                    mat[i] = [x - q * y for x, y in zip(mat[i], mat[base])]
-        mat[top], mat[piv] = mat[piv], mat[top]
-        index *= abs(mat[top][col])
-        top += 1
-    return index
+    for row in pivots.values():
+        index *= row[0]
+    return abs(index)
+
+
+def hermite_basis(rows) -> list[list[int]]:
+    """The Hermite normal form of the lattice spanned by the integer rows
+    (Cohen, GTM 138, Sec. 2.4, in upper-triangular orientation): one row per
+    pivot, in pivot order, each pivot positive, and every entry above a
+    pivot reduced into [0, pivot).  It spans the same lattice as the rows and
+    is unique for it, so it is a short, small-entried input for
+    `row_lattice_index`.  Rows are reduced from the last pivot up, so a row
+    is only ever reduced by rows that are reduced already; top-down, the
+    unreduced entries of each new row would multiply into every row above."""
+    pivots = _echelon(rows)
+    reduced: list[tuple[int, list[int]]] = []  # (pivot column, row), in pivot order
+    for col in sorted(pivots, reverse=True):
+        tail = pivots[col]
+        if tail[0] < 0:
+            tail = [-a for a in tail]
+        row = [0] * col + tail
+        for c, below in reduced:
+            q = row[c] // below[c]
+            if q:
+                row = [a - q * b for a, b in zip(row, below)]
+        reduced.insert(0, (col, row))
+    return [row for _, row in reduced]

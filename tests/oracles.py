@@ -8,15 +8,20 @@ number formula evaluated exactly over cyclotomic rationals.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import sympy as sp
+from sympy.matrices.normalforms import hermite_normal_form
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
 
 from rrpfermat.cycfield import CycInt, RealCyclotomicField
+from rrpfermat.errors import DegenerateCurveError, UnfactoredCofactorError
 from rrpfermat.ffpoly import is_irreducible
+from rrpfermat.intlinalg import row_lattice_index
+from rrpfermat.numutil import strip_factor
 
 _x = sp.symbols("x")
 _y = sp.symbols("y")
@@ -162,6 +167,65 @@ def weierstrass_c4_delta(A: CycInt, B: CycInt) -> tuple[CycInt, CycInt]:
     c4 = b2 * b2 - 24 * b4
     delta = -(b2 * b2 * b8) - 8 * (b4 * b4 * b4)
     return c4, delta
+
+
+# -- integer lattices and the Frey layer ---------------------------------------
+
+
+def max_minor_gcd(rows, dim: int) -> int:
+    """gcd of the dim x dim minors of the integer rows, by sympy
+    determinants: the index of their row lattice in Z^dim, 0 when it has
+    rank < dim."""
+    g = 0
+    for pick in combinations(range(len(rows)), dim):
+        g = math.gcd(g, int(sp.Matrix([rows[i] for i in pick]).det()))
+    return g
+
+
+def sympy_row_hnf(rows) -> list[list[int]]:
+    """Row-style Hermite basis (upper triangular, positive pivots, entries
+    above a pivot in [0, pivot)) from sympy's column-style HNF, which puts
+    its pivots at the bottom right: reversing the coordinates and the order
+    of the columns maps one convention onto the other."""
+    if not any(any(row) for row in rows):
+        return []
+    reversed_rows = [list(row[::-1]) for row in rows]
+    hnf = hermite_normal_form(sp.Matrix(reversed_rows).T)
+    cols = [[int(v) for v in hnf.col(j)][::-1] for j in range(hnf.cols)]
+    return cols[::-1]
+
+
+def ideal_norm(field: RealCyclotomicField, gens: list[CycInt]) -> int:
+    """|O / (g_1, ..., g_k)| through the row lattice spanned by theta^i*g_j,
+    all rows at once (the coprimality check before Hermite bases)."""
+    rows = []
+    for g in gens:
+        if not g.is_zero():
+            rows += field.multiplication_rows(g)
+    if not rows:
+        raise ValueError("all generators are zero")
+    return row_lattice_index(rows, field.degree)
+
+
+def conductor_support_trial_division(curve, smoothness_bound: int) -> tuple[int, ...]:
+    """Conductor support outside {2, r} from the Bareiss norm of ABC alone,
+    trial-divided by every odd number up to the bound (the conductor before
+    the closed-form factors); raises UnfactoredCofactorError as it does."""
+    n = abs(curve.field.norm(curve.A * curve.B * curve.C))
+    if n == 0:
+        raise DegenerateCurveError("ABC = 0 has no conductor support")
+    n = strip_factor(strip_factor(n, 2), curve.field.r)
+    support = []
+    p = 3
+    while p <= smoothness_bound and n > 1:
+        if n % p == 0:
+            support.append(p)
+            while n % p == 0:
+                n //= p
+        p += 2
+    if n > 1:
+        raise UnfactoredCofactorError(f"cofactor {n} has no prime factor <= {smoothness_bound}")
+    return tuple(support)
 
 
 # -- analytic relative class number -------------------------------------------

@@ -126,11 +126,19 @@ _LEAST_60 = least_irreducible(60)
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(1, 120).flatmap(lambda n: st.integers(1 << n, (1 << (n + 1)) - 1)))
 @example(least_irreducible(120))  # irreducible of the top degree
-@example(1 << 120)  # x^120: rejected at i = 1
+@example(1 << 120)  # x^120: even constant term, the factor x
+@example((1 << 120) | 1)  # x^120 + 1: even number of terms, the factor x + 1
+@example((1 << 120) | 0b111)  # x^120 + x^2 + x + 1 = (x + 1)(...): four terms
 @example(f2_mul(_LEAST_60, _LEAST_60))  # smallest factor at i = n//2, n even
 @example(f2_mul(least_irreducible(59), _LEAST_60))  # smallest factor at i = n//2, n odd
 def test_irreducibility_routes_agree_on_sample(p):
     assert _ben_or_irreducible(p) == is_irreducible(p) == oracles.gf2_is_irreducible(p)
+
+
+def test_least_irreducible_matches_rabin_scan_for_small_degrees():
+    # The scan meets the bit test for x and x + 1 on three candidates in four.
+    for f in range(1, 40):
+        assert least_irreducible(f) == oracles.rabin_least_irreducible(f), f
 
 
 def test_least_irreducible_matches_rabin_scan_at_every_residue_degree():

@@ -1,16 +1,19 @@
+import math
 import random
 from itertools import combinations
 
 import pytest
 
-from rrpfermat.cycfield import alpha_beta_gamma, build_field
+from rrpfermat.cycfield import RealCyclotomicField, alpha_beta_gamma, build_field, f_k_eval
 from rrpfermat.errors import (
+    ConsistencyError,
     DegenerateCurveError,
     NotCoprimeError,
     NotInertError,
     UnfactoredCofactorError,
 )
 from rrpfermat.frey import (
+    DEFAULT_SMOOTHNESS_BOUND,
     conductor_support_outside_S,
     coprimality_check,
     find_k1,
@@ -33,8 +36,6 @@ def random_coprime_pair(rng):
     while True:
         x = rng.randint(-40, 40)
         y = rng.randint(-40, 40)
-        import math
-
         if (x, y) != (0, 0) and math.gcd(x, y) == 1:
             return x, y
 
@@ -225,6 +226,68 @@ def test_coprimality_random_pairs():
         for _ in range(50):
             x, y = random_coprime_pair(rng)
             assert coprimality_check(f, x, y).ok, (r, x, y)
+
+
+def test_coprimality_pairs_match_the_all_rows_ideal_norm():
+    rng = random.Random(2024)
+    for r in (5, 7, 11, 13):
+        f = build_field(r)
+        # (1, -1) makes f_0 zero, which then adds no rows; (1, 0) makes every
+        # f_k a unit.
+        cases = [(1, -1), (1, 0), (2, 1), (3, -2)] + [random_coprime_pair(rng) for _ in range(6)]
+        for x, y in cases:
+            values = [f_k_eval(f, k, x, y) for k in range(f.degree + 1)]
+            expected = [
+                (i, j, strip_factor(oracles.ideal_norm(f, [values[i], values[j]]), r))
+                for i, j in combinations(range(len(values)), 2)
+            ]
+            assert list(coprimality_check(f, x, y).pairs) == expected, (r, x, y)
+
+
+def _frey_desk_grid():
+    for r in (5, 7, 11, 13, 17, 19, 23):
+        for x in range(1, 6):
+            for y in range(-5, 6):
+                if y != 0 and x + y != 0 and math.gcd(x, y) == 1:
+                    yield r, x, y
+
+
+def _support_or_message(route, curve, bound):
+    try:
+        return route(curve, bound)
+    except UnfactoredCofactorError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("ks", [(0, 1, 2), (1, 2, 3)])
+def test_conductor_matches_odd_trial_division_on_the_desk_grid(ks):
+    fields = {}
+    for r, x, y in _frey_desk_grid():
+        f = fields.setdefault(r, build_field(r))
+        if max(ks) > f.degree:
+            continue
+        cur = frey_curve(f, x, y, *ks)
+        for bound in (5, 100, DEFAULT_SMOOTHNESS_BOUND):
+            got = _support_or_message(conductor_support_outside_S, cur, bound)
+            want = _support_or_message(oracles.conductor_support_trial_division, cur, bound)
+            assert got == want, (r, x, y, ks, bound)
+
+
+def test_conductor_checks_the_norm_against_the_closed_form(monkeypatch):
+    cur = frey_curve(build_field(7), 3, 2, 0, 1, 2)
+    assert conductor_support_outside_S(cur) == conductor_support_outside_S(cur, 10**6)
+    norm = RealCyclotomicField.norm
+    monkeypatch.setattr(RealCyclotomicField, "norm", lambda self, a: 3 * norm(self, a))
+    with pytest.raises(ConsistencyError):
+        conductor_support_outside_S(cur)
+
+
+def test_conductor_takes_coprime_rational_integers():
+    f5 = build_field(5)
+    with pytest.raises(TypeError):
+        conductor_support_outside_S(frey_curve(f5, f5.theta, 1, 0, 1, 2))
+    with pytest.raises(NotCoprimeError):
+        conductor_support_outside_S(frey_curve(f5, 6, 3, 0, 1, 2))
 
 
 def test_conductor_support_examples():

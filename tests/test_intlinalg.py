@@ -1,11 +1,12 @@
-"""Property tests of the exact determinants against sympy."""
+"""Property tests of the exact determinants, lattice indices and Hermite
+bases against sympy."""
 
 import pytest
 import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rrpfermat.intlinalg import bareiss_det, gf2_det, gf2_solve
+from rrpfermat.intlinalg import bareiss_det, gf2_det, gf2_solve, hermite_basis, row_lattice_index
 
 import oracles
 
@@ -61,3 +62,61 @@ def test_gf2_solve_matches_brute_force(columns, target):
         assert xor_of(mask) == target
     else:
         assert mask is None
+
+
+@st.composite
+def integer_rows(draw):
+    """A few short integer rows, often with zero rows and rank-deficient:
+    some rows are multiples or sums of earlier ones."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(st.lists(st.lists(st.integers(-20, 20), min_size=dim, max_size=dim),
+                         max_size=6))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        if rows:
+            i = draw(st.integers(0, len(rows) - 1))
+            j = draw(st.integers(0, len(rows) - 1))
+            c = draw(st.integers(-3, 3))
+            rows.append([a + c * b for a, b in zip(rows[i], rows[j])])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * dim)
+    return rows, dim
+
+
+def _is_hermite(basis, dim) -> bool:
+    leads = []
+    for row in basis:
+        if len(row) != dim or not any(row):
+            return False
+        leads.append(next(c for c, a in enumerate(row) if a))
+    if leads != sorted(set(leads)):
+        return False
+    for i, col in enumerate(leads):
+        p = basis[i][col]
+        if p <= 0 or any(not 0 <= basis[k][col] < p for k in range(i)):
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(integer_rows())
+@example(([], 2))
+@example(([[0, 0], [0, 0]], 2))
+@example(([[2, 4, 6], [1, 2, 3], [0, 0, 5]], 3))  # rank 2 in Z^3
+@example(([[3, 0], [0, 5], [6, 10]], 2))
+@example(([[-4, 7], [6, -9]], 2))  # negative pivots before normalisation
+def test_lattice_index_and_hermite_basis_match_sympy(case):
+    rows, dim = case
+    assert row_lattice_index(rows, dim) == oracles.max_minor_gcd(rows, dim)
+    basis = hermite_basis(rows)
+    assert _is_hermite(basis, dim)
+    assert basis == oracles.sympy_row_hnf(rows)
+    assert row_lattice_index(basis, dim) == row_lattice_index(rows, dim)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(integer_rows(), integer_rows())
+def test_index_of_two_hermite_bases_is_the_index_of_their_rows(first, second):
+    rows_i, dim = first
+    rows_j = [(row + [0] * dim)[:dim] for row in second[0]]
+    h_i, h_j = hermite_basis(rows_i), hermite_basis(rows_j)
+    assert row_lattice_index(h_i + h_j, dim) == row_lattice_index(rows_i + rows_j, dim)
