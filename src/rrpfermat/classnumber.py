@@ -3,25 +3,44 @@ number h_r^- of Q(zeta_r).
 
 For K = Q the chain is classical: h+ of Q(theta_r) divides h of Q(zeta_r),
 and the latter is odd exactly when h_r^- is odd (Hasse), so oddness of h_r^-
-certifies 2 not dividing h+.  h_r^- itself comes from the Maillet/Carlitz-
-Olson determinant: with m = (r-1)/2, c_b = b^-1 mod r and M[a][b] the least
-positive residue of a * c_b mod r (1 <= a, b <= m),
+certifies 2 not dividing h+.
 
-    det M = +- r^((r-3)/2) * h_r^-.
+h_r^- comes from the analytic class number formula as a resultant
+(Washington, GTM 83, Thm 4.17): h_r^- = 2r prod_{chi odd} (-B_{1,chi}/2).
+Let m = (r-1)/2, g the least primitive root mod r and a_i = g^i mod r.  The
+odd characters send g to the roots zeta of x^m + 1, and with
+F = sum_{i<m} (2 a_i - r) x^i, r B_{1,chi} = F(zeta), so
 
-The factor r^((r-3)/2) is taken out of the matrix before elimination: row 1
-of M is (c_b), and row_a - a * row_1 = -r * (a * c_b // r), so the r-reduced
-matrix M'' with row 1 equal to (c_b) and row a >= 2 equal to
-(-(a * c_b // r)) satisfies
+    Res(x^m + 1, F) = +-(2r)^(m-1) h_r^-.
 
-    det M = r^((r-3)/2) * det M''    (sign included),
+F has coefficients up to r; a smaller polynomial does the same work.  With
+Qbar = sum_{i<m} (2 floor(g a_i / r) - (g - 1)) x^i, whose coefficients lie
+below g in absolute value, (g x - 1) F = r x Qbar (mod x^m + 1), and
+Res(x^m + 1, g x - 1) = +-(1 + g^m), hence
 
-hence h_r^- = |det M''|.  det M'' is computed by Bareiss fraction-free
-elimination over Z; its entries are below r in absolute value.  A second,
-independent route checks the bit that gates the verdict: r is odd, so
-det M = h_r^- (mod 2), and the GF(2) determinant of the unreduced M mod 2
-must equal the parity of h_r^-.  A mismatch, or h_r^- < 1, is a hard
-internal error (ConsistencyError).
+    h_r^- = r |Res(x^m + 1, Qbar)| / ((1 + g^m) 2^(m-1)).
+
+The resultant is the subresultant algorithm of intlinalg, O(m^2) steps.  A
+division that leaves a remainder, or a quotient below 1, is a hard internal
+error (ConsistencyError).  The signed Maillet/Carlitz-Olson determinant
+follows in closed form (Carlitz and Olson, Proc. AMS 6, 1955): with
+c_b = b^-1 mod r and M[a][b] the least positive residue of a * c_b mod r
+(1 <= a, b <= m),
+
+    det M = (-r)^((r-3)/2) * h_r^-.
+
+Two independent routes check the result:
+
+- the parity, which gates the verdict, at every r: r is odd, so
+  det M = h_r^- (mod 2), and the GF(2) determinant of M mod 2 must equal the
+  parity of h_r^-;
+- the signed value, for r <= BAREISS_CHECK_MAX_R: row 1 of M is (c_b), and
+  row_a - a * row_1 = -r * (a * c_b // r), so the r-reduced matrix M'' with
+  row 1 equal to (c_b) and row a >= 2 equal to (-(a * c_b // r)) has
+  det M = r^((r-3)/2) det M''; Bareiss over Z must give
+  det M'' = (-1)^((r-3)/2) h_r^-.
+
+A mismatch in either is a ConsistencyError.
 
 For quadratic base fields no desk-scale algorithm is implemented; parity of
 h+ for the compositum is read from an attested external table shipped as
@@ -39,15 +58,21 @@ from typing import NamedTuple
 
 from .cycfield import check_prime_r
 from .errors import ConsistencyError, TableError
-from .intlinalg import bareiss_det, gf2_det
+from .intlinalg import bareiss_det, gf2_det, resultant
+from .numutil import least_primitive_root
 
 ODD = "odd"
 EVEN = "even"
 UNDETERMINED = "undetermined"
 
-# Largest r for which the exact Maillet determinant is computed; every range
-# and CLI guard on r refers to this bound.
+# Largest r for which the exact h_r^- is computed; every range and CLI guard
+# on r refers to this bound.
 MAX_R = 200
+
+# Largest r whose signed value is checked by Bareiss on the 30x30 M'' (about
+# 1 ms); past it Bareiss grows as m^3 (51 ms at r = 199) and the parity check
+# alone guards the result.
+BAREISS_CHECK_MAX_R = 61
 
 
 class HMinusResult(NamedTuple):
@@ -66,19 +91,29 @@ class HPlusTableEntry(NamedTuple):
 
 
 def maillet_h_minus(r: int) -> HMinusResult:
-    """Exact h_r^- for a prime 5 <= r <= MAX_R via the r-reduced Maillet
-    determinant, with its parity checked against GF(2) elimination of M."""
+    """Exact h_r^- for a prime 5 <= r <= MAX_R as r |Res(x^m + 1, Qbar)| /
+    ((1 + g^m) 2^(m-1)), with its parity checked against the GF(2)
+    determinant of M mod 2 and, for r <= BAREISS_CHECK_MAX_R, its signed
+    Maillet determinant against Bareiss on M'' (see the module docstring)."""
     if r > MAX_R:
         raise ValueError(f"r = {r} exceeds MAX_R = {MAX_R}")
     check_prime_r(r)
     m = (r - 1) // 2
-    inverses = [pow(b, -1, r) for b in range(1, m + 1)]
-    reduced = [inverses]
-    reduced += [[-(a * c // r) for c in inverses] for a in range(2, m + 1)]
-    det_reduced = bareiss_det(reduced)
-    h_minus = abs(det_reduced)
+    g = least_primitive_root(r)
+    q_bar, a = [], 1
+    for _ in range(m):
+        q_bar.append(2 * (g * a // r) - (g - 1))
+        a = g * a % r
+    res = resultant([1] + [0] * (m - 1) + [1], q_bar)
+    h_minus, rest = divmod(r * abs(res), (1 + g**m) << (m - 1))
+    if rest:
+        raise ConsistencyError(
+            f"r * Res(x^m + 1, Qbar) = {r * res} for r = {r} is not divisible "
+            f"by (1 + g^m) * 2^(m-1) with g = {g}"
+        )
     if h_minus < 1:
         raise ConsistencyError(f"h^- computed as {h_minus} < 1 for r = {r}")
+    inverses = [pow(b, -1, r) for b in range(1, m + 1)]
     mod2_rows = [
         sum(((a * c) % r & 1) << j for j, c in enumerate(inverses))
         for a in range(1, m + 1)
@@ -89,11 +124,20 @@ def maillet_h_minus(r: int) -> HMinusResult:
             f"with the parity of h^- = {h_minus}"
         )
     exponent = (r - 3) // 2
+    if r <= BAREISS_CHECK_MAX_R:
+        reduced = [inverses]
+        reduced += [[-(a * c // r) for c in inverses] for a in range(2, m + 1)]
+        det_reduced = bareiss_det(reduced)
+        if det_reduced != (-1) ** exponent * h_minus:
+            raise ConsistencyError(
+                f"Bareiss gives det M'' = {det_reduced} for r = {r}, not "
+                f"(-1)^{exponent} * h^- with h^- = {h_minus}"
+            )
     return HMinusResult(
         r=r,
         h_minus=h_minus,
         parity=ODD if h_minus % 2 else EVEN,
-        determinant=r**exponent * det_reduced,
+        determinant=(-r) ** exponent * h_minus,
         scaling_exponent=exponent,
     )
 

@@ -1,13 +1,17 @@
-"""Exact integer linear algebra: fraction-free determinants, row-lattice
-indices, Hermite bases and determinants over GF(2).  Matrices here stay
-small (at most 99x99, the Maillet matrix at r = 199), so the classical cubic
-algorithms are plenty; exactness is the only requirement.  One row-echelon
-eliminator over Z, `_echelon`, serves `row_lattice_index` and
+"""Exact integer linear algebra: fraction-free determinants, resultants,
+row-lattice indices, Hermite bases and determinants over GF(2).  Exactness
+is the only requirement, and the matrices stay small: Bareiss serves norms
+in Z[theta] (at most 15x15 at the frey caps) and the 30x30 Maillet check at
+r <= 61, so the classical cubic algorithms are plenty.  `resultant` is the
+quadratic subresultant algorithm; it gives h_r^- at every r <= 199.  One
+row-echelon eliminator over Z, `_echelon`, serves `row_lattice_index` and
 `hermite_basis`.  GF(2) vectors are bit-packed ints, and one XOR eliminator,
 `_gf2_insert`, serves `gf2_det` (the Maillet parity) and `gf2_solve` (the
 Artin-Schreier equation in ffpoly)."""
 
 from __future__ import annotations
+
+import math
 
 
 def bareiss_det(rows) -> int:
@@ -43,6 +47,69 @@ def bareiss_det(rows) -> int:
             row_i[k] = 0
         prev = pk
     return sign * a[n - 1][n - 1]
+
+
+def _trim(poly) -> list[int]:
+    """The coefficient list without its leading zeros."""
+    poly = list(poly)
+    while poly and not poly[-1]:
+        poly.pop()
+    return poly
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of lc(b)^(deg a - deg b + 1) * a divided by b, trimmed;
+    each of the deg a - deg b + 1 steps scales the running remainder by
+    lc(b) and cancels its leading term."""
+    rem, lead, db = list(a), b[-1], len(b) - 1
+    for k in range(len(a) - 1, db - 1, -1):
+        c = rem.pop()
+        rem = [x * lead for x in rem]
+        for j in range(db):
+            rem[k - db + j] -= c * b[j]
+    return _trim(rem)
+
+
+def resultant(a, b) -> int:
+    """Res(a, b) of two integer polynomials given as coefficient lists,
+    constant term first, by the subresultant algorithm (Cohen, GTM 138,
+    Alg. 3.3.7).  Leading zeros are ignored; a zero polynomial gives 0 and
+    two nonzero constants give 1, as in sympy.
+
+    The contents are taken out first and put back as t.  Each pseudo-
+    remainder is divided by g * h^delta and each new h is g^delta /
+    h^(delta - 1); both divisions are exact, so the coefficients stay the
+    size of the subresultants and the cost is O(deg a * deg b) steps."""
+    a, b = _trim(a), _trim(b)
+    if not a or not b:
+        return 0
+    ca, cb = math.gcd(*a), math.gcd(*b)
+    t = ca ** (len(b) - 1) * cb ** (len(a) - 1)
+    a = [x // ca for x in a]
+    b = [x // cb for x in b]
+    s = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if (len(a) - 1) & (len(b) - 1) & 1:
+            s = -1
+    if len(a) == 1:
+        return t
+    g = h = 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da & db & 1:
+            s = -s
+        rem = _pseudo_remainder(a, b)
+        div = g * h**delta
+        a, b = b, [x // div for x in rem]
+        g = a[-1]
+        if delta:
+            h = g**delta // h ** (delta - 1)
+    if not b:
+        return 0
+    da = len(a) - 1
+    return s * t * (b[0] ** da // h ** (da - 1))
 
 
 def _gf2_insert(pivots: dict, vec: int, combo: int) -> tuple[int, int]:

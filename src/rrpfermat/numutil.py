@@ -22,6 +22,26 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def least_primitive_root(p: int) -> int:
+    """The least g >= 2 that generates (Z/p)^* for an odd prime p: g^((p-1)/q)
+    is not 1 mod p for any prime q dividing p - 1."""
+    if p < 3 or not is_prime(p):
+        raise ValueError(f"p = {p} must be an odd prime")
+    n, q, quotients = p - 1, 2, []
+    while q * q <= n:
+        if n % q == 0:
+            quotients.append((p - 1) // q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        quotients.append((p - 1) // n)
+    g = 2
+    while any(pow(g, e, p) == 1 for e in quotients):
+        g += 1
+    return g
+
+
 def primes_upto(n: int) -> list[int]:
     """All primes <= n by sieve."""
     if n < 2:

@@ -1,12 +1,19 @@
-"""Property tests of the exact determinants, lattice indices and Hermite
-bases against sympy."""
+"""Property tests of the exact determinants, resultants, lattice indices and
+Hermite bases against sympy."""
 
 import pytest
 import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rrpfermat.intlinalg import bareiss_det, gf2_det, gf2_solve, hermite_basis, row_lattice_index
+from rrpfermat.intlinalg import (
+    bareiss_det,
+    gf2_det,
+    gf2_solve,
+    hermite_basis,
+    resultant,
+    row_lattice_index,
+)
 
 import oracles
 
@@ -120,3 +127,73 @@ def test_index_of_two_hermite_bases_is_the_index_of_their_rows(first, second):
     rows_j = [(row + [0] * dim)[:dim] for row in second[0]]
     h_i, h_j = hermite_basis(rows_i), hermite_basis(rows_j)
     assert row_lattice_index(h_i + h_j, dim) == row_lattice_index(rows_i + rows_j, dim)
+
+
+_X = sp.symbols("x")
+
+
+def _sympy_resultant(a, b) -> int:
+    """sympy's resultant of two coefficient lists, constant term first.
+
+    sympy 1.14 returns Res(b, a) when deg a < deg b (resultant(x - 2, x^3) is
+    -8, where the Sylvester determinant is 8), so the larger degree goes
+    first and Res(a, b) = (-1)^(deg a * deg b) Res(b, a) fixes the sign."""
+    pa, pb = (sp.Poly(list(reversed(c)) or [0], _X) for c in (a, b))
+    if not (pa.is_zero or pb.is_zero) and pa.degree() < pb.degree():
+        return (-1) ** (pa.degree() * pb.degree()) * _sympy_resultant(b, a)
+    return int(sp.resultant(pa.as_expr(), pb.as_expr(), _X))
+
+
+def _sylvester_resultant(a, b) -> int:
+    """Res(a, b) as the determinant of the Sylvester matrix, by definition."""
+    a, b = [list(reversed(c)) for c in (a, b)]
+    da, db = len(a) - 1, len(b) - 1
+    rows = [[0] * i + a + [0] * (db - 1 - i) for i in range(db)]
+    rows += [[0] * i + b + [0] * (da - 1 - i) for i in range(da)]
+    return int(sp.Matrix(rows).det())
+
+
+def test_resultant_sign_is_the_sylvester_determinant():
+    for a, b in (([-2, 1], [0, 0, 0, 1]), ([-4, 5], [1, 2, 3, 4]), ([1, 2, 3, 4], [-4, 5]),
+                 ([3, 0, -1, 2], [1, 1, 1, 1, 1, 1]), ([1, 1], [2, -1, 0, 4, 1])):
+        assert resultant(a, b) == _sylvester_resultant(a, b) == _sympy_resultant(a, b)
+
+
+_coeffs = st.lists(st.integers(-30, 30), max_size=13)  # degrees 0..12, or zero
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """Two signed coefficient lists of independent degrees, sometimes with
+    leading zeros, a content other than 1, or a common factor of degree >= 1."""
+    a, b = draw(_coeffs), draw(_coeffs)
+    if draw(st.booleans()):
+        a = a + [0] * draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        c = draw(st.sampled_from([-6, 2, 3, 10]))
+        b = [c * x for x in b]
+    if draw(st.integers(0, 3)) == 0:
+        common = draw(st.lists(st.integers(-5, 5), min_size=2, max_size=4))
+        if common[-1] == 0:
+            common[-1] = 1
+        a, b = oracles.poly_mul(a or [0], common), oracles.poly_mul(b or [0], common)
+    return a, b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(polynomial_pairs())
+@example(([], [1, 2, 3]))  # the zero polynomial
+@example(([0, 0], [5]))
+@example(([7], [-3]))  # two constants
+@example(([1, 0, 1], [4]))  # deg b = 0 < deg a
+@example(([4], [1, 0, 1]))  # deg a = 0 < deg b
+@example(([1, 2, 3], [-4, 0, 5]))  # equal degrees
+@example(([1, 2, 3, 4], [-4, 5]))  # both swaps of odd degrees
+@example(([-4, 5], [1, 2, 3, 4]))
+@example(([6, 4, 2], [9, 0, 3, 0, 0]))  # contents 2 and 3, leading zeros
+@example(([-1, 0, 1], [1, 1]))  # common factor x + 1, so 0
+@example(([3, 11, -2, 8], [-6, 2, 17, -7, 14]))  # common factor 2x^2 - x + 3
+@example(([1] + [0] * 11 + [1], [1, -1, 1, 1, -1, -1, 1, 1, -1, 1, 1, -1]))
+def test_resultant_matches_sympy(pair):
+    a, b = pair
+    assert resultant(a, b) == _sympy_resultant(a, b)

@@ -1,12 +1,14 @@
 """is_squarefree trial-divides only while p^3 <= m, m the cofactor left, and
-finishes with a perfect-square test; checked against sympy.factorint."""
+finishes with a perfect-square test; checked against sympy.factorint.  The
+least primitive root is checked against sympy.primitive_root."""
 
+import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrpfermat.cli import MAX_D
-from rrpfermat.numutil import is_squarefree
+from rrpfermat.numutil import is_squarefree, least_primitive_root, primes_upto
 
 
 def _sympy_squarefree(n: int) -> bool:
@@ -51,3 +53,11 @@ def test_is_squarefree_cofactors_with_at_most_two_primes():
         assert n <= MAX_D
         assert _sympy_squarefree(n) is expected, n
         assert is_squarefree(n) is expected, n
+
+
+def test_least_primitive_root_matches_sympy():
+    for p in primes_upto(5000)[1:]:
+        assert least_primitive_root(p) == sp.primitive_root(p), p
+    for bad in (2, 9, 1):
+        with pytest.raises(ValueError):
+            least_primitive_root(bad)
