@@ -63,11 +63,14 @@ MAX_D = 10**12
 # for 10^7 and 0.5-0.7 s for 10^8.
 MAX_SMOOTHNESS_BOUND = 10**7
 
-# Largest frey --r and |--x|, |--y| accepted.  Whole process, 2-vCPU Xeon: at
-# x = 3, y = 2, r = 23 / 31 / 37 / 47 took 0.1 / 0.1 / 0.2 / 0.5-0.8 s; the
-# corner r = 31, x = 10^4, y = 10^4 - 1 with --smoothness-bound 10^7 took
-# 0.2-0.4 s, and x = 10^6 took 0.2-0.3 s.  The coprimality check takes
-# (r^2 - 1)/8 lattice indices, with entries up to Phi(x, y) ~ |x|^(r-1).
+# Largest frey --r and |--x|, |--y| accepted.  Whole process, 2-vCPU Xeon
+# (guards lifted past the caps): at x = 3, y = 2, r = 23 / 31 / 37 / 47 took
+# 0.19 / 0.21-0.26 / 0.23-0.25 / 0.30-0.36 s; the corner r = 31, x = 10^4,
+# y = 10^4 - 1 with --smoothness-bound 10^7 took 0.22-0.27 s, and x = 10^6
+# took 0.28-0.29 s.  The coprimality check takes floor((r - 1)/4) + 1 lattice
+# indices, one per Galois orbit of pairs (f_i, f_j).  Their Hermite bases are
+# not reduced modulo anything: at r = 23 and x, y <= 5 the entries inside
+# intlinalg._echelon reach about 1,270 bits, where Phi(x, y) has at most 54.
 MAX_FREY_R = 31
 MAX_FREY_XY = 10**4
 

@@ -210,6 +210,26 @@ class CoprimalityReport(NamedTuple):
         return not self.offending
 
 
+def _fold(t: int, r: int) -> int:
+    """The index k in 0..(r-1)/2 with zeta^k + zeta^-k = zeta^t + zeta^-t."""
+    t %= r
+    return min(t, r - t)
+
+
+def _orbit_representative(i: int, j: int, r: int) -> tuple[int, int]:
+    """The least pair in the Galois orbit of {f_i, f_j}, for 0 <= i < j.
+
+    sigma_a (zeta -> zeta^a) maps f_k to f_fold(a k), and fold(0) = 0, so
+    every (0, j) is in the orbit of (0, 1).  For 1 <= i < j the pairs of the
+    orbit that contain f_1 are the images under a = i^-1 and a = j^-1, that
+    is (1, fold(j/i)) and (1, fold(i/j)); the lesser is the representative.
+    """
+    if i == 0:
+        return 0, 1
+    j_over_i = j * pow(i, -1, r) % r
+    return 1, min(_fold(j_over_i, r), _fold(pow(j_over_i, -1, r), r))
+
+
 def coprimality_check(field: RealCyclotomicField, x: int, y: int) -> CoprimalityReport:
     """Certify that the f_k(x, y) are pairwise coprime outside r.
 
@@ -221,23 +241,29 @@ def coprimality_check(field: RealCyclotomicField, x: int, y: int) -> Coprimality
     empty basis.  (Coprimality of ideals is strictly stronger than
     coprimality of element norms: conjugate factors share their norm without
     sharing any prime, so norm gcds would flag false positives.)
+
+    The index is computed once per Galois orbit of pairs.  For rational x, y
+    the automorphism sigma_a of Q(theta) (zeta -> zeta^a, a prime to r) sends
+    f_k(x, y) to f_fold(a k)(x, y), hence the ideal (f_i, f_j) to
+    (f_fold(a i), f_fold(a j)), and automorphisms keep ideal norms.  Each
+    orbit has a representative (0, 1) or (1, m) (`_orbit_representative`):
+    floor(d/2) + 1 indices per call, and Hermite bases only for the f_k that
+    a representative names.
     """
     if not isinstance(x, int) or not isinstance(y, int):
         raise TypeError("desk-scale coprimality check takes rational integers")
     if math.gcd(x, y) != 1:
         raise NotCoprimeError(f"gcd({x}, {y}) != 1")
-    bases = [hermite_basis(field.multiplication_rows(f_k_eval(field, k, x, y)))
-             for k in range(field.degree + 1)]
-    pairs = []
-    offending = []
-    for i in range(len(bases)):
-        for j in range(i + 1, len(bases)):
-            norm_ij = row_lattice_index(bases[i] + bases[j], field.degree)
-            outside_r = strip_factor(norm_ij, field.r)
-            pairs.append((i, j, outside_r))
-            if outside_r != 1:
-                offending.append((i, j))
-    return CoprimalityReport(field.r, x, y, tuple(pairs), tuple(offending))
+    r, d = field.r, field.degree
+    reps = {(i, j): _orbit_representative(i, j, r)
+            for i in range(d + 1) for j in range(i + 1, d + 1)}
+    bases = {k: hermite_basis(field.multiplication_rows(f_k_eval(field, k, x, y)))
+             for k in {k for rep in reps.values() for k in rep}}
+    norms = {(i, j): strip_factor(row_lattice_index(bases[i] + bases[j], d), r)
+             for i, j in set(reps.values())}
+    pairs = tuple((i, j, norms[rep]) for (i, j), rep in reps.items())
+    offending = tuple((i, j) for i, j, outside_r in pairs if outside_r != 1)
+    return CoprimalityReport(r, x, y, pairs, offending)
 
 
 # -- conductor support --------------------------------------------------------

@@ -3,6 +3,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrpfermat.cycfield import RealCyclotomicField, alpha_beta_gamma, build_field, f_k_eval
 from rrpfermat.errors import (
@@ -12,8 +14,10 @@ from rrpfermat.errors import (
     NotInertError,
     UnfactoredCofactorError,
 )
+from rrpfermat import frey
 from rrpfermat.frey import (
     DEFAULT_SMOOTHNESS_BOUND,
+    _orbit_representative,
     conductor_support_outside_S,
     coprimality_check,
     find_k1,
@@ -25,6 +29,7 @@ from rrpfermat.frey import (
     j_valuation_identity_values,
     valuation_at_split_prime,
 )
+from rrpfermat.intlinalg import row_lattice_index
 from rrpfermat.numutil import primes_upto, strip_factor
 
 import oracles
@@ -230,11 +235,13 @@ def test_coprimality_random_pairs():
 
 def test_coprimality_pairs_match_the_all_rows_ideal_norm():
     rng = random.Random(2024)
-    for r in (5, 7, 11, 13):
+    for r in (5, 7, 11, 13, 17, 19, 23):
         f = build_field(r)
         # (1, -1) makes f_0 zero, which then adds no rows; (1, 0) makes every
-        # f_k a unit.
-        cases = [(1, -1), (1, 0), (2, 1), (3, -2)] + [random_coprime_pair(rng) for _ in range(6)]
+        # f_k a unit; ((r + 1)/2, (r - 1)/2) has r | x + y, so every f_k lies
+        # in the prime above r.
+        cases = [(1, -1), (1, 0), (2, 1), (3, -2), ((r + 1) // 2, (r - 1) // 2)]
+        cases += [random_coprime_pair(rng) for _ in range(6)]
         for x, y in cases:
             values = [f_k_eval(f, k, x, y) for k in range(f.degree + 1)]
             expected = [
@@ -242,6 +249,54 @@ def test_coprimality_pairs_match_the_all_rows_ideal_norm():
                 for i, j in combinations(range(len(values)), 2)
             ]
             assert list(coprimality_check(f, x, y).pairs) == expected, (r, x, y)
+
+
+def _fold(t, r):
+    return min(t % r, r - t % r)
+
+
+@pytest.mark.parametrize("r", SMALL_PRIMES)
+def test_orbit_representative_is_the_least_pair_of_its_galois_orbit(r):
+    d = (r - 1) // 2
+    for i, j in combinations(range(d + 1), 2):
+        orbit = {tuple(sorted((_fold(a * i, r), _fold(a * j, r)))) for a in range(1, r)}
+        assert _orbit_representative(i, j, r) == min(orbit), (r, i, j)
+
+
+@pytest.mark.parametrize("r", [5, 7, 11, 13, 17, 19, 23])
+def test_coprimality_takes_one_lattice_index_per_galois_orbit(r, monkeypatch):
+    calls = []
+
+    def counting_index(rows, dim):
+        calls.append(len(rows))
+        return row_lattice_index(rows, dim)
+
+    monkeypatch.setattr(frey, "row_lattice_index", counting_index)
+    f = build_field(r)
+    for x, y in [(1, -1), (1, 0), (3, 2), ((r + 1) // 2, (r - 1) // 2)]:
+        calls.clear()
+        coprimality_check(f, x, y)
+        assert len(calls) == f.degree // 2 + 1, (r, x, y)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.tuples(st.integers(-50, 50), st.integers(-50, 50)).filter(lambda p: math.gcd(*p) == 1))
+def test_galois_automorphisms_permute_the_quadratic_factors(xy):
+    """sigma_a: theta -> zeta^a + zeta^-a, applied to the coefficients of
+    f_k(x, y), gives f_fold(a k)(x, y): the rule the coprimality orbits use."""
+    x, y = xy
+    for r in (5, 7, 11, 13, 17, 19, 23):
+        f = build_field(r)
+        values = [f_k_eval(f, k, x, y) for k in range(f.degree + 1)]
+        for a in range(1, f.degree + 1):
+            theta_powers = [f.one]
+            for _ in range(f.degree - 1):
+                theta_powers.append(theta_powers[-1] * f.theta_power_sum(a))
+            for k, value in enumerate(values):
+                image = f.zero
+                for c, power in zip(value.coeffs, theta_powers):
+                    image = image + power * c
+                assert image == f_k_eval(f, _fold(a * k, r), x, y), (r, a, k, x, y)
 
 
 def _frey_desk_grid():
