@@ -10,8 +10,8 @@ re-exports the pieces most callers need; the modules themselves are:
     galoisring   GR(2^n, f) and the exact 2-adic unit square root
     splitting    decomposition of 2 and r in Q+ and in Q(sqrt(d), theta)
     classnumber  Maillet-determinant h^- parity, external h+ table
-    frey         the curve Y^2 = X(X-A)(X+B), invariants, valuations
-    descent      S-unit descent step and norm-residue obstructions
+    frey         the curve Y^2 = X(X-A)(X+B), invariants, coprimality, conductor
+    descent      norm-residue obstructions to pi_r being a square
     criteria     tri-state verdict engine and range scans
     cli          command-line front end
 """

@@ -56,6 +56,7 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
+from .cycfield import MAX_R  # noqa: F401 -- re-exported: callers read classnumber.MAX_R
 from .cycfield import check_prime_r
 from .errors import ConsistencyError, TableError
 from .intlinalg import bareiss_det, gf2_det, resultant
@@ -64,10 +65,6 @@ from .numutil import least_primitive_root
 ODD = "odd"
 EVEN = "even"
 UNDETERMINED = "undetermined"
-
-# Largest r for which the exact h_r^- is computed; every range and CLI guard
-# on r refers to this bound.
-MAX_R = 200
 
 # Largest r whose signed value is checked by Bareiss on the 30x30 M'' (about
 # 1 ms); past it Bareiss grows as m^3 (51 ms at r = 199) and the parity check
@@ -95,8 +92,6 @@ def maillet_h_minus(r: int) -> HMinusResult:
     ((1 + g^m) 2^(m-1)), with its parity checked against the GF(2)
     determinant of M mod 2 and, for r <= BAREISS_CHECK_MAX_R, its signed
     Maillet determinant against Bareiss on M'' (see the module docstring)."""
-    if r > MAX_R:
-        raise ValueError(f"r = {r} exceeds MAX_R = {MAX_R}")
     check_prime_r(r)
     m = (r - 1) // 2
     g = least_primitive_root(r)

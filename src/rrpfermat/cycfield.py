@@ -34,8 +34,17 @@ from .intlinalg import bareiss_det
 from .numutil import is_prime
 
 
+# Largest r the package accepts (the exact h_r^- is computed up to it); every
+# range and CLI guard on r refers to this bound.
+MAX_R = 200
+
+
 def check_prime_r(r: int) -> None:
-    """The one rule for the exponent r: a prime >= 5 (ValueError otherwise)."""
+    """The one rule for the exponent r: a prime with 5 <= r <= MAX_R
+    (ValueError otherwise).  The bound comes first: the primality test
+    trial-divides up to sqrt(r)."""
+    if r > MAX_R:
+        raise ValueError(f"r = {r} exceeds MAX_R = {MAX_R}")
     if r < 5 or not is_prime(r):
         raise ValueError(f"r = {r} must be a prime >= 5")
 
@@ -125,10 +134,6 @@ class RealCyclotomicField:
         if any(not isinstance(c, int) for c in vec):
             raise TypeError("coefficients must be integers")
         return CycInt(self, polyrem(vec, self.psi))
-
-    @property
-    def zero(self) -> "CycInt":
-        return self.element(0)
 
     @property
     def one(self) -> "CycInt":
@@ -327,7 +332,7 @@ class CycInt:
 
 
 def build_field(r: int) -> RealCyclotomicField:
-    """Field of theta = zeta_r + zeta_r^-1 for a prime r >= 5."""
+    """Field of theta = zeta_r + zeta_r^-1 for a prime 5 <= r <= MAX_R."""
     return RealCyclotomicField(r)
 
 
@@ -348,24 +353,6 @@ def f_k_eval(field: RealCyclotomicField, k: int, x, y) -> CycInt:
     return x * x + field.theta_power_sum(k) * x * y + y * y
 
 
-def phi_r_eval(field: RealCyclotomicField, x, y) -> CycInt:
-    """(x^r + y^r)/(x + y) in polynomial form: the alternating sum
-    sum_{i=0}^{r-1} (-1)^i x^(r-1-i) y^i, defined for every x, y."""
-    x = field.element(x)
-    y = field.element(y)
-    # r is small, so the straightforward sum of monomials is fine.
-    acc = field.zero
-    xp = [field.one]
-    yp = [field.one]
-    for _ in range(field.r - 1):
-        xp.append(xp[-1] * x)
-        yp.append(yp[-1] * y)
-    for i in range(field.r):
-        term = xp[field.r - 1 - i] * yp[i]
-        acc = acc - term if i % 2 else acc + term
-    return acc
-
-
 def alpha_beta_gamma(field: RealCyclotomicField, k1: int, k2: int, k3: int):
     """Coefficients (alpha, beta, gamma) with
     alpha*f_{k1} + beta*f_{k2} + gamma*f_{k3} = 0 identically in x, y.
@@ -383,11 +370,3 @@ def alpha_beta_gamma(field: RealCyclotomicField, k1: int, k2: int, k3: int):
             raise ValueError(f"index {k} out of range 0..{field.degree}")
     s1, s2, s3 = (field.theta_power_sum(k) for k in ks)
     return (s3 - s2, s1 - s3, s2 - s1)
-
-
-def reduce_mod(a: CycInt, m: int) -> tuple[int, ...]:
-    """Componentwise reduction of the coefficient vector mod m; the induced
-    map is the ring homomorphism onto (Z/m)[x]/(psi_r mod m)."""
-    if m < 2:
-        raise ValueError(f"modulus m = {m} must be >= 2")
-    return tuple([c % m for c in a.coeffs])

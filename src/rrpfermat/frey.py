@@ -17,11 +17,6 @@ X^3 + (B - A) X^2 - AB X):
 
 stored with j as an exact numerator/denominator pair and tied together by
 the cross-multiplied identity c4^3 * j_den = j_num * Delta.
-
-Valuations are only computed at computationally tame primes: a degree-one
-odd prime (q, theta - t) with q not dividing disc(psi_r), or the rational
-prime 2 when 2 is inert.  That is enough to check every valuation-shaped
-claim without general ideal arithmetic.
 """
 
 from __future__ import annotations
@@ -29,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .cycfield import CycInt, RealCyclotomicField, alpha_beta_gamma, f_k_eval, reduce_mod
+from .cycfield import CycInt, RealCyclotomicField, alpha_beta_gamma, f_k_eval
 from .errors import (
     ConsistencyError,
     DegenerateCurveError,
@@ -37,7 +32,7 @@ from .errors import (
     UnfactoredCofactorError,
 )
 from .intlinalg import hermite_basis, row_lattice_index
-from .numutil import is_prime, strip_factor, two_adic_valuation
+from .numutil import strip_factor
 
 
 class FreyCurve(NamedTuple):
@@ -90,108 +85,6 @@ def invariants_from_abc(field: RealCyclotomicField, A: CycInt, B: CycInt, C: Cyc
     if not (c4 * c4 * c4 * j_den == j_num * delta):
         raise ConsistencyError("c4^3 != j * Delta; invariant computation broken")
     return FreyInvariants(delta=delta, c4=c4, j_num=j_num, j_den=j_den)
-
-
-# -- valuations ---------------------------------------------------------------
-
-
-def valuation_at_split_prime(field: RealCyclotomicField, a: CycInt, q: int, root: int) -> int:
-    """v at the degree-one prime (q, theta - root) for an odd prime q not
-    dividing disc(psi_r), root a simple root of psi_r mod q.
-
-    Evaluates a at the Hensel lift of the root mod q^k, doubling k until the
-    value is nonzero mod q^k; the q-adic valuation of that value is exact.
-    """
-    a = field.element(a)
-    if a.is_zero():
-        raise ValueError("valuation of 0 is undefined")
-    if q == 2 or not is_prime(q):
-        raise ValueError(f"q = {q} must be an odd prime")
-    root %= q
-    if _poly_eval_mod(field.psi, root, q) != 0:
-        raise ValueError(f"{root} is not a root of psi_r mod {q}")
-    deriv = _poly_eval_mod(_derivative(field.psi), root, q)
-    if deriv % q == 0:
-        raise ValueError(f"{root} is not a simple root of psi_r mod {q}")
-    k = 1
-    t = root
-    while True:
-        qk = q**k
-        val = _poly_eval_mod(a.coeffs, t, qk)
-        if val != 0:
-            v = 0
-            while val % q == 0:
-                val //= q
-                v += 1
-            return v
-        k *= 2
-        t = _hensel_lift_root(field.psi, t, q, k)
-
-
-def _derivative(poly: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple([i * c for i, c in enumerate(poly)][1:])
-
-
-def _poly_eval_mod(poly, t: int, m: int) -> int:
-    acc = 0
-    for c in reversed(poly):
-        acc = (acc * t + c) % m
-    return acc
-
-
-def _hensel_lift_root(poly: tuple[int, ...], t: int, q: int, k: int) -> int:
-    """Newton-lift a simple root of poly mod q to mod q^k."""
-    prec = 1
-    qk = q**k
-    while prec < k:
-        prec = min(2 * prec, k)
-        mod = q**prec
-        fv = _poly_eval_mod(poly, t, mod)
-        dv = _poly_eval_mod(_derivative(poly), t, mod)
-        t = (t - fv * pow(dv, -1, mod)) % mod
-    return t % qk
-
-
-def inert_two_valuation(field: RealCyclotomicField, a: CycInt) -> int:
-    """v at the prime (2) when 2 is inert: the minimum 2-adic valuation of
-    the power-basis coordinates (the basis is an integral basis)."""
-    a = field.element(a)
-    if a.is_zero():
-        raise ValueError("valuation of 0 is undefined")
-    field.require_two_inert()
-    return min(two_adic_valuation(c) for c in a.coeffs if c)
-
-
-def make_valuation(field: RealCyclotomicField, prime):
-    """Valuation functional from a prime description: the string "2-inert"
-    or a ("split", q, root) triple."""
-    if prime == "2-inert":
-        return lambda a: inert_two_valuation(field, field.element(a))
-    if isinstance(prime, tuple) and len(prime) == 3 and prime[0] == "split":
-        _, q, root = prime
-        return lambda a: valuation_at_split_prime(field, field.element(a), q, root)
-    raise ValueError(f"unsupported prime description: {prime!r}")
-
-
-def j_valuation_identity_values(field, A: CycInt, B: CycInt, C: CycInt, prime) -> tuple[int, int, bool]:
-    """(v(j), 8 v(2) - 2 v(A), equal?) at the described prime, which must
-    divide A and neither B nor C."""
-    val = make_valuation(field, prime)
-    inv = invariants_from_abc(field, A, B, C)
-    v_a = val(A)
-    if v_a <= 0:
-        raise ValueError("the prime must divide A")
-    if val(B) != 0 or val(C) != 0:
-        raise ValueError("the prime must not divide B or C")
-    v2 = val(field.element(2)) if prime == "2-inert" else 0
-    v_j = val(inv.j_num) - val(inv.j_den)
-    rhs = 8 * v2 - 2 * v_a
-    return v_j, rhs, v_j == rhs
-
-
-def j_valuation_identity_check(curve: FreyCurve, prime) -> bool:
-    _, _, ok = j_valuation_identity_values(curve.field, curve.A, curve.B, curve.C, prime)
-    return ok
 
 
 # -- coprimality of the quadratic factors ------------------------------------
@@ -338,17 +231,3 @@ def _trial_divide(n: int, p: int, step: int, bound: int) -> tuple[list[int], int
                 n //= p
         p += step
     return found, n
-
-
-def find_k1(field: RealCyclotomicField, x, y) -> int | None:
-    """The unique index k with f_k(x, y) = 0 mod the inert prime above 2, or
-    None when no single such k exists.  Requires 2 inert."""
-    x = field.element(x)
-    y = field.element(y)
-    field.require_two_inert()
-    hits = [
-        k
-        for k in range(field.degree + 1)
-        if all(c == 0 for c in reduce_mod(f_k_eval(field, k, x, y), 2))
-    ]
-    return hits[0] if len(hits) == 1 else None

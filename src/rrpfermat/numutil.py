@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 def is_prime(n: int) -> bool:
@@ -78,19 +77,6 @@ def legendre_symbol(a: int, p: int) -> int:
         raise ValueError(f"p = {p} must be an odd prime")
     ls = pow(a % p, (p - 1) // 2, p)
     return -1 if ls == p - 1 else ls
-
-
-def two_adic_valuation(x: int | Fraction) -> int:
-    """v_2 of a nonzero rational."""
-    if x == 0:
-        raise ValueError("valuation of 0 is undefined")
-    if isinstance(x, Fraction):
-        return two_adic_valuation(x.numerator) - two_adic_valuation(x.denominator)
-    v = 0
-    while x % 2 == 0:
-        x //= 2
-        v += 1
-    return v
 
 
 def strip_factor(n: int, p: int) -> int:

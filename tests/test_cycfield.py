@@ -4,15 +4,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rrpfermat.cycfield import (
-    alpha_beta_gamma,
-    build_field,
-    f_k_eval,
-    phi_r_eval,
-    reduce_mod,
-)
+from rrpfermat.cycfield import MAX_R, alpha_beta_gamma, build_field, f_k_eval
+from rrpfermat.descent import norm_necessary_condition
 from rrpfermat.galoisring import GaloisRing
 from rrpfermat.numutil import primes_upto
+from rrpfermat.splitting import split_2_in_Kplus
 
 import oracles
 
@@ -23,6 +19,22 @@ def test_build_field_rejects_bad_r():
     for bad in (0, 1, 2, 3, 4, 6, 9, 15, 21):
         with pytest.raises(ValueError):
             build_field(bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [build_field, lambda r: norm_necessary_condition(0, r), lambda r: split_2_in_Kplus(2, r)],
+    ids=["build_field", "norm_necessary_condition", "split_2_in_Kplus"],
+)
+def test_r_bound_checked_before_primality(monkeypatch, call):
+    # A huge r is refused by the bound alone, before any trial division.
+    def no_primality_test(_):
+        raise AssertionError("primality tested before the MAX_R bound")
+
+    monkeypatch.setattr("rrpfermat.cycfield.is_prime", no_primality_test)
+    r = 10**30 + 57
+    with pytest.raises(ValueError, match=f"r = {r} exceeds MAX_R = {MAX_R}"):
+        call(r)
 
 
 def test_minimal_polynomial_small_cases():
@@ -111,7 +123,7 @@ def test_pi_r_values_and_norm():
 def test_norm_basics():
     f = build_field(7)
     assert f.norm(1) == 1
-    assert f.norm(f.zero) == 0
+    assert f.norm(f.element(0)) == 0
     assert f.norm(2) == 2 ** f.degree
 
 
@@ -148,13 +160,6 @@ def test_f_k_eval_examples():
         f_k_eval(f5, 3, 1, 1)
 
 
-def test_phi_r_examples():
-    f5 = build_field(5)
-    assert phi_r_eval(f5, 1, 0) == 1
-    assert phi_r_eval(f5, 1, 1) == 1
-    assert phi_r_eval(f5, 2, 1) == 11
-
-
 def test_phi_r_and_product_identities_random():
     rng = random.Random(555)
     for r in SMALL_PRIMES:
@@ -163,9 +168,6 @@ def test_phi_r_and_product_identities_random():
             x = rng.randint(-30, 30)
             y = rng.randint(-30, 30)
             xe, ye = f.element(x), f.element(y)
-            lhs = (xe + ye) * phi_r_eval(f, xe, ye)
-            rhs = xe**r + ye**r
-            assert lhs == rhs, (r, x, y)
             prod = f_k_eval(f, 0, xe, ye)
             for k in range(1, f.degree + 1):
                 prod = prod * f_k_eval(f, k, xe, ye)
@@ -237,30 +239,22 @@ def test_alpha_beta_gamma_rejects_bad_indices():
         alpha_beta_gamma(f, 0, 1, 3)
 
 
-def test_reduce_mod_examples():
-    f5 = build_field(5)
-    assert reduce_mod(f5.pi_r(), 4) == (2, 1)
-    assert reduce_mod(f5.element(2), 2) == (0, 0)
-    assert reduce_mod(f5.theta * f5.theta, 3) == (1, 2)
-    with pytest.raises(ValueError):
-        reduce_mod(f5.one, 1)
-
-
 def test_reduce_mod_is_ring_hom():
     rng = random.Random(31337)
     f = build_field(11)
     for m in (2, 3, 8, 32):
+        def residues(a):
+            return tuple(c % m for c in a.coeffs)
+
         for _ in range(25):
             a = f.element([rng.randint(-50, 50) for _ in range(f.degree)])
             b = f.element([rng.randint(-50, 50) for _ in range(f.degree)])
-            assert reduce_mod(a + b, m) == tuple(
-                (u + v) % m for u, v in zip(reduce_mod(a, m), reduce_mod(b, m))
+            assert residues(a + b) == tuple(
+                (u + v) % m for u, v in zip(residues(a), residues(b))
             )
             # multiplication commutes with reduction
-            prod_red = reduce_mod(a * b, m)
-            red_prod = reduce_mod(
-                f.element(list(reduce_mod(a, m))) * f.element(list(reduce_mod(b, m))), m
-            )
+            prod_red = residues(a * b)
+            red_prod = residues(f.element(list(residues(a))) * f.element(list(residues(b))))
             assert prod_red == red_prod
 
 

@@ -1,94 +1,11 @@
-import random
-from fractions import Fraction
-
 import pytest
 
 from rrpfermat.cycfield import build_field
-from rrpfermat.descent import (
-    CycFrac,
-    descent_step,
-    norm_necessary_condition,
-    pi_plus_four_identity,
-    signed_norm_of_pi_r,
-)
+from rrpfermat.descent import norm_necessary_condition, signed_norm_of_pi_r
 from rrpfermat.errors import NotCoprimeError
 from rrpfermat.galoisring import is_square_pi_r
-from rrpfermat.numutil import primes_upto, two_adic_valuation
+from rrpfermat.numutil import primes_upto
 from rrpfermat.splitting import split_2_in_Qplus
-
-
-def test_descent_step_rational_examples():
-    pair = descent_step(3)
-    assert pair.lam == Fraction(-1, 3) and pair.mu == Fraction(4, 3)
-    pair = descent_step(Fraction(1, 3))
-    assert pair.lam + pair.mu == 1
-    for bad in (0, 1, -1, Fraction(1), Fraction(-1)):
-        with pytest.raises(ValueError):
-            descent_step(bad)
-
-
-def test_descent_step_two_adic_growth_example():
-    # tau = 17: lambda = 1 - tau^2 = -288 with v2 = 5 > 4, v2(1+tau) = 1;
-    # the new lambda' = -256/68 has v2 = 2*4 - 2 = 6 > 5.
-    pair = descent_step(17, val=two_adic_valuation)
-    assert pair.v_lam == 6
-    assert pair.lam + pair.mu == 1
-
-
-def test_descent_step_sums_to_one_500_random():
-    rng = random.Random(2718281)
-    f5 = build_field(5)
-    f7 = build_field(7)
-    checked = 0
-    while checked < 400:
-        num = rng.randint(-50, 50)
-        den = rng.randint(1, 50)
-        tau = Fraction(num, den)
-        if tau in (0, 1, -1):
-            continue
-        pair = descent_step(tau)
-        assert pair.lam + pair.mu == 1
-        checked += 1
-    one5 = CycFrac(f5.one, f5.one)
-    one7 = CycFrac(f7.one, f7.one)
-    while checked < 500:
-        f = f5 if checked % 2 else f7
-        one = one5 if checked % 2 else one7
-        num = f.element([rng.randint(-8, 8) for _ in range(f.degree)])
-        den = f.element([rng.randint(-8, 8) for _ in range(f.degree)])
-        if num.is_zero() or den.is_zero():
-            continue
-        tau = CycFrac(num, den)
-        if tau == 0 or tau == one or tau == -one:
-            continue
-        pair = descent_step(tau)
-        assert pair.lam + pair.mu == one
-        checked += 1
-    assert checked == 500
-
-
-def test_descent_valuation_growth_engineered():
-    # tau = (b + 2^k m)/b with b, m odd and k >= 4 gives v(lambda) = k + 1 > 4
-    # and v(1 + tau) = 1; then v(lambda') = 2k - 2 > k + 1.
-    rng = random.Random(11235)
-    for i in range(200):
-        b = rng.randrange(1, 200, 2)
-        m = rng.randrange(1, 200, 2)
-        k = rng.randint(4, 12)
-        tau = Fraction(b + (1 << k) * m, b)
-        negated = bool(i % 2)
-        if negated:
-            # symmetric sign choice: swaps v(1 - tau) and v(1 + tau), so the
-            # deep valuation lands on mu' instead of lambda'
-            tau = -tau
-        lam_before = 1 - tau * tau
-        v_before = two_adic_valuation(lam_before)
-        assert v_before == k + 1
-        pair = descent_step(tau, val=two_adic_valuation)
-        deep, shallow = (pair.v_mu, pair.v_lam) if negated else (pair.v_lam, pair.v_mu)
-        assert deep == 2 * k - 2
-        assert deep > v_before
-        assert shallow == 0
 
 
 def test_pi_plus_four_identity_small():
@@ -96,15 +13,16 @@ def test_pi_plus_four_identity_small():
     f5 = build_field(5)
     s = f5.theta_power_sum(2)
     assert s.coeffs == (-1, -1)
-    assert pi_plus_four_identity(f5)
-    assert pi_plus_four_identity(build_field(7))
+    for f in (f5, build_field(7)):
+        assert f.theta_power_sum(f.degree) ** 2 == f.pi_r() + 4
 
 
 def test_pi_plus_four_identity_all_r():
     for r in primes_upto(150):
         if r < 5:
             continue
-        assert pi_plus_four_identity(build_field(r)), r
+        f = build_field(r)
+        assert f.theta_power_sum(f.degree) ** 2 == f.pi_r() + 4, r
 
 
 def test_signed_norm():

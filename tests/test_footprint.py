@@ -1,7 +1,8 @@
 """The package keeps its memory footprint small: no module imports
 dataclasses, which pulls in inspect, ast, dis and tokenize (about 1 MB of
 resident memory in every process that imports the CLI), and element
-arithmetic parks no memory on the interpreter's tuple free lists."""
+arithmetic parks no memory on the interpreter's tuple free lists.  Its code
+footprint too: no module imports a name it does not use."""
 
 import ast
 import gc
@@ -31,6 +32,25 @@ def test_no_module_imports_dataclasses():
     for path in sources:
         names = set(_imported_modules(ast.parse(path.read_text(), str(path))))
         assert not any(n.split(".")[0] == "dataclasses" for n in names), path.name
+
+
+def test_no_module_has_an_unused_import():
+    # Re-exports are marked `# noqa: F401` on the import line, as in
+    # __init__.py; every other imported name must be read in its module.
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text, str(path))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            and "noqa: F401" not in lines[node.lineno - 1]
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))
 
 
 def test_importing_the_cli_leaves_dataclasses_unloaded():

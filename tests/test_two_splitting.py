@@ -6,7 +6,6 @@ import pytest
 
 from rrpfermat.cycfield import build_field
 from rrpfermat.errors import NotInertError
-from rrpfermat.frey import find_k1, inert_two_valuation
 from rrpfermat.galoisring import is_square_pi_r
 from rrpfermat.numutil import primes_upto
 from rrpfermat.splitting import split_2_in_Qplus
@@ -31,8 +30,7 @@ def test_inert_consumers_raise_exactly_when_two_splits(r):
     inert = order_of_two_mod_pm1(r) == field.degree
     consumers = [
         lambda: is_square_pi_r(field),
-        lambda: inert_two_valuation(field, field.element(2)),
-        lambda: find_k1(field, 1, 1),
+        field.require_two_inert,
     ]
     for call in consumers:
         if inert:
@@ -40,5 +38,3 @@ def test_inert_consumers_raise_exactly_when_two_splits(r):
         else:
             with pytest.raises(NotInertError):
                 call()
-    if inert:
-        assert inert_two_valuation(field, field.element(2)) == 1
