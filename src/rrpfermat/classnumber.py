@@ -33,7 +33,9 @@ Two independent routes check the result:
 
 - the parity, which gates the verdict, at every r: r is odd, so
   det M = h_r^- (mod 2), and the GF(2) determinant of M mod 2 must equal the
-  parity of h_r^-;
+  parity of h_r^-.  The bit rows of M mod 2 are built one from the other,
+  row a + 1 = row a + (c_b) mod r, on whole ints that hold every column in
+  a slot of its own (maillet_parity_rows);
 - the signed value, for r <= BAREISS_CHECK_MAX_R: row 1 of M is (c_b), and
   row_a - a * row_1 = -r * (a * c_b // r), so the r-reduced matrix M'' with
   row 1 equal to (c_b) and row a >= 2 equal to (-(a * c_b // r)) has
@@ -109,11 +111,7 @@ def maillet_h_minus(r: int) -> HMinusResult:
     if h_minus < 1:
         raise ConsistencyError(f"h^- computed as {h_minus} < 1 for r = {r}")
     inverses = [pow(b, -1, r) for b in range(1, m + 1)]
-    mod2_rows = [
-        sum(((a * c) % r & 1) << j for j, c in enumerate(inverses))
-        for a in range(1, m + 1)
-    ]
-    if gf2_det(mod2_rows) != h_minus % 2:
+    if gf2_det(maillet_parity_rows(r, inverses)) != h_minus % 2:
         raise ConsistencyError(
             f"GF(2) determinant of the Maillet matrix for r = {r} disagrees "
             f"with the parity of h^- = {h_minus}"
@@ -135,6 +133,37 @@ def maillet_h_minus(r: int) -> HMinusResult:
         determinant=(-r) ** exponent * h_minus,
         scaling_exponent=exponent,
     )
+
+
+# Byte b -> ASCII "0" or "1", the parity of b.
+_PARITY_DIGIT = bytes(0x30 | (b & 1) for b in range(256))
+
+
+def maillet_parity_rows(r: int, inverses: list[int]) -> list[int]:
+    """The rows of M mod 2 as ints, column j in bit j, with M[a][b] =
+    a * c_b mod r and inverses = [c_1, ..., c_m].
+
+    Row a + 1 is row a plus (c_b) mod r, so each row comes from the one
+    before with whole-int operations.  Column b sits in a slot of s bytes,
+    s the least with r < 2^(8s - 1); a sum of two residues stays below
+    2r < 2^(8s), and adding 2^(8s-1) - r to every slot sets a slot's top bit
+    exactly where the sum reached r, so those slots get r taken off.  The
+    low byte of each slot, mapped to the digit of its parity, spells the
+    row in binary."""
+    m = len(inverses)
+    s = (r.bit_length() + 8) // 8
+    top = 8 * s - 1
+    step = int.from_bytes(b"".join([c.to_bytes(s, "little") for c in inverses]), "little")
+    ones = int.from_bytes((b"\x01" + bytes(s - 1)) * m, "little")
+    offset = ((1 << top) - r) * ones
+    tops = ones << top
+    row, rows = step, []
+    for _ in range(m):
+        digits = row.to_bytes(m * s, "little")[::s].translate(_PARITY_DIGIT)
+        rows.append(int(digits[::-1], 2))
+        row += step
+        row -= (((row + offset) & tops) >> top) * r
+    return rows
 
 
 # -- external h+ parity table ----------------------------------------------

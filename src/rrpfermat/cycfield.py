@@ -9,16 +9,22 @@ gives
 
     psi_r(x) = 1 + V_1(x) + V_2(x) + ... + V_d(x),
 
-computed exactly over Z.  Elements are integer coefficient vectors on the
-power basis 1, theta, ..., theta^(d-1).  Z[theta] is the full ring of
-integers here (disc(psi_r) is odd, a power of r), so this basis is an
-integral basis and all reductions are canonical.
+and collecting the sum gives each coefficient in closed form: the
+coefficient of x^(d-k) is (-1)^floor(k/2) * C(d - ceil(k/2), floor(k/2)).
+Elements are integer coefficient vectors on the power basis 1, theta, ...,
+theta^(d-1).  Z[theta] is the full ring of integers here (disc(psi_r) is
+odd, a power of r), so this basis is an integral basis and all reductions
+are canonical.
 
 One element class, CycInt, holds a coefficient vector modulo its owner's
-monic polynomial, over Z (m = 0) or over Z/m, and one dense kernel,
-`polyrem` and `polymulmod`, multiplies and reduces for it.  Over Z the
-owner is a RealCyclotomicField and psi_r; over Z/2^n it is galoisring's
-GR(2^n, f), whose GaloisRingElem is CycInt under its own name.
+monic polynomial, over Z (m = 0) or over Z/m, and multiplies through its
+owner's `mul_coeffs`.  Over Z the owner is a RealCyclotomicField and psi_r,
+and the product is the schoolbook kernel `polymulmod` with its reduction
+`polyrem`: at the degrees frey uses (d <= 15) a packed Kronecker product of
+signed coefficients was slower.  Over Z/2^n the owner is galoisring's
+GR(2^n, f), whose GaloisRingElem is CycInt under its own name and whose
+product packs each vector into one int (Kronecker substitution with a
+Barrett reduction).
 
 Everything is immutable after construction and every operation is a pure
 function, so values can be shared freely across threads.  Memoized field
@@ -28,15 +34,12 @@ racing first computation stores the same value.
 
 from __future__ import annotations
 
+from math import comb
+
 from .errors import NotInertError
 from .ffpoly import ddf_degrees, f2_from_coeffs
 from .intlinalg import bareiss_det
-from .numutil import is_prime
-
-
-# Largest r the package accepts (the exact h_r^- is computed up to it); every
-# range and CLI guard on r refers to this bound.
-MAX_R = 200
+from .numutil import MAX_R, is_prime
 
 
 def check_prime_r(r: int) -> None:
@@ -49,37 +52,33 @@ def check_prime_r(r: int) -> None:
         raise ValueError(f"r = {r} must be a prime >= 5")
 
 
-def polyrem(vec, modulus, m: int = 0) -> tuple[int, ...]:
-    """Remainder of the coefficient vector `vec` modulo the monic polynomial
-    `modulus` (both constant term first), over Z when m == 0 and over Z/m
-    when m > 0.  Returns deg(modulus) coefficients, each in [0, m) when
-    m > 0."""
+def polyrem(vec, modulus) -> tuple[int, ...]:
+    """Remainder over Z of the coefficient vector `vec` modulo the monic
+    polynomial `modulus` (both constant term first), as deg(modulus)
+    coefficients."""
     d = len(modulus) - 1
     v = list(vec)
     for i in range(len(v) - 1, d - 1, -1):
-        # Over Z/m only the coefficient being eliminated needs reducing; the
-        # others stay congruent and are reduced once at the end.
-        c = v[i] % m if m else v[i]
+        c = v[i]
         if c:
             base = i - d
             for j in range(d):
                 v[base + j] -= c * modulus[j]
     v = v[:d]
-    if m:
-        v = [x % m for x in v]
     v += [0] * (d - len(v))
     return tuple(v)
 
 
-def polymulmod(a, b, modulus, m: int = 0) -> tuple[int, ...]:
-    """Product of the coefficient vectors a and b reduced by `polyrem`."""
+def polymulmod(a, b, modulus) -> tuple[int, ...]:
+    """Schoolbook product over Z of the coefficient vectors a and b, reduced
+    by `polyrem`."""
     prod = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 if bj:
                     prod[i + j] += ai * bj
-    return polyrem(prod, modulus, m)
+    return polyrem(prod, modulus)
 
 
 class RealCyclotomicField:
@@ -107,17 +106,11 @@ class RealCyclotomicField:
 
     @staticmethod
     def _minimal_polynomial(d: int) -> tuple[int, ...]:
-        acc = [1] + [0] * d
-        v_prev = [2]
-        v_cur = [0, 1]
-        for _ in range(d):
-            for i, c in enumerate(v_cur):
-                acc[i] += c
-            v_next = [0] + v_cur  # x * V_k
-            for i, c in enumerate(v_prev):
-                v_next[i] -= c
-            v_prev, v_cur = v_cur, v_next
-        return tuple(acc)
+        """psi_r, constant term first: the coefficient of x^(d-k) is
+        (-1)^floor(k/2) * C(d - ceil(k/2), floor(k/2))."""
+        return tuple(
+            (-1) ** (k // 2) * comb(d - (k + 1) // 2, k // 2) for k in range(d, -1, -1)
+        )
 
     # -- element constructors ------------------------------------------------
 
@@ -134,6 +127,11 @@ class RealCyclotomicField:
         if any(not isinstance(c, int) for c in vec):
             raise TypeError("coefficients must be integers")
         return CycInt(self, polyrem(vec, self.psi))
+
+    def mul_coeffs(self, a, b) -> tuple[int, ...]:
+        """The product of two coefficient vectors reduced mod psi, by the
+        schoolbook `polymulmod`."""
+        return polymulmod(a, b, self.psi)
 
     @property
     def one(self) -> "CycInt":
@@ -214,7 +212,8 @@ class CycInt:
     `m` is 0 and over Z/m otherwise.  The owner (`field`) is a
     RealCyclotomicField, for the algebraic integers of Q(theta), or a
     galoisring.GaloisRing; CycInt reads only its `degree`, `psi`, `m`,
-    `element()` and `one`.  Immutable and hashable."""
+    `element()`, `one` and `mul_coeffs()`, which returns the reduced product
+    of two coefficient vectors.  Immutable and hashable."""
 
     __slots__ = ("field", "coeffs")
 
@@ -272,7 +271,7 @@ class CycInt:
         if o is None:
             return NotImplemented
         field = self.field
-        return self._new(polymulmod(self.coeffs, o.coeffs, field.psi, field.m))
+        return type(self)(field, field.mul_coeffs(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 

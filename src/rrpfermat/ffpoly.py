@@ -4,7 +4,9 @@ A polynomial is an int whose bit i is the coefficient of x^i.  Only the
 distinct-degree stage of factorization is implemented: splitting types need
 factor degrees and counts, never the factors themselves.  An element of
 GF(2^f) is such an int of degree < f; F2Field's methods (mul, inverse,
-sqrt, trace, artin_schreier) are the one home of its arithmetic.
+sqrt, trace, artin_schreier) are the one home of its arithmetic.  The
+inverse is the extended Euclidean algorithm on these ints: about 2f steps of
+a shift and an XOR on whole ints, and one product to check the result.
 
 The kernel follows Hankerson, Menezes and Vanstone, Guide to Elliptic Curve
 Cryptography, section 2.3: f2_divmod and f2_mod clear the leading bit of the
@@ -113,17 +115,6 @@ def f2_derivative(p: int) -> int:
             d |= 1 << (i - 1)
         i += 2
     return d
-
-
-def f2_powmod(a: int, e: int, m: int) -> int:
-    acc = 1
-    a = f2_mod(a, m)
-    while e:
-        if e & 1:
-            acc = f2_mulmod(acc, a, m)
-        a = f2_mulmod(a, a, m)
-        e >>= 1
-    return acc
 
 
 def is_irreducible(p: int) -> bool:
@@ -248,10 +239,25 @@ class F2Field:
         return f2_mulmod(a, b, self.modulus)
 
     def inverse(self, a: int) -> int:
+        """a^-1 by the extended Euclidean algorithm on bit-packed ints
+        (Hankerson, Menezes and Vanstone, Algorithm 2.48): g * a = u and
+        h * a = v mod the modulus throughout, and each step clears the
+        leading bit of the longer of u, v with a shift and an XOR, until
+        u = 1.  The result is checked with one product."""
+        a = f2_mod(a, self.modulus)
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF(2^f)")
-        # a^(2^f - 2); f is small so square-and-multiply is plenty.
-        return f2_powmod(a, (1 << self.f) - 2, self.modulus)
+        u, v, g, h = a, self.modulus, 1, 0
+        while u > 1:
+            j = u.bit_length() - v.bit_length()
+            if j < 0:
+                u, v, g, h = v, u, h, g
+                j = -j
+            u ^= v << j
+            g ^= h << j
+        if u != 1 or self.mul(a, g) != 1:
+            raise ConsistencyError("extended Euclid produced a non-inverse")
+        return g
 
     def sqrt(self, a: int) -> int:
         """The unique square root: squaring is a bijection in characteristic

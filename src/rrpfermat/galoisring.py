@@ -8,17 +8,23 @@ unobstructed.  That yields an exact decision procedure for congruences
 u = v^2 mod P^n once n >= 3.  The mod-8 obstruction is read in the residue
 field GF(2^f): `residue` and `lift` move between the ring and its
 `residue_field`, an ffpoly.F2Field whose elements are bit-packed ints, and
-the only inverse taken is that of the residue root.
+the only inverse taken is that of the residue root, one extended Euclid in
+GF(2^f) (F2Field.inverse) per square root.
 
 For the field Q(zeta_r + 1/zeta_r) with 2 inert, O/2^n O is GR(2^n, (r-1)/2)
 with modulus psi_r mod 2^n; this identification uses that Z[theta] is the
 full ring of integers (odd discriminant), which holds for every prime r here.
 A GaloisRing is a view of Z[theta]'s arithmetic mod 2^n: its elements are
-cycfield.CycInt coefficient vectors reduced mod m = 2^n, and GaloisRingElem
-adds only `is_unit`, its repr and its own name for the product.
+cycfield.CycInt coefficient vectors reduced mod m = 2^n, multiplied by the
+ring's own whole-int kernel (`GaloisRing.mul_coeffs`: one Kronecker product
+and a Barrett reduction, a few big-int multiplies in place of f^2
+coefficient products), and GaloisRingElem adds only `is_unit`, its repr and
+its own name for the product.
 """
 
 from __future__ import annotations
+
+from array import array
 
 from .cycfield import CycInt, RealCyclotomicField, polyrem
 from .errors import ConsistencyError, NonUnitError, PrecisionError
@@ -27,13 +33,108 @@ from .ffpoly import F2Field, f2_from_coeffs
 # Precision n of O/P^n for hypothesis (iv): the mod-P^(4e+1) level, e = 1.
 PI_R_PRECISION = 5
 
+# (width in bits, array type code) for packing coefficient vectors into ints,
+# narrowest first; a slot wider than every code is packed byte by byte.
+_SLOT_TYPES = sorted((array(code).itemsize * 8, code) for code in "BHIQ")
+
+
+class PackedMulMod:
+    """Products of coefficient vectors mod a monic polynomial `psi` of
+    degree f over Z/2^n, by a Kronecker substitution with a Barrett reduction
+    (von zur Gathen and Gerhard, Modern Computer Algebra, sections 8.4 and
+    9.1).
+
+    A vector with coefficients in [0, 2^n) is packed into one int,
+    coefficient i in the k-bit slot i.  Every operand is masked to [0, 2^n)
+    per slot, so a product of vectors with at most f slots holds less than
+    f * 2^(2n) in a slot; k >= 2n + bit_length(f) keeps that below 2^k, no
+    slot carries into the next, and shifts and masks are exact polynomial
+    operations.  k is the narrowest array type that fits, or whole bytes
+    past 64 bits."""
+
+    __slots__ = ("_f", "_typecode", "_slot_bytes", "_slot_bits",
+                 "_mask", "_mask_q", "_mask_r", "_mu", "_neg_psi")
+
+    def __init__(self, psi, n: int) -> None:
+        """psi: the monic modulus, constant term first, coefficients in
+        [0, 2^n)."""
+        f = self._f = len(psi) - 1
+        m = 1 << n
+        bits = 2 * n + f.bit_length()
+        self._typecode = None
+        self._slot_bytes = -(-bits // 8)
+        for width, code in _SLOT_TYPES:
+            if bits <= width:
+                self._typecode, self._slot_bytes = code, width // 8
+                break
+        k = self._slot_bits = 8 * self._slot_bytes
+        # m - 1 in each of the 2f - 1 slots of a product; the top f - 1 slots
+        # hold a quotient, the bottom f a remainder.
+        self._mask = self._pack([m - 1] * (2 * f - 1))
+        self._mask_q = self._mask >> (k * f)
+        self._mask_r = self._mask >> (k * (f - 1))
+        self._mu = self._barrett_constant(psi, m)
+        self._neg_psi = self._pack([-c % m for c in psi[:f]])
+
+    def _pack(self, coeffs) -> int:
+        """Coefficients in [0, 2^k) as one int, coefficient i in slot i."""
+        if self._typecode:
+            return int.from_bytes(array(self._typecode, coeffs).tobytes(), "little")
+        w = self._slot_bytes
+        return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in coeffs]), "little")
+
+    def _unpack(self, x: int, count: int) -> list[int]:
+        """The low `count` slots of x, slot 0 first."""
+        buf = x.to_bytes(count * self._slot_bytes, "little")
+        if self._typecode:
+            return array(self._typecode, buf).tolist()
+        w = self._slot_bytes
+        return [int.from_bytes(buf[i : i + w], "little") for i in range(0, len(buf), w)]
+
+    def _barrett_constant(self, psi, m: int) -> int:
+        """mu = floor(x^(2f-2) / psi) mod 2^n, packed.  Its reversal is the
+        inverse of the reversal of psi mod x^(f-1), a power series with
+        constant term 1 since psi is monic; Newton's step
+        g <- g + g(1 - rev(psi) g) doubles the precision of g, and every
+        step stays mod 2^n."""
+        f, k = self._f, self._slot_bits
+        size = f - 1
+        if size < 1:
+            return 0  # f = 1: a product of constants needs no reduction
+        m_each = self._pack([m] * size)
+        rev_psi = self._pack(psi[f:1:-1])
+        g, prec = 1, 1
+        while prec < size:
+            prec = min(2 * prec, size)
+            low = self._mask_q >> (k * (size - prec))
+            e = (rev_psi * g) & low
+            # (m_each + 1 - e) & low is 1 - e mod 2^n in each slot
+            g = (g + g * ((m_each + 1 - e) & low)) & low
+        return self._pack(self._unpack(g, size)[::-1])
+
+    def mul(self, a, b) -> tuple[int, ...]:
+        """a * b mod (psi, 2^n) for coefficient vectors a, b of length at
+        most f with entries in [0, 2^n).  With p the product and p_hi its
+        terms of degree >= f shifted down, the quotient by psi is
+        floor(p_hi * mu / x^(f-2)) and the remainder p - quotient * psi;
+        both are read mod 2^n."""
+        k, f = self._slot_bits, self._f
+        p = (self._pack(a) * self._pack(b)) & self._mask
+        high = p >> (k * f)
+        if high:
+            q = ((high * self._mu) >> (k * (f - 2))) & self._mask_q
+            # Slots at and above f are garbage here and masked away.
+            p = (p + q * self._neg_psi) & self._mask_r
+        return tuple(self._unpack(p, f))
+
 
 class GaloisRing:
     """GR(2^n, f) with a fixed monic modulus `psi` of degree f, irreducible
     mod 2.  It owns its elements the way a RealCyclotomicField does: `degree`
-    is f, `psi` the modulus mod 2^n and `m` = 2^n."""
+    is f, `psi` the modulus mod 2^n, `m` = 2^n and `mul_coeffs` the product,
+    a PackedMulMod built once per ring."""
 
-    __slots__ = ("n", "degree", "psi", "m", "residue_field")
+    __slots__ = ("n", "degree", "psi", "m", "residue_field", "mul_coeffs")
 
     def __init__(self, n: int, modulus_coeffs) -> None:
         if n < 1:
@@ -49,13 +150,15 @@ class GaloisRing:
         self.degree = f
         self.psi = tuple(psi)
         self.m = 1 << n
+        self.mul_coeffs = PackedMulMod(self.psi, n).mul
 
     # -- element plumbing --------------------------------------------------
 
     def element(self, coeffs) -> "GaloisRingElem":
         if isinstance(coeffs, int):
             coeffs = [coeffs]
-        return GaloisRingElem(self, polyrem(coeffs, self.psi, self.m))
+        m = self.m
+        return GaloisRingElem(self, tuple([c % m for c in polyrem(coeffs, self.psi)]))
 
     @property
     def one(self) -> "GaloisRingElem":

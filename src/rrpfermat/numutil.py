@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import math
 
+# Largest r the package accepts (the exact h_r^- is computed up to it); every
+# range and guard on r refers to this bound.
+MAX_R = 200
+
 
 def is_prime(n: int) -> bool:
     """Deterministic trial division; inputs here are desk scale."""
@@ -72,7 +76,11 @@ def is_squarefree(n: int) -> bool:
 
 
 def legendre_symbol(a: int, p: int) -> int:
-    """(a|p) in {-1, 0, 1} for an odd prime p, by Euler's criterion."""
+    """(a|p) in {-1, 0, 1} for an odd prime p <= MAX_R, by Euler's
+    criterion.  The bound comes first: the primality test trial-divides up
+    to sqrt(p)."""
+    if p > MAX_R:
+        raise ValueError(f"p = {p} exceeds MAX_R = {MAX_R}")
     if p < 3 or not is_prime(p):
         raise ValueError(f"p = {p} must be an odd prime")
     ls = pow(a % p, (p - 1) // 2, p)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from .cycfield import RealCyclotomicField, build_field
 from .errors import ConsistencyError, NotCoprimeError
 from .ffpoly import F2Field
-from .numutil import is_prime, is_squarefree, legendre_symbol
+from .numutil import is_squarefree, legendre_symbol
 
 
 class SplittingReport:
@@ -157,10 +157,11 @@ def split_r_in_Qplus(r) -> SplittingReport:
 
 def check_r_inert_in_quadratic(d: int, r: int) -> bool:
     """Whether r stays prime in Q(sqrt(d)): true exactly when d is a
-    quadratic non-residue mod r.  r | d is reported as its own failure, not
-    folded into the boolean."""
-    if not is_prime(r) or r < 3:
-        raise ValueError(f"r = {r} must be an odd prime")
-    if d % r == 0:
+    quadratic non-residue mod r.  r | d (the symbol 0) is reported as its
+    own failure, not folded into the boolean.  legendre_symbol refuses an r
+    that is not an odd prime <= MAX_R with ValueError, testing the bound
+    before primality."""
+    symbol = legendre_symbol(d, r)
+    if symbol == 0:
         raise NotCoprimeError(f"r = {r} divides d = {d}")
-    return legendre_symbol(d, r) == -1
+    return symbol == -1

@@ -58,6 +58,38 @@ def schoolbook_cyc_mul(field: RealCyclotomicField, a: CycInt, b: CycInt) -> tupl
     return tuple(prod[:d])
 
 
+def schoolbook_mulmod_2n(a, b, modulus, m: int) -> tuple[int, ...]:
+    """a * b reduced mod the monic `modulus` over Z/m by the schoolbook
+    product and a term-by-term reduction that reduces only the coefficient
+    being eliminated, the Galois-ring product before the packed kernel."""
+    d = len(modulus) - 1
+    v = poly_mul(a, b)
+    for i in range(len(v) - 1, d - 1, -1):
+        c = v[i] % m
+        if c:
+            for j in range(d):
+                v[i - d + j] -= c * modulus[j]
+    v = [x % m for x in v[:d]]
+    return tuple(v + [0] * (d - len(v)))
+
+
+def psi_by_chebyshev_sum(d: int) -> tuple[int, ...]:
+    """psi_r = 1 + V_1 + ... + V_d for d = (r-1)/2, by the recurrence
+    V_0 = 2, V_1 = x, V_k = x*V_{k-1} - V_{k-2}: the minimal polynomial
+    before its closed form."""
+    acc = [1] + [0] * d
+    v_prev = [2]
+    v_cur = [0, 1]
+    for _ in range(d):
+        for i, c in enumerate(v_cur):
+            acc[i] += c
+        v_next = [0] + v_cur  # x * V_k
+        for i, c in enumerate(v_prev):
+            v_next[i] -= c
+        v_prev, v_cur = v_cur, v_next
+    return tuple(acc)
+
+
 def poly_add(a, b):
     n = max(len(a), len(b))
     return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
@@ -94,6 +126,20 @@ def f2_mul_loop(a: int, b: int) -> int:
             acc ^= a
         a <<= 1
         b >>= 1
+    return acc
+
+
+def f2_inverse_by_power(a: int, modulus: int) -> int:
+    """a^(2^f - 2) mod the irreducible modulus of degree f, by
+    square-and-multiply on the shift-and-add product and the long division
+    below: the GF(2^f) inverse before the extended Euclid."""
+    f = modulus.bit_length() - 1
+    e, acc, a = (1 << f) - 2, 1, f2_divmod_loop(a, modulus)[1]
+    while e:
+        if e & 1:
+            acc = f2_divmod_loop(f2_mul_loop(acc, a), modulus)[1]
+        a = f2_divmod_loop(f2_mul_loop(a, a), modulus)[1]
+        e >>= 1
     return acc
 
 

@@ -5,11 +5,13 @@ import pytest
 
 from rrpfermat.classnumber import (
     EVEN,
+    MAX_R,
     ODD,
     UNDETERMINED,
     h_plus_parity,
     load_hplus_table,
     maillet_h_minus,
+    maillet_parity_rows,
     table_digest,
 )
 from rrpfermat.errors import TableError
@@ -42,6 +44,16 @@ def test_maillet_checks_the_bound_before_primality(monkeypatch):
     r = 10**30 + 57
     with pytest.raises(ValueError, match=f"r = {r} exceeds MAX_R = 200"):
         maillet_h_minus(r)
+
+
+def test_packed_parity_rows_match_the_maillet_matrix():
+    primes = [r for r in primes_upto(MAX_R) if r >= 5]
+    assert len(primes) == 44
+    for r in primes:
+        m = (r - 1) // 2
+        inverses = [pow(b, -1, r) for b in range(1, m + 1)]
+        rows = maillet_parity_rows(r, inverses)
+        assert rows == oracles.packed_mod2(oracles.maillet_matrix(r)), r
 
 
 def test_maillet_matches_frozen_fixtures():

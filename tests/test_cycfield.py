@@ -42,6 +42,12 @@ def test_minimal_polynomial_small_cases():
     assert build_field(7).psi == (-1, -2, 1, 1)  # x^3 + x^2 - 2x - 1
 
 
+def test_closed_form_psi_matches_the_chebyshev_sum():
+    for r in primes_upto(MAX_R):
+        if r >= 5:
+            assert build_field(r).psi == oracles.psi_by_chebyshev_sum((r - 1) // 2), r
+
+
 def test_psi_vanishes_at_theta():
     # psi_5(theta) = theta^2 + theta - 1 = (1 - theta) + theta - 1 + ... = 0
     f = build_field(5)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rrpfermat.cycfield import build_field
-from rrpfermat.errors import NotSquarefreeError
+from rrpfermat.errors import ConsistencyError, NotSquarefreeError
 from rrpfermat.ffpoly import (
     F2Field,
     _ben_or_irreducible,
@@ -324,3 +324,33 @@ def test_f2field_arithmetic_on_psi_moduli(case):
     assert (v is not None) == (fld.trace(a) == 0)
     if v is not None:
         assert fld.mul(v, v) ^ v == a
+
+
+@functools.cache
+def least_field(f: int) -> F2Field:
+    return F2Field(f)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 99).flatmap(lambda f: st.tuples(st.just(f), st.integers(1, (1 << f) - 1))))
+@example((99, (1 << 99) - 1))
+@example((99, 1 << 98))
+@example((1, 1))
+def test_f2field_inverse_matches_the_power_oracle(case):
+    f, a = case
+    fld = least_field(f)
+    inv = fld.inverse(a)
+    assert 0 < inv < (1 << f)
+    assert inv == oracles.f2_inverse_by_power(a, fld.modulus)
+    assert fld.mul(a, inv) == 1
+    # An unreduced representative has the same inverse.
+    assert fld.inverse(a ^ (fld.modulus << 3)) == inv
+    with pytest.raises(ZeroDivisionError):
+        fld.inverse(fld.modulus << 2)
+
+
+def test_f2field_inverse_checks_its_result(monkeypatch):
+    fld = F2Field(7)
+    monkeypatch.setattr(F2Field, "mul", lambda self, a, b: 0)
+    with pytest.raises(ConsistencyError, match="non-inverse"):
+        fld.inverse(3)

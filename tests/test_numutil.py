@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrpfermat.cli import MAX_D
-from rrpfermat.numutil import is_squarefree, least_primitive_root, primes_upto
+from rrpfermat.numutil import MAX_R, is_squarefree, least_primitive_root, legendre_symbol, primes_upto
+from rrpfermat.splitting import check_r_inert_in_quadratic
 
 
 def _sympy_squarefree(n: int) -> bool:
@@ -61,3 +62,29 @@ def test_least_primitive_root_matches_sympy():
     for bad in (2, 9, 1):
         with pytest.raises(ValueError):
             least_primitive_root(bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda r: legendre_symbol(2, r),
+    lambda r: check_r_inert_in_quadratic(2, r),
+])
+def test_legendre_bound_checked_before_primality(monkeypatch, call):
+    # A huge r is refused by the bound alone, before any trial division.
+    def no_primality_test(_):
+        raise AssertionError("primality tested before the MAX_R bound")
+
+    monkeypatch.setattr("rrpfermat.numutil.is_prime", no_primality_test)
+    r = 10**30 + 57
+    with pytest.raises(ValueError, match=f"p = {r} exceeds MAX_R = {MAX_R}"):
+        call(r)
+
+
+def test_legendre_symbol_against_squares():
+    for p in primes_upto(MAX_R)[1:]:
+        squares = {x * x % p for x in range(1, p)}
+        for a in range(-p, 2 * p):
+            expected = 0 if a % p == 0 else (1 if a % p in squares else -1)
+            assert legendre_symbol(a, p) == expected, (a, p)
+    for bad in (2, 9, 1, 0, -7, MAX_R + 1):
+        with pytest.raises(ValueError):
+            legendre_symbol(1, bad)

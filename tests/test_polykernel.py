@@ -1,12 +1,16 @@
-"""Property tests of the shared polynomial-ring kernel against sympy."""
+"""Property tests of the polynomial-ring kernels against sympy: the
+schoolbook `polyrem` / `polymulmod` over Z, and the packed Kronecker-Barrett
+product over Z/2^n (`galoisring.PackedMulMod`), also against the schoolbook
+Z/2^n oracle."""
 
 import random
 
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rrpfermat.cycfield import build_field, polymulmod, polyrem
+from rrpfermat.galoisring import PackedMulMod
 
 import oracles
 
@@ -45,10 +49,53 @@ def test_kernel_matches_sympy_over_z_and_mod_2n(case):
     assert polymulmod(a, b, modulus) == prod
     for n in range(1, 9):
         m = 1 << n
-        # GaloisRing passes its modulus already reduced mod 2^n.
+        # GaloisRing passes its modulus already reduced mod 2^n, reduces an
+        # element over Z and then mod 2^n, and multiplies reduced vectors.
         reduced = tuple(c % m for c in modulus)
-        assert polyrem(vec, reduced, m) == tuple(c % m for c in rem)
-        assert polymulmod(a, b, reduced, m) == tuple(c % m for c in prod)
+        assert tuple(c % m for c in polyrem(vec, reduced)) == tuple(c % m for c in rem)
+        ra, rb = (tuple(c % m for c in polyrem(v, reduced)) for v in (a, b))
+        assert PackedMulMod(reduced, n).mul(ra, rb) == tuple(c % m for c in prod)
+
+
+@st.composite
+def packed_cases(draw):
+    """A monic modulus of degree 1..99 with coefficients mod 2^n, n from 1
+    to 40 (past 64-bit slots once 2n + bit_length(degree) > 64), and two
+    vectors of at most that degree with entries in [0, 2^n)."""
+    degree = draw(st.integers(1, 99))
+    n = draw(st.integers(1, 40))
+    residues = st.integers(0, (1 << n) - 1)
+    modulus = tuple(draw(st.lists(residues, min_size=degree, max_size=degree))) + (1,)
+    a = draw(st.lists(residues, min_size=1, max_size=degree))
+    b = draw(st.lists(residues, min_size=1, max_size=degree))
+    return modulus, n, a, b
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(packed_cases())
+@example(((1, 1), 1, [1], [1]))
+@example(((3, 0, 1), 1, [1, 1], [1, 1]))
+@example((tuple([(1 << 40) - 1] * 99) + (1,), 40, [(1 << 40) - 1] * 99, [(1 << 40) - 1] * 99))
+@example((tuple([255] * 99) + (1,), 8, [255] * 99, [255] * 99))
+def test_packed_mulmod_matches_sympy_and_schoolbook(case):
+    modulus, n, a, b = case
+    m = 1 << n
+    expected = oracles.schoolbook_mulmod_2n(a, b, modulus, m)
+    assert PackedMulMod(modulus, n).mul(a, b) == expected
+    assert tuple(c % m for c in sympy_rem(oracles.poly_mul(a, b), modulus)) == expected
+
+
+def test_packed_mulmod_slot_widths():
+    # The slot is the narrowest array type holding 2n + bit_length(f) bits,
+    # and whole bytes past 64 bits; each width multiplies like the oracle.
+    rng = random.Random(64)
+    for f, n, bits in ((3, 2, 8), (99, 4, 16), (99, 5, 32), (99, 28, 64), (99, 29, 72), (40, 40, 88)):
+        modulus = tuple(rng.randrange(1 << n) for _ in range(f)) + (1,)
+        kernel = PackedMulMod(modulus, n)
+        assert kernel._slot_bits == bits, (f, n)
+        a = [rng.randrange(1 << n) for _ in range(f)]
+        b = [rng.randrange(1 << n) for _ in range(f)]
+        assert kernel.mul(a, b) == oracles.schoolbook_mulmod_2n(a, b, modulus, 1 << n)
 
 
 def test_cyc_mul_at_r_199_matches_schoolbook():
