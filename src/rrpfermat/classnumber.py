@@ -20,7 +20,14 @@ Res(x^m + 1, g x - 1) = +-(1 + g^m), hence
 
     h_r^- = r |Res(x^m + 1, Qbar)| / ((1 + g^m) 2^(m-1)).
 
-The resultant is the subresultant algorithm of intlinalg, O(m^2) steps.  A
+The resultant is intlinalg.negacyclic_resultant, a product of norms:
+x^m + 1 is the product of the cyclotomic Phi_d over the d | 2m that do not
+divide m, and Res(Phi_d, Qbar) is the norm of Qbar(zeta_d), the product of
+its phi(d) Galois conjugates.  Each conjugate is Qbar folded mod
+x^(d/2) + 1 with its slots permuted, read off a tiled array by one strided
+slice and evaluated at zeta_d = 2^L in Z/(2^(dL/2) + 1); the product,
+reduced mod Phi_d(2^L) > 2 |norm|, lifts to the norm itself.  That is m
+packed products in all, in place of the O(m^2) steps of a subresultant.  A
 division that leaves a remainder, or a quotient below 1, is a hard internal
 error (ConsistencyError).  The signed Maillet/Carlitz-Olson determinant
 follows in closed form (Carlitz and Olson, Proc. AMS 6, 1955): with
@@ -61,7 +68,7 @@ from typing import NamedTuple
 from .cycfield import MAX_R  # noqa: F401 -- re-exported: callers read classnumber.MAX_R
 from .cycfield import check_prime_r
 from .errors import ConsistencyError, TableError
-from .intlinalg import bareiss_det, gf2_det, resultant
+from .intlinalg import bareiss_det, gf2_det, negacyclic_resultant
 from .numutil import least_primitive_root
 
 ODD = "odd"
@@ -101,7 +108,7 @@ def maillet_h_minus(r: int) -> HMinusResult:
     for _ in range(m):
         q_bar.append(2 * (g * a // r) - (g - 1))
         a = g * a % r
-    res = resultant([1] + [0] * (m - 1) + [1], q_bar)
+    res = negacyclic_resultant(q_bar)
     h_minus, rest = divmod(r * abs(res), (1 + g**m) << (m - 1))
     if rest:
         raise ConsistencyError(

@@ -29,13 +29,10 @@ from array import array
 from .cycfield import CycInt, RealCyclotomicField, polyrem
 from .errors import ConsistencyError, NonUnitError, PrecisionError
 from .ffpoly import F2Field, f2_from_coeffs
+from .numutil import slot_layout
 
 # Precision n of O/P^n for hypothesis (iv): the mod-P^(4e+1) level, e = 1.
 PI_R_PRECISION = 5
-
-# (width in bits, array type code) for packing coefficient vectors into ints,
-# narrowest first; a slot wider than every code is packed byte by byte.
-_SLOT_TYPES = sorted((array(code).itemsize * 8, code) for code in "BHIQ")
 
 
 class PackedMulMod:
@@ -50,7 +47,7 @@ class PackedMulMod:
     f * 2^(2n) in a slot; k >= 2n + bit_length(f) keeps that below 2^k, no
     slot carries into the next, and shifts and masks are exact polynomial
     operations.  k is the narrowest array type that fits, or whole bytes
-    past 64 bits."""
+    past 64 bits (numutil.slot_layout)."""
 
     __slots__ = ("_f", "_typecode", "_slot_bytes", "_slot_bits",
                  "_mask", "_mask_q", "_mask_r", "_mu", "_neg_psi")
@@ -60,13 +57,7 @@ class PackedMulMod:
         [0, 2^n)."""
         f = self._f = len(psi) - 1
         m = 1 << n
-        bits = 2 * n + f.bit_length()
-        self._typecode = None
-        self._slot_bytes = -(-bits // 8)
-        for width, code in _SLOT_TYPES:
-            if bits <= width:
-                self._typecode, self._slot_bytes = code, width // 8
-                break
+        self._typecode, self._slot_bytes = slot_layout(2 * n + f.bit_length())
         k = self._slot_bits = 8 * self._slot_bytes
         # m - 1 in each of the 2f - 1 slots of a product; the top f - 1 slots
         # hold a quotient, the bottom f a remainder.

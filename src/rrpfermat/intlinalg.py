@@ -1,17 +1,25 @@
-"""Exact integer linear algebra: fraction-free determinants, resultants,
-row-lattice indices, Hermite bases and determinants over GF(2).  Exactness
-is the only requirement, and the matrices stay small: Bareiss serves norms
-in Z[theta] (at most 15x15 at the frey caps) and the 30x30 Maillet check at
-r <= 61, so the classical cubic algorithms are plenty.  `resultant` is the
-quadratic subresultant algorithm; it gives h_r^- at every r <= 199.  One
-row-echelon eliminator over Z, `_echelon`, serves `row_lattice_index` and
-`hermite_basis`.  GF(2) vectors are bit-packed ints, and one XOR eliminator,
-`_gf2_insert`, serves `gf2_det` (the Maillet parity) and `gf2_solve` (the
-Artin-Schreier equation in ffpoly)."""
+"""Exact integer linear algebra: fraction-free determinants, the resultant
+of x^m + 1 with an integer polynomial, row-lattice indices, Hermite bases
+and determinants over GF(2).  Exactness is the only requirement, and the
+matrices stay small: Bareiss serves norms in Z[theta] (at most 15x15 at the
+frey caps) and the 30x30 Maillet check at r <= 61, so the classical cubic
+algorithms are plenty.  `negacyclic_resultant` gives h_r^- at every
+r <= 199: Res(x^m + 1, q) is the product, over the cyclotomic factors
+Phi_d of x^m + 1, of the norm of q(zeta_d), and each norm is the product of
+the phi(d) conjugates of q, each packed into one int, taken in
+Z/(2^(dL/2) + 1) and lifted exactly; m conjugates in all.  The quadratic
+subresultant algorithm that it replaced is the reference in
+tests/oracles.py.  One row-echelon eliminator over Z, `_echelon`, serves
+`row_lattice_index` and `hermite_basis`.  GF(2) vectors are bit-packed
+ints, and one XOR eliminator, `_gf2_insert`, serves `gf2_det` (the Maillet
+parity) and `gf2_solve` (the Artin-Schreier equation in ffpoly)."""
 
 from __future__ import annotations
 
 import math
+from array import array
+
+from .numutil import slot_layout
 
 
 def bareiss_det(rows) -> int:
@@ -49,67 +57,79 @@ def bareiss_det(rows) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _trim(poly) -> list[int]:
-    """The coefficient list without its leading zeros."""
-    poly = list(poly)
-    while poly and not poly[-1]:
-        poly.pop()
-    return poly
+def negacyclic_resultant(q) -> int:
+    """Res(x^m + 1, q) for the integer polynomial q given as its m >= 1
+    coefficients, constant term first: a product of norms, each the product
+    of the Galois conjugates of q at a root of unity, evaluated exactly in
+    packed integers (Kronecker substitution; von zur Gathen and Gerhard,
+    Modern Computer Algebra, sections 8.4 and 6.11).
 
+    1. Split.  The roots of x^m + 1 are the zeta with zeta^(2m) = 1 and
+       zeta^m != 1, so x^m + 1 = prod Phi_d over the d | 2m that do not
+       divide m; with m = 2^a o, o odd, these are d = 2^(a+1) e for e | o.
+       x^m + 1 is monic, so Res(x^m + 1, q) is the product of q over its
+       roots, prod_d Res(Phi_d, q), and Res(Phi_d, q) is the norm
+       N_d = prod_{j in (Z/d)^*} q(zeta^j), zeta = exp(2 pi i / d).  Each d is
+       even, and with h = d/2, zeta^h = -1, so q(zeta^j) = c(zeta^j) for
+       c = q mod x^h + 1: coefficient i of q goes to slot i mod h with sign
+       (-1)^floor(i/h).
+    2. Pack.  Let C_t = c_t and C_(t+h) = -c_t for 0 <= t < h, so that
+       C_(t+h) = -C_t with t read mod d.  A unit j of Z/d is odd, hence
+       prime to h, and k -> kj mod h permutes the slots, so in
+       Z[x]/(x^h + 1), where x^(t+h) = -x^t, c(x^j) reduces to
+       P_j = sum_{s<h} C_(su) x^s with u = j^-1 mod d.  With U the list of B + C_t for
+       t < d (B = 2^(L-1)) tiled h times, the slice U[: h u : u] is
+       B + C_(su mod d) for s < h: read as one int in L-bit slots, less
+       B * sum_{s<h} 2^(Ls), it is P_j(2^L).  As j runs over (Z/d)^*, so
+       does u, so the slices for all units u give every conjugate once.
+    3. Lift.  P_j(zeta) = c(zeta^j), so prod_j P_j - N_d vanishes at zeta
+       and is a multiple of the monic Phi_d in Z[x].  x -> 2^L maps
+       Z[x]/(x^h + 1) into Z/(2^(hL) + 1), and Phi_d, a factor of x^h + 1,
+       to M = Phi_d(2^L), a divisor of 2^(hL) + 1; so the product of the
+       packed conjugates mod 2^(hL) + 1, reduced mod M, is N_d mod M.  As
+       x^h + 1 = prod Phi_(2^(a+1) f) over f | e, M is 2^(hL) + 1 divided by
+       the M of every proper divisor f of e, each found before e.  Let
+       A = sum |q_i|, so |C_t| <= A and |N_d| <= A^phi(d).  L is the slot
+       width that numutil.slot_layout gives for (2A).bit_length() bits, so
+       2^L >= 2A + 1: every B + C_t lies in [0, 2^L), and
+       M = prod |2^L - w| over the primitive d-th roots w of unity exceeds
+       (2^L - 1)^phi(d) >= (2A)^phi(d) >= 2 A^phi(d) >= 2 |N_d|.  So N_d is
+       the residue of least absolute value mod M.
 
-def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
-    """The remainder of lc(b)^(deg a - deg b + 1) * a divided by b, trimmed;
-    each of the deg a - deg b + 1 steps scales the running remainder by
-    lc(b) and cancels its leading term."""
-    rem, lead, db = list(a), b[-1], len(b) - 1
-    for k in range(len(a) - 1, db - 1, -1):
-        c = rem.pop()
-        rem = [x * lead for x in rem]
-        for j in range(db):
-            rem[k - db + j] -= c * b[j]
-    return _trim(rem)
-
-
-def resultant(a, b) -> int:
-    """Res(a, b) of two integer polynomials given as coefficient lists,
-    constant term first, by the subresultant algorithm (Cohen, GTM 138,
-    Alg. 3.3.7).  Leading zeros are ignored; a zero polynomial gives 0 and
-    two nonzero constants give 1, as in sympy.
-
-    The contents are taken out first and put back as t.  Each pseudo-
-    remainder is divided by g * h^delta and each new h is g^delta /
-    h^(delta - 1); both divisions are exact, so the coefficients stay the
-    size of the subresultants and the cost is O(deg a * deg b) steps."""
-    a, b = _trim(a), _trim(b)
-    if not a or not b:
-        return 0
-    ca, cb = math.gcd(*a), math.gcd(*b)
-    t = ca ** (len(b) - 1) * cb ** (len(a) - 1)
-    a = [x // ca for x in a]
-    b = [x // cb for x in b]
-    s = 1
-    if len(a) < len(b):
-        a, b = b, a
-        if (len(a) - 1) & (len(b) - 1) & 1:
-            s = -1
-    if len(a) == 1:
-        return t
-    g = h = 1
-    while len(b) > 1:
-        da, db = len(a) - 1, len(b) - 1
-        delta = da - db
-        if da & db & 1:
-            s = -s
-        rem = _pseudo_remainder(a, b)
-        div = g * h**delta
-        a, b = b, [x // div for x in rem]
-        g = a[-1]
-        if delta:
-            h = g**delta // h ** (delta - 1)
-    if not b:
-        return 0
-    da = len(a) - 1
-    return s * t * (b[0] ** da // h ** (da - 1))
+    All m conjugates cost one slice, one int.from_bytes and one product
+    mod 2^(hL) + 1 each."""
+    m = len(q)
+    if not m:
+        raise ValueError("q must have at least one coefficient")
+    code, width = slot_layout((2 * sum(map(abs, q))).bit_length())
+    bits = 8 * width
+    base = 1 << (bits - 1)
+    two_part, odd = 2, m
+    while odd % 2 == 0:
+        two_part, odd = 2 * two_part, odd // 2
+    res, moduli = 1, {}
+    for e in range(1, odd + 1):
+        if odd % e:
+            continue
+        d = two_part * e
+        h = d // 2
+        folded = [sum(q[s :: d]) - sum(q[s + h :: d]) for s in range(h)]
+        slots = [base + c for c in folded] + [base - c for c in folded]
+        if code:
+            tiles, join = array(code, slots) * h, array.tobytes
+        else:
+            tiles, join = [s.to_bytes(width, "little") for s in slots] * h, b"".join
+        fermat = (1 << (h * bits)) + 1
+        offset = base * ((fermat - 2) // ((1 << bits) - 1))
+        norm = 1
+        for u in range(1, d, 2):
+            if math.gcd(u, d) == 1:
+                packed = int.from_bytes(join(tiles[: h * u : u]), "little")
+                norm = norm * (packed - offset) % fermat
+        modulus = moduli[e] = fermat // math.prod(v for f, v in moduli.items() if e % f == 0)
+        norm %= modulus
+        res *= norm - modulus if 2 * norm > modulus else norm
+    return res
 
 
 def _gf2_insert(pivots: dict, vec: int, combo: int) -> tuple[int, int]:

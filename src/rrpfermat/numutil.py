@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 
 # Largest r the package accepts (the exact h_r^- is computed up to it); every
 # range and guard on r refers to this bound.
@@ -26,8 +27,11 @@ def is_prime(n: int) -> bool:
 
 
 def least_primitive_root(p: int) -> int:
-    """The least g >= 2 that generates (Z/p)^* for an odd prime p: g^((p-1)/q)
-    is not 1 mod p for any prime q dividing p - 1."""
+    """The least g >= 2 that generates (Z/p)^* for an odd prime p <= MAX_R:
+    g^((p-1)/q) is not 1 mod p for any prime q dividing p - 1.  The bound
+    comes first, as in legendre_symbol."""
+    if p > MAX_R:
+        raise ValueError(f"p = {p} exceeds MAX_R = {MAX_R}")
     if p < 3 or not is_prime(p):
         raise ValueError(f"p = {p} must be an odd prime")
     n, q, quotients = p - 1, 2, []
@@ -85,6 +89,21 @@ def legendre_symbol(a: int, p: int) -> int:
         raise ValueError(f"p = {p} must be an odd prime")
     ls = pow(a % p, (p - 1) // 2, p)
     return -1 if ls == p - 1 else ls
+
+
+# (width in bits, array type code) for packing values into the slots of one
+# int, narrowest first.
+_SLOT_TYPES = sorted((array(code).itemsize * 8, code) for code in "BHIQ")
+
+
+def slot_layout(bits: int) -> tuple[str | None, int]:
+    """(array type code, bytes per slot) for packing values below 2^bits
+    into one int, a slot per value: the narrowest array type at least `bits`
+    wide, or no type code and whole bytes past 64 bits."""
+    for width, code in _SLOT_TYPES:
+        if bits <= width:
+            return code, width // 8
+    return None, -(-bits // 8)
 
 
 def strip_factor(n: int, p: int) -> int:

@@ -114,6 +114,73 @@ def folded_psi_equals_cyclotomic(field: RealCyclotomicField) -> bool:
     return acc == [1] * field.r
 
 
+# -- subresultant resultant ---------------------------------------------------
+
+
+def _trim(poly) -> list[int]:
+    """The coefficient list without its leading zeros."""
+    poly = list(poly)
+    while poly and not poly[-1]:
+        poly.pop()
+    return poly
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of lc(b)^(deg a - deg b + 1) * a divided by b, trimmed;
+    each of the deg a - deg b + 1 steps scales the running remainder by
+    lc(b) and cancels its leading term."""
+    rem, lead, db = list(a), b[-1], len(b) - 1
+    for k in range(len(a) - 1, db - 1, -1):
+        c = rem.pop()
+        rem = [x * lead for x in rem]
+        for j in range(db):
+            rem[k - db + j] -= c * b[j]
+    return _trim(rem)
+
+
+def resultant(a, b) -> int:
+    """Res(a, b) of two integer polynomials given as coefficient lists,
+    constant term first, by the subresultant algorithm (Cohen, GTM 138,
+    Alg. 3.3.7): the reference for intlinalg.negacyclic_resultant, which
+    replaced it in classnumber.maillet_h_minus.  Leading zeros are ignored;
+    a zero polynomial gives 0 and two nonzero constants give 1, as in sympy.
+
+    The contents are taken out first and put back as t.  Each pseudo-
+    remainder is divided by g * h^delta and each new h is g^delta /
+    h^(delta - 1); both divisions are exact, so the coefficients stay the
+    size of the subresultants and the cost is O(deg a * deg b) steps."""
+    a, b = _trim(a), _trim(b)
+    if not a or not b:
+        return 0
+    ca, cb = math.gcd(*a), math.gcd(*b)
+    t = ca ** (len(b) - 1) * cb ** (len(a) - 1)
+    a = [x // ca for x in a]
+    b = [x // cb for x in b]
+    s = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if (len(a) - 1) & (len(b) - 1) & 1:
+            s = -1
+    if len(a) == 1:
+        return t
+    g = h = 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da & db & 1:
+            s = -s
+        rem = _pseudo_remainder(a, b)
+        div = g * h**delta
+        a, b = b, [x // div for x in rem]
+        g = a[-1]
+        if delta:
+            h = g**delta // h ** (delta - 1)
+    if not b:
+        return 0
+    da = len(a) - 1
+    return s * t * (b[0] ** da // h ** (da - 1))
+
+
 # -- GF(2)[x], bit-packed (bit i is the coefficient of x^i) --------------------
 
 
@@ -324,6 +391,14 @@ def h_minus_analytic(r: int) -> int:
 
 
 # -- full Maillet matrix -------------------------------------------------------
+
+
+def maillet_qbar(r: int) -> list[int]:
+    """Qbar = sum_{i<m} (2 floor(g a_i / r) - (g - 1)) x^i for any odd prime
+    r, with m = (r-1)/2, g = sympy's least primitive root and a_i = g^i mod
+    r: the polynomial whose resultant with x^m + 1 gives h_r^-."""
+    g = int(sp.primitive_root(r))
+    return [2 * (g * pow(g, i, r) // r) - (g - 1) for i in range((r - 1) // 2)]
 
 
 def maillet_matrix(r: int) -> list[list[int]]:

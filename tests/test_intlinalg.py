@@ -1,5 +1,7 @@
 """Property tests of the exact determinants, resultants, lattice indices and
-Hermite bases against sympy."""
+Hermite bases against sympy.  The resultant of x^m + 1 by packed conjugates
+is checked against the subresultant reference in oracles and against
+sympy."""
 
 import pytest
 import sympy as sp
@@ -11,11 +13,13 @@ from rrpfermat.intlinalg import (
     gf2_det,
     gf2_solve,
     hermite_basis,
-    resultant,
+    negacyclic_resultant,
     row_lattice_index,
 )
+from rrpfermat.numutil import slot_layout
 
 import oracles
+from oracles import resultant
 
 
 @st.composite
@@ -197,3 +201,55 @@ def polynomial_pairs(draw):
 def test_resultant_matches_sympy(pair):
     a, b = pair
     assert resultant(a, b) == _sympy_resultant(a, b)
+
+
+def _negacyclic(q) -> list[int]:
+    """x^m + 1 for m = len(q), as a coefficient list."""
+    return [1] + [0] * (len(q) - 1) + [1]
+
+
+@st.composite
+def negacyclic_operands(draw):
+    """m from 1 to 120 coefficients of up to 70 bits: the slot width that
+    the kernel picks runs through all four array types and the byte-wise
+    path."""
+    m = draw(st.integers(min_value=1, max_value=120))
+    bits = draw(st.integers(min_value=0, max_value=70))
+    q = draw(st.lists(st.integers(-(1 << bits), 1 << bits), min_size=m, max_size=m))
+    if not any(q):
+        q[draw(st.integers(0, m - 1))] = draw(st.sampled_from([-1, 1]))
+    return q
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(negacyclic_operands())
+@example([5])  # m = 1: Res(x + 1, 5)
+@example([0])  # the zero polynomial
+@example([0] * 12)
+@example([1, 1, 0])  # 1 + x vanishes at -1, a root of x^3 + 1
+@example([1, 1] + [0] * 97)
+@example([1, 0, 1, 0, 0, 0])  # 1 + x^2 divides x^6 + 1
+@example([1, -1, 1, 0, 0, 0])  # 1 - x + x^2 = Phi_6 divides x^3 + 1, not x^6 + 1
+@example([3, -2**70, 2**70 - 5, 7] + [0] * 116)  # byte-wise slots, m = 120
+def test_negacyclic_resultant_matches_the_subresultant_and_sympy(q):
+    expected = resultant(_negacyclic(q), q)
+    assert negacyclic_resultant(q) == expected == _sympy_resultant(_negacyclic(q), q)
+
+
+@pytest.mark.parametrize("weight, code", [
+    (127, "B"), (128, "H"), (2**15 - 1, "H"), (2**15, "I"),
+    (2**31 - 1, "I"), (2**31, "Q"), (2**63 - 1, "Q"), (2**63, None),
+])
+@pytest.mark.parametrize("m", [1, 6, 15, 16])
+def test_negacyclic_resultant_at_each_slot_width_boundary(weight, code, m):
+    # sum |q_i| = weight is the largest (or smallest) that fits the slot
+    # width; q = weight * x^(m-1) makes every conjugate as large as it can be.
+    for q in ([0] * (m - 1) + [weight], [weight - m + 1] + [(-1) ** i for i in range(m - 1)]):
+        assert sum(map(abs, q)) == weight
+        assert slot_layout((2 * weight).bit_length())[0] == code
+        assert negacyclic_resultant(q) == resultant(_negacyclic(q), q)
+
+
+def test_negacyclic_resultant_needs_a_coefficient():
+    with pytest.raises(ValueError):
+        negacyclic_resultant([])

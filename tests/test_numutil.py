@@ -1,6 +1,7 @@
 """is_squarefree trial-divides only while p^3 <= m, m the cofactor left, and
 finishes with a perfect-square test; checked against sympy.factorint.  The
-least primitive root is checked against sympy.primitive_root."""
+least primitive root is checked against sympy.primitive_root on its domain,
+the odd primes up to MAX_R."""
 
 import pytest
 import sympy as sp
@@ -57,9 +58,9 @@ def test_is_squarefree_cofactors_with_at_most_two_primes():
 
 
 def test_least_primitive_root_matches_sympy():
-    for p in primes_upto(5000)[1:]:
+    for p in primes_upto(MAX_R)[1:]:
         assert least_primitive_root(p) == sp.primitive_root(p), p
-    for bad in (2, 9, 1):
+    for bad in (2, 9, 1, MAX_R + 1):
         with pytest.raises(ValueError):
             least_primitive_root(bad)
 
@@ -67,6 +68,7 @@ def test_least_primitive_root_matches_sympy():
 @pytest.mark.parametrize("call", [
     lambda r: legendre_symbol(2, r),
     lambda r: check_r_inert_in_quadratic(2, r),
+    least_primitive_root,
 ])
 def test_legendre_bound_checked_before_primality(monkeypatch, call):
     # A huge r is refused by the bound alone, before any trial division.
