@@ -157,6 +157,7 @@ def maillet_parity_rows(r: int, inverses: list[int]) -> list[int]:
     exactly where the sum reached r, so those slots get r taken off.  The
     low byte of each slot, mapped to the digit of its parity, spells the
     row in binary."""
+    check_prime_r(r)
     m = len(inverses)
     s = (r.bit_length() + 8) // 8
     top = 8 * s - 1
@@ -223,6 +224,7 @@ def h_plus_parity(base_d: int, r: int, table: HPlusTable | None = None) -> tuple
     one when none is given); a missing entry yields ("undetermined", ...) so
     that no criterion can silently treat absence of data as a pass.
     """
+    check_prime_r(r)
     if base_d == 0:
         res = maillet_h_minus(r)
         return res.parity, {

@@ -35,6 +35,7 @@ def signed_norm_of_pi_r(r: int) -> int:
     The relative norm from K+ to a quadratic base K equals the absolute one
     from Q+ to Q whenever sqrt(d) is not in Q+ (always, under r not
     dividing d)."""
+    check_prime_r(r)
     return r if ((r - 1) // 2) % 2 == 0 else -r
 
 

@@ -6,7 +6,13 @@ factor degrees and counts, never the factors themselves.  An element of
 GF(2^f) is such an int of degree < f; F2Field's methods (mul, inverse,
 sqrt, trace, artin_schreier) are the one home of its arithmetic.  The
 inverse is the extended Euclidean algorithm on these ints: about 2f steps of
-a shift and an XOR on whole ints, and one product to check the result.
+a shift and an XOR on whole ints, and one product to check the result.  A
+square root is one product with the field's sqrt(t), a trace one AND and a
+popcount with its trace vector, and an Artin-Schreier equation one
+reduction against its stored pivots; all three come once per field from
+its Berlekamp matrix (Fong, Hankerson, Lopez and Menezes, "Field inversion
+and point halving revisited", IEEE Trans. Computers 53(8), 2004, for the
+square root and the trace).
 
 The kernel follows Hankerson, Menezes and Vanstone, Guide to Elliptic Curve
 Cryptography, section 2.3: f2_divmod and f2_mod clear the leading bit of the
@@ -18,14 +24,16 @@ product-mod entry point, and f2_mulmod(a, a, m) squares by the table.
 Irreducibility has two routes.  least_irreducible searches with Ben-Or's
 test, which rejects a reducible candidate at the degree of its smallest
 factor (most candidates go after one squaring: x or x + 1 divides them).
-is_irreducible is Rabin's test, and F2Field re-runs it on every modulus, so
-the modulus the search returns is checked by the other route.
+F2Field checks every modulus another way, by the rank of its Berlekamp
+matrix, which it builds anyway: the same matrix gives the field its square
+root, trace and Artin-Schreier solver, so no method of F2Field loops over
+the Frobenius map per call.
 """
 
 from __future__ import annotations
 
 from .errors import ConsistencyError, NotSquarefreeError
-from .intlinalg import gf2_solve
+from .intlinalg import gf2_pivots, gf2_reduce
 
 X = 0b10  # the polynomial x
 
@@ -117,42 +125,6 @@ def f2_derivative(p: int) -> int:
     return d
 
 
-def is_irreducible(p: int) -> bool:
-    """Rabin's test: x^(2^n) = x mod p, and x^(2^(n/q)) - x coprime to p for
-    each prime q | n."""
-    n = f2_degree(p)
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    h = X
-    for _ in range(n):
-        h = f2_mulmod(h, h, p)
-    if h != f2_mod(X, p):
-        return False
-    for q in _prime_divisors(n):
-        h = X
-        for _ in range(n // q):
-            h = f2_mulmod(h, h, p)
-        if f2_gcd(p, h ^ X) != 1:
-            return False
-    return True
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _ben_or_irreducible(p: int) -> bool:
     """Ben-Or's test: p of degree n is irreducible exactly when
     gcd(p, x^(2^i) - x) = 1 for i = 1..n//2.  A reducible p has a factor of
@@ -175,7 +147,8 @@ def _ben_or_irreducible(p: int) -> bool:
 def least_irreducible(f: int) -> int:
     """The irreducible monic degree-f polynomial with the smallest bit
     encoding; deterministic so residue-field reports are reproducible.
-    Searched with Ben-Or's test; F2Field checks the result with Rabin's."""
+    Searched with Ben-Or's test; F2Field checks the result by the rank of its
+    Berlekamp matrix."""
     if f < 1:
         raise ValueError("degree must be >= 1")
     for cand in range(1 << f, 1 << (f + 1)):
@@ -215,25 +188,111 @@ def ddf_degrees(p: int) -> list[tuple[int, int]]:
 # -- GF(2^f) -------------------------------------------------------------
 
 
+def _halves(a: int) -> tuple[int, int]:
+    """(E, O) with a(t) = E(t)^2 + t O(t)^2 over GF(2): E holds the
+    even-indexed bits of a and O the odd-indexed ones, each packed down to
+    consecutive bits.  Read off the binary string padded to an even length,
+    most significant digit first: its odd positions are the even bits."""
+    digits = format(a, "b")
+    if len(digits) & 1:
+        digits = "0" + digits
+    return int(digits[1::2], 2), int(digits[::2], 2)
+
+
 class F2Field:
     """GF(2^f) = GF(2)[t]/(m), m irreducible of degree f.
 
     Elements are bit-packed ints of degree < f, like every polynomial in this
-    module; the methods take and return them.  When no modulus is given the
-    deterministic least_irreducible(f) is used.
+    module; the methods take and return them (an element of degree >= f is
+    reduced first).  When no modulus is given the deterministic
+    least_irreducible(f) is used.
+
+    Everything past mul and inverse is built once, in __init__, from the
+    Berlekamp matrix Q of m (Berlekamp, "Factoring polynomials over finite
+    fields", Bell Syst. Tech. J. 46, 1967), whose column i is
+    S_i = t^(2i) mod m, so Q is the matrix of the Frobenius map a -> a^2:
+
+    1. Irreducibility.  For a squarefree m with k irreducible factors, the
+       algebra GF(2)[t]/(m) is a product of k fields (CRT), and a^2 = a
+       holds in a field only for a in {0, 1}: the kernel of Q - I has
+       dimension k.  So a squarefree m is irreducible exactly when
+       rank(Q - I) = f - 1 (column 0 of Q - I is always 0, as 1^2 = 1).
+       Squarefreeness, gcd(m, m') = 1, is tested first: (t + 1)^2 has the
+       local algebra GF(2)[t]/(t + 1)^2, whose only idempotents are 0 and 1,
+       and so passes the rank test.
+    2. Trace.  tau_i = Tr(t^i) is the power sum of the i-th powers of the
+       roots of m, and m'/m = sum_k tau_k x^(-k-1), so tau_0, ..., tau_(f-1)
+       are the coefficients of the polynomial part of x^f m'/m (the quotient
+       of x^f m' by m) read from the top; tau_0 = f mod 2.  Then
+       Tr(a) = popcount(a & tau) mod 2.  The check: a -> popcount(a & tau)
+       mod 2 is a GF(2)-linear functional L; L(a^2) = L(a) for all a exactly
+       when L(S_i) = tau_i for every i; every functional is a -> Tr(b a) for
+       one b, and Tr(b a^2) = Tr(sqrt(b) a), so a Frobenius-invariant one
+       has sqrt(b) = b, b in {0, 1}.  A nonzero tau that passes is the trace.
+    3. Square root.  Writing m = E(t)^2 + t O(t)^2 (_halves), m = 0 gives
+       t = (E/O)^2, with O != 0 of degree < f as m is squarefree.  So
+       sqrt(t) = E * O^-1, checked by squaring it, and for any a = E_a^2 +
+       t O_a^2, sqrt(a) = E_a + sqrt(t) * O_a: one product per root.
+    4. Artin-Schreier.  v -> v^2 + v is the GF(2)-linear map Q - I, with
+       column i = S_i + t^i and kernel {0, 1}.  The pivots of its columns,
+       kept from step 1 (intlinalg.gf2_pivots), solve v^2 + v = c by one
+       reduction of c (intlinalg.gf2_reduce): a remainder means c is not in
+       the image, which is the kernel of the trace; otherwise the columns
+       that reduced c away add up to v.
     """
 
-    __slots__ = ("f", "modulus")
+    __slots__ = ("f", "modulus", "_pivots", "_tau", "_sqrt_t")
 
     def __init__(self, f: int, modulus: int | None = None):
         if modulus is None:
             modulus = least_irreducible(f)
-        if f2_degree(modulus) != f:
+        if f < 1 or f2_degree(modulus) != f:
             raise ValueError("modulus degree mismatch")
-        if not is_irreducible(modulus):
-            raise ValueError("modulus is reducible over GF(2)")
+        if f2_gcd(modulus, f2_derivative(modulus)) != 1:
+            raise ValueError("modulus is reducible over GF(2) (not squarefree)")
         self.f = f
         self.modulus = modulus
+        squares = self._frobenius_columns()
+        self._pivots = gf2_pivots([s ^ (1 << i) for i, s in enumerate(squares)])
+        if len(self._pivots) != f - 1:
+            raise ValueError("modulus is reducible over GF(2)")
+        self._tau = self._trace_vector(squares)
+        self._sqrt_t = self._root_of_t()
+
+    def _frobenius_columns(self) -> list[int]:
+        """The columns S_i = t^(2i) mod m of Q, i < f: each is the one
+        before times t^2, a shift by 2 that clears at most two bits (f + 1,
+        then f) with the modulus."""
+        m, f = self.modulus, self.f
+        high, low = 1 << (f + 1), 1 << f
+        col, cols = 1, []
+        for _ in range(f):
+            cols.append(col)
+            col <<= 2
+            if col & high:
+                col ^= m << 1
+            if col & low:
+                col ^= m
+        return cols
+
+    def _trace_vector(self, squares: list[int]) -> int:
+        """tau, bit i = Tr(t^i), from x^f m'/m and checked against the
+        columns of Q (step 2 of the class docstring)."""
+        f = self.f
+        quotient = f2_divmod(f2_derivative(self.modulus) << f, self.modulus)[0]
+        tau = int(format(quotient, f"0{f}b")[::-1], 2)
+        if not tau or any(((s & tau).bit_count() ^ (tau >> i)) & 1 for i, s in enumerate(squares)):
+            raise ConsistencyError("trace vector is not Frobenius-invariant")
+        return tau
+
+    def _root_of_t(self) -> int:
+        """sqrt(t) = E * O^-1 for m = E^2 + t O^2, checked by squaring it
+        (step 3 of the class docstring)."""
+        even, odd = _halves(self.modulus)
+        root = self.mul(even, self.inverse(odd))
+        if self.mul(root, root) != f2_mod(X, self.modulus):
+            raise ConsistencyError("sqrt(t) does not square back to t")
+        return root
 
     def mul(self, a: int, b: int) -> int:
         return f2_mulmod(a, b, self.modulus)
@@ -260,35 +319,31 @@ class F2Field:
         return g
 
     def sqrt(self, a: int) -> int:
-        """The unique square root: squaring is a bijection in characteristic
-        2, with inverse a -> a^(2^(f-1))."""
-        for _ in range(self.f - 1):
-            a = self.mul(a, a)
-        return a
+        """The unique square root (squaring is a bijection in characteristic
+        2): E_a + sqrt(t) * O_a for a = E_a^2 + t O_a^2, one product."""
+        if a >> self.f:
+            a = f2_mod(a, self.modulus)
+        even, odd = _halves(a)
+        return even ^ self.mul(self._sqrt_t, odd)
 
     def trace(self, a: int) -> int:
-        """Absolute trace over GF(2), as 0 or 1.
+        """Absolute trace over GF(2), as 0 or 1: the parity of a & tau.
 
         v^2 + v = c is solvable exactly when trace(c) = 0.
         """
-        acc = 0
-        for _ in range(self.f):
-            acc ^= a
-            a = self.mul(a, a)
-        if acc not in (0, 1):
-            raise ConsistencyError("trace landed outside the prime field")
-        return acc
+        if a >> self.f:
+            a = f2_mod(a, self.modulus)
+        return (a & self._tau).bit_count() & 1
 
     def artin_schreier(self, c: int) -> int | None:
-        """Some v with v^2 + v = c, or None when there is none (trace 1).
-
-        The map v -> v^2 + v is GF(2)-linear with kernel {0, 1}: v is the XOR
-        of the basis elements t^i whose images t^(2i) + t^i add up to c,
-        found by intlinalg.gf2_solve.
-        """
-        cols = [self.mul(1 << i, 1 << i) ^ (1 << i) for i in range(self.f)]
-        v = gf2_solve(cols, c)
-        if v is not None and self.mul(v, v) ^ v != c:
+        """Some v with v^2 + v = c, or None when there is none (trace 1):
+        one reduction of c against the kept pivots of Q - I, whose combo is
+        v as a bitmask of the basis elements t^i.  The solution is checked
+        with one product."""
+        rest, v = gf2_reduce(self._pivots, c)
+        if rest:
+            return None
+        if self.mul(v, v) ^ v != c:
             raise ConsistencyError("linear solve produced a non-solution")
         return v
 

@@ -9,7 +9,11 @@ u = v^2 mod P^n once n >= 3.  The mod-8 obstruction is read in the residue
 field GF(2^f): `residue` and `lift` move between the ring and its
 `residue_field`, an ffpoly.F2Field whose elements are bit-packed ints, and
 the only inverse taken is that of the residue root, one extended Euclid in
-GF(2^f) (F2Field.inverse) per square root.
+GF(2^f) (F2Field.inverse) per square root.  The residue field is built once
+per ring from the Berlekamp matrix of psi mod 2, whose rank is the second
+test that 2 is inert (the first is the DDF of
+RealCyclotomicField.two_shape); its square root, trace and Artin-Schreier
+solver then cost one product, one AND and one reduction per call.
 
 For the field Q(zeta_r + 1/zeta_r) with 2 inert, O/2^n O is GR(2^n, (r-1)/2)
 with modulus psi_r mod 2^n; this identification uses that Z[theta] is the
@@ -136,7 +140,8 @@ class GaloisRing:
         f = len(psi) - 1
         if f < 1:
             raise ValueError("modulus must have degree >= 1")
-        self.residue_field = F2Field(f, f2_from_coeffs(psi))  # raises if reducible mod 2
+        # Berlekamp's rank test: raises if psi is reducible mod 2.
+        self.residue_field = F2Field(f, f2_from_coeffs(psi))
         self.n = n
         self.degree = f
         self.psi = tuple(psi)
@@ -202,12 +207,16 @@ def gr_sqrt(u: GaloisRingElem) -> GaloisRingElem | None:
     """Some v with v^2 = u in GR(2^n, f), or None exactly when u is not a
     square.  Requires a unit u and precision n >= 3.
 
-    Stages: unique residue-field root; mod-4 obstruction (the square of any
-    lift s of the residue root is well defined mod 4); mod-8 Artin-Schreier
-    obstruction trace(c) = 0 with c = (u/s^2 - 1)/4 mod P, computed in the
-    residue field as residue((u - s^2)/4) / root^2; then linear Hensel steps,
+    Stages: unique residue-field root, checked by squaring it back; mod-4
+    obstruction (the square of any lift s of the residue root is well
+    defined mod 4); mod-8 Artin-Schreier obstruction trace(c) = 0 with
+    c = (u/s^2 - 1)/4 mod P, computed in the residue field as
+    residue((u - s^2)/4) / root^2 and decided twice: by the trace vector and
+    by the reduction of c against the residue field's pivots, which must
+    leave a remainder exactly when the trace is 1; then linear Hensel steps,
     which never obstruct once k >= 3.  The residue root is inverted once and
-    no Galois-ring inverse is taken.
+    no Galois-ring inverse is taken.  Each residue-field step is one product
+    or one reduction (ffpoly.F2Field), with no loop over the Frobenius map.
     """
     ring = u.field
     fld = ring.residue_field
@@ -216,7 +225,10 @@ def gr_sqrt(u: GaloisRingElem) -> GaloisRingElem | None:
     if not u.is_unit():
         raise NonUnitError("gr_sqrt needs a unit")
 
-    root = fld.sqrt(ring.residue(u))
+    residue_u = ring.residue(u)
+    root = fld.sqrt(residue_u)
+    if fld.mul(root, root) != residue_u:
+        raise ConsistencyError("residue-field root does not square back to residue(u)")
     root_inv = fld.inverse(root)
     s = ring.lift(root)
     diff = u - s * s
@@ -225,11 +237,11 @@ def gr_sqrt(u: GaloisRingElem) -> GaloisRingElem | None:
 
     # (u/s^2 - 1)/4 = (u - s^2)/4 * s^-2, and s = root mod 2.
     c = fld.mul(fld.mul(ring.residue(ring.exact_div_pow2(diff, 2)), root_inv), root_inv)
-    if fld.trace(c) == 1:
-        return None
     v = fld.artin_schreier(c)
+    if (v is None) != (fld.trace(c) == 1):
+        raise ConsistencyError("trace and Artin-Schreier reduction disagree")
     if v is None:
-        raise ConsistencyError("trace 0 but no Artin-Schreier solution")
+        return None
     s = s * (ring.one + 2 * ring.lift(v))  # now s^2 = u mod 8
 
     # s = lift(root) mod 2 throughout, so root_inv inverts every residue of s.

@@ -11,8 +11,9 @@ Z/(2^(dL/2) + 1) and lifted exactly; m conjugates in all.  The quadratic
 subresultant algorithm that it replaced is the reference in
 tests/oracles.py.  One row-echelon eliminator over Z, `_echelon`, serves
 `row_lattice_index` and `hermite_basis`.  GF(2) vectors are bit-packed
-ints, and one XOR eliminator, `_gf2_insert`, serves `gf2_det` (the Maillet
-parity) and `gf2_solve` (the Artin-Schreier equation in ffpoly)."""
+ints, and one XOR eliminator, `gf2_reduce`, serves `gf2_det` (the Maillet
+parity) and `gf2_pivots`, whose pivots ffpoly.F2Field keeps to solve
+Artin-Schreier equations by one reduction each."""
 
 from __future__ import annotations
 
@@ -132,20 +133,36 @@ def negacyclic_resultant(q) -> int:
     return res
 
 
-def _gf2_insert(pivots: dict, vec: int, combo: int) -> tuple[int, int]:
+def gf2_reduce(pivots: dict, vec: int, combo: int = 0) -> tuple[int, int]:
     """Reduce vec by XOR against the pivots ({highest set bit: (vector,
-    combo)}), where combo is the bitmask of inputs whose XOR is the vector.
-    A nonzero remainder becomes a new pivot.  Returns the reduced (vec,
-    combo): vec is 0 exactly when the input lay in the pivots' span."""
+    combo)}, as gf2_pivots builds them), where combo is the bitmask of inputs
+    whose XOR is the vector, until its leading bit has no pivot.  Returns
+    the reduced (vec, combo): vec is 0 exactly when the input lay in the
+    pivots' span, and then the XOR of the inputs in combo is the input.
+    The pivots are left as they are."""
     while vec:
-        top = vec.bit_length() - 1
-        pivot = pivots.get(top)
+        pivot = pivots.get(vec.bit_length() - 1)
         if pivot is None:
-            pivots[top] = (vec, combo)
             break
         vec ^= pivot[0]
         combo ^= pivot[1]
     return vec, combo
+
+
+def gf2_pivots(vectors) -> dict:
+    """Echelon pivots of the span of the vectors (nonnegative ints read as
+    GF(2) vectors), {highest set bit: (vector, combo)} with combo the
+    bitmask of the inputs (bit i for vectors[i]) whose XOR is the vector.
+    Each input is reduced by gf2_reduce and kept if anything is left, so
+    the rank is the number of pivots."""
+    pivots: dict = {}
+    for i, vec in enumerate(vectors):
+        if vec < 0:
+            raise ValueError("GF(2) vectors must be nonnegative ints")
+        vec, combo = gf2_reduce(pivots, vec, 1 << i)
+        if vec:
+            pivots[vec.bit_length() - 1] = (vec, combo)
+    return pivots
 
 
 def gf2_det(rows) -> int:
@@ -157,22 +174,11 @@ def gf2_det(rows) -> int:
     for row in rows:
         if row < 0 or row >> n:
             raise ValueError("matrix must be square: row bits must lie in columns 0..n-1")
-        if not _gf2_insert(pivots, row, 0)[0]:
+        row = gf2_reduce(pivots, row)[0]
+        if not row:
             return 0
+        pivots[row.bit_length() - 1] = (row, 0)
     return 1
-
-
-def gf2_solve(columns, target: int) -> int | None:
-    """A bitmask of columns (bit i for columns[i], each a nonnegative int
-    read as a GF(2) vector) whose XOR is target, or None when target is not
-    in their span."""
-    if target < 0 or any(col < 0 for col in columns):
-        raise ValueError("GF(2) vectors must be nonnegative ints")
-    pivots: dict = {}
-    for i, col in enumerate(columns):
-        _gf2_insert(pivots, col, 1 << i)
-    rest, combo = _gf2_insert(pivots, target, 0)
-    return None if rest else combo
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -19,7 +19,7 @@ from sympy.polys.galoistools import gf_irreducible_p
 
 from rrpfermat.cycfield import CycInt, RealCyclotomicField
 from rrpfermat.errors import DegenerateCurveError, UnfactoredCofactorError
-from rrpfermat.ffpoly import is_irreducible
+from rrpfermat.ffpoly import X, f2_gcd, f2_mod, f2_mulmod
 from rrpfermat.intlinalg import row_lattice_index
 from rrpfermat.numutil import strip_factor
 
@@ -222,6 +222,97 @@ def f2_divmod_loop(a: int, b: int) -> tuple[int, int]:
         q ^= 1 << shift
         a ^= b << shift
     return q, a
+
+
+def is_irreducible(p: int) -> bool:
+    """Rabin's test: x^(2^n) = x mod p, and x^(2^(n/q)) - x coprime to p for
+    each prime q | n.  F2Field ran it on every modulus before the rank of
+    the Berlekamp matrix replaced it."""
+    n = p.bit_length() - 1
+    if n <= 0:
+        return False
+    if n == 1:
+        return True
+    h = X
+    for _ in range(n):
+        h = f2_mulmod(h, h, p)
+    if h != f2_mod(X, p):
+        return False
+    for q in _prime_divisors(n):
+        h = X
+        for _ in range(n // q):
+            h = f2_mulmod(h, h, p)
+        if f2_gcd(p, h ^ X) != 1:
+            return False
+    return True
+
+
+def _prime_divisors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def gf2_solve(columns, target: int) -> int | None:
+    """A bitmask of columns (bit i for columns[i], each a nonnegative int
+    read as a GF(2) vector) whose XOR is target, or None when target is not
+    in their span: Gaussian elimination on (vector, bitmask) pairs kept in
+    order of decreasing leading bit, apart from intlinalg's eliminator."""
+    if target < 0 or any(col < 0 for col in columns):
+        raise ValueError("GF(2) vectors must be nonnegative ints")
+    basis: list[tuple[int, int]] = []
+
+    def reduce(vec: int, mask: int) -> tuple[int, int]:
+        for bvec, bmask in basis:
+            if vec >> (bvec.bit_length() - 1) & 1:
+                vec ^= bvec
+                mask ^= bmask
+        return vec, mask
+
+    for i, col in enumerate(columns):
+        vec, mask = reduce(col, 1 << i)
+        if vec:
+            basis.append((vec, mask))
+            basis.sort(key=lambda pair: pair[0].bit_length(), reverse=True)
+    rest, mask = reduce(target, 0)
+    return None if rest else mask
+
+
+# The GF(2^f) kernels of ffpoly.F2Field before its Berlekamp matrix: each
+# loops over the Frobenius map on every call.
+
+
+def frobenius_sqrt(fld, a: int) -> int:
+    """a^(2^(f-1)), the inverse of squaring, by f - 1 squarings."""
+    for _ in range(fld.f - 1):
+        a = fld.mul(a, a)
+    return a
+
+
+def frobenius_trace(fld, a: int) -> int:
+    """a + a^2 + ... + a^(2^(f-1)), by f squarings; must land in {0, 1}."""
+    acc = 0
+    for _ in range(fld.f):
+        acc ^= a
+        a = fld.mul(a, a)
+    if acc not in (0, 1):
+        raise AssertionError("trace landed outside the prime field")
+    return acc
+
+
+def frobenius_artin_schreier(fld, c: int) -> int | None:
+    """Some v with v^2 + v = c, or None: gf2_solve over the images
+    t^(2i) + t^i of the basis, f products to build them."""
+    cols = [fld.mul(1 << i, 1 << i) ^ (1 << i) for i in range(fld.f)]
+    return gf2_solve(cols, c)
 
 
 # -- sympy-backed oracles -----------------------------------------------------

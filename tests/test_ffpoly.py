@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rrpfermat.cycfield import build_field
+import rrpfermat.ffpoly as ffpoly
+from rrpfermat.cycfield import RealCyclotomicField, build_field
 from rrpfermat.errors import ConsistencyError, NotSquarefreeError
 from rrpfermat.ffpoly import (
     F2Field,
@@ -15,16 +16,18 @@ from rrpfermat.ffpoly import (
     f2_degree,
     f2_derivative,
     f2_divmod,
+    f2_from_coeffs,
     f2_gcd,
     f2_mod,
     f2_mul,
     f2_mulmod,
-    is_irreducible,
     least_irreducible,
 )
+from rrpfermat.intlinalg import gf2_pivots
 from rrpfermat.numutil import is_prime, primes_upto
 
 import oracles
+from oracles import is_irreducible
 
 
 def psi_bits(r: int) -> int:
@@ -354,3 +357,122 @@ def test_f2field_inverse_checks_its_result(monkeypatch):
     monkeypatch.setattr(F2Field, "mul", lambda self, a, b: 0)
     with pytest.raises(ConsistencyError, match="non-inverse"):
         fld.inverse(3)
+
+
+# -- F2Field's Berlekamp-matrix kernels against the Frobenius loops -----------
+
+IRREDUCIBLE_TO_10 = [p for p in range(2, 1 << 11) if oracles.gf2_is_irreducible(p)]
+
+
+def test_kernels_match_the_frobenius_loops_on_every_element_to_degree_10():
+    assert len(IRREDUCIBLE_TO_10) == sum(_irreducible_count(n) for n in range(1, 11)) == 226
+    for m in IRREDUCIBLE_TO_10:
+        fld = F2Field(f2_degree(m), m)
+        for a in range(1 << fld.f):
+            s = fld.sqrt(a)
+            assert fld.mul(s, s) == a and s == oracles.frobenius_sqrt(fld, a), (bin(m), a)
+            tr = fld.trace(a)
+            assert tr == oracles.frobenius_trace(fld, a), (bin(m), a)
+            assert (fld.artin_schreier(a) is None) == (tr == 1), (bin(m), a)
+
+
+def test_f2field_rejects_every_reducible_modulus_to_degree_12():
+    rejected = not_squarefree = 0
+    for m in range(2, 1 << 13):
+        f = f2_degree(m)
+        if oracles.gf2_is_irreducible(m):
+            assert F2Field(f, m).modulus == m
+            continue
+        with pytest.raises(ValueError, match="reducible"):
+            F2Field(f, m)
+        rejected += 1
+        not_squarefree += f2_gcd(m, f2_derivative(m)) != 1
+    assert rejected == (1 << 13) - 2 - sum(_irreducible_count(n) for n in range(1, 13))
+    assert not_squarefree > 0
+
+
+def test_the_rank_test_needs_squarefreeness():
+    # (t + 1)^2 = t^2 + 1: the local algebra GF(2)[t]/(t + 1)^2 has only the
+    # idempotents 0 and 1, so Q - I has rank f - 1 = 1 as for a field.
+    m = 0b101
+    cols = [f2_mulmod(1 << i, 1 << i, m) ^ (1 << i) for i in range(2)]
+    assert len(gf2_pivots(cols)) == 1
+    with pytest.raises(ValueError, match="not squarefree"):
+        F2Field(2, m)
+
+
+def test_f2field_guards():
+    with pytest.raises(ValueError, match="degree"):
+        F2Field(0, 1)
+    with pytest.raises(ValueError, match="degree"):
+        F2Field(3, 0b111)
+
+
+# 2 is inert at these r past the cap too; their psi_r is built without the
+# field, whose constructor refuses r > MAX_R.
+PAST_CAP_R = [311, 419, 503]
+
+
+@functools.cache
+def minimal_polynomial_field(r: int) -> F2Field:
+    psi = RealCyclotomicField._minimal_polynomial((r - 1) // 2)
+    return F2Field((r - 1) // 2, f2_from_coeffs(psi))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(INERT_R + PAST_CAP_R).flatmap(
+    lambda r: st.tuples(st.just(r), st.integers(0, (1 << (r - 1) // 2) - 1))))
+@example((503, (1 << 251) - 1))
+@example((503, 1 << 250))
+@example((199, 1))
+@example((5, 0))
+def test_kernels_match_the_frobenius_loops_on_psi_moduli(case):
+    r, a = case
+    fld = minimal_polynomial_field(r)
+    if r in INERT_R:
+        assert fld.modulus == psi_field(r).modulus
+    assert fld.sqrt(a) == oracles.frobenius_sqrt(fld, a)
+    assert fld.trace(a) == oracles.frobenius_trace(fld, a)
+    v, w = fld.artin_schreier(a), oracles.frobenius_artin_schreier(fld, a)
+    assert (v is None) == (w is None) == (fld.trace(a) == 1)
+    if v is not None:
+        assert v in (w, w ^ 1)  # the solutions are w and w + 1
+    # An unreduced representative of degree 2f has the same root and trace.
+    unreduced = a ^ (fld.modulus << fld.f)
+    assert fld.sqrt(unreduced) == fld.sqrt(a) and fld.trace(unreduced) == fld.trace(a)
+
+
+# -- fault injection: each per-field check raises ----------------------------
+
+
+@pytest.mark.parametrize("m", [0b1011, 0b100011011, least_irreducible(99)])
+def test_a_flipped_bit_of_tau_raises(monkeypatch, m):
+    f = f2_degree(m)
+    true_divmod = ffpoly.f2_divmod
+    for bit in range(f):
+        def flipped(a, b, bit=bit):
+            q, rem = true_divmod(a, b)
+            return q ^ (1 << bit), rem
+
+        monkeypatch.setattr(ffpoly, "f2_divmod", flipped)
+        with pytest.raises(ConsistencyError, match="trace vector"):
+            F2Field(f, m)
+    monkeypatch.setattr(ffpoly, "f2_divmod", true_divmod)
+    assert F2Field(f, m).trace(1) == f % 2
+
+
+def test_a_wrong_sqrt_of_t_raises(monkeypatch):
+    true_halves = ffpoly._halves
+    monkeypatch.setattr(ffpoly, "_halves", lambda a: (true_halves(a)[0] ^ 1, true_halves(a)[1]))
+    for m in (0b111, 0b1011, least_irreducible(99)):
+        with pytest.raises(ConsistencyError, match="sqrt\\(t\\)"):
+            F2Field(f2_degree(m), m)
+
+
+def test_a_wrong_artin_schreier_solution_raises(monkeypatch):
+    fld = F2Field(7)
+    c = next(c for c in range(1, 1 << 7) if fld.trace(c) == 0)
+    true_reduce = ffpoly.gf2_reduce
+    monkeypatch.setattr(ffpoly, "gf2_reduce", lambda pivots, vec: (true_reduce(pivots, vec)[0], 0b10))
+    with pytest.raises(ConsistencyError, match="non-solution"):
+        fld.artin_schreier(c)

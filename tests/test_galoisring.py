@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrpfermat.cli import EXIT_INTERNAL, main
 from rrpfermat.cycfield import build_field
-from rrpfermat.errors import NonUnitError, NotInertError, PrecisionError
-from rrpfermat.ffpoly import least_irreducible
+from rrpfermat.errors import ConsistencyError, NonUnitError, NotInertError, PrecisionError
+from rrpfermat.ffpoly import F2Field, least_irreducible
 from rrpfermat.galoisring import GaloisRing, GaloisRingElem, gr_sqrt, is_square_pi_r
 from rrpfermat.numutil import primes_upto
 from rrpfermat.splitting import split_2_in_Qplus
@@ -247,3 +248,24 @@ def test_galois_ring_elements_do_not_mix():
         u.coeffs = (0, 0)
     with pytest.raises(AttributeError):
         u.extra = 1
+
+
+# -- fault injection in the residue-field steps of gr_sqrt --------------------
+
+
+def test_a_residue_root_that_does_not_square_back_raises(monkeypatch):
+    monkeypatch.setattr(F2Field, "sqrt", lambda self, a: a ^ 1)
+    with pytest.raises(ConsistencyError, match="square back to residue"):
+        is_square_pi_r(build_field(199))
+
+
+@pytest.mark.parametrize("r", [7, 197, 199])  # a square, and a non-square at trace 1
+def test_a_trace_that_disagrees_with_artin_schreier_raises_and_exits_70(monkeypatch, capsys, r):
+    true_trace = F2Field.trace
+    monkeypatch.setattr(F2Field, "trace", lambda self, a: 1 - true_trace(self, a))
+    with pytest.raises(ConsistencyError, match="trace and Artin-Schreier"):
+        is_square_pi_r(build_field(r))
+    code = main(["check-q", "--r", str(r)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL
+    assert captured.err.startswith("error:") and "Artin-Schreier" in captured.err

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from rrpfermat.intlinalg import (
     bareiss_det,
     gf2_det,
-    gf2_solve,
+    gf2_pivots,
+    gf2_reduce,
     hermite_basis,
     negacyclic_resultant,
     row_lattice_index,
@@ -19,7 +20,7 @@ from rrpfermat.intlinalg import (
 from rrpfermat.numutil import slot_layout
 
 import oracles
-from oracles import resultant
+from oracles import gf2_solve, resultant
 
 
 @st.composite
@@ -52,6 +53,12 @@ def test_gf2_det_rejects_non_square_rows():
     assert gf2_det([]) == 1
 
 
+def test_gf2_pivots_rejects_negative_vectors():
+    with pytest.raises(ValueError):
+        gf2_pivots([0b1, -1])
+    assert gf2_pivots([]) == {}
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(st.lists(st.integers(0, 255), max_size=8), st.integers(0, 255))
 @example([], 0)
@@ -73,6 +80,32 @@ def test_gf2_solve_matches_brute_force(columns, target):
         assert xor_of(mask) == target
     else:
         assert mask is None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 255), max_size=8), st.integers(0, 255))
+@example([], 1)
+@example([0, 0b11, 0b11], 0b11)
+@example([0b110, 0b011, 0b101], 0b111)
+def test_gf2_pivots_and_reduce_match_brute_force(columns, target):
+    def xor_of(mask):
+        acc = 0
+        for i, col in enumerate(columns):
+            if mask >> i & 1:
+                acc ^= col
+        return acc
+
+    span = {xor_of(mask) for mask in range(1 << len(columns))}
+    pivots = gf2_pivots(columns)
+    assert 1 << len(pivots) == len(span)  # the rank
+    for top, (vec, combo) in pivots.items():
+        assert vec.bit_length() - 1 == top and xor_of(combo) == vec
+    kept = dict(pivots)
+    rest, combo = gf2_reduce(pivots, target)
+    assert pivots == kept
+    assert (rest == 0) == (target in span) == (gf2_solve(columns, target) is not None)
+    assert xor_of(combo) ^ rest == target
+    assert rest == 0 or rest.bit_length() - 1 not in pivots
 
 
 @st.composite
