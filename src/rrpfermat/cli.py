@@ -12,6 +12,8 @@ Subcommands:
 Exit codes (scripts can branch on the tri-state):
     0  pass          1  fail          2  undetermined
     64 usage error   70 internal/computation error
+    74 output error: stdout was closed before the report was written
+       (`rrpfermat check-q --r 199 --json | head -1`)
 
 A usage error is bad input: an argument out of range (frey's --r, --x, --y
 and --smoothness-bound among them), an --expect or --hplus-table file that
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from importlib import resources
@@ -49,6 +52,7 @@ EXIT_FAIL = 1
 EXIT_UNDETERMINED = 2
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
+EXIT_IOERR = 74  # sysexits EX_IOERR
 
 # Largest --d accepted: squarefreeness is decided by trial division up to
 # about d^(1/3) (numutil.is_squarefree), 10^4 divisions at this bound.
@@ -307,10 +311,29 @@ def cmd_frey(args) -> int:
     return EXIT_PASS
 
 
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor, if it has one, at os.devnull, so that
+    the flush at interpreter exit does not meet the closed pipe again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # no real file descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        _discard_stdout()
+        return EXIT_IOERR
     except (UsageError, DegenerateCurveError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -28,18 +28,18 @@ Barrett reduction).
 
 Everything is immutable after construction and every operation is a pure
 function, so values can be shared freely across threads.  Memoized field
-data (power sums, the splitting shape of 2) is a function of r alone, so a
-racing first computation stores the same value.
+data (power sums, the splitting shape of 2, the residue field at 2) is a
+function of r alone, so a racing first computation stores an equal value.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .errors import NotInertError
-from .ffpoly import ddf_degrees, f2_from_coeffs
+from .errors import ConsistencyError, NotInertError
+from .ffpoly import F2Field, ddf_degrees, f2_from_coeffs
 from .intlinalg import bareiss_det
-from .numutil import MAX_R, is_prime
+from .numutil import MAX_R, is_prime, order_of_two_mod_pm1
 
 
 def check_prime_r(r: int) -> None:
@@ -92,7 +92,7 @@ class RealCyclotomicField:
         m: 0, the coefficient ring of its elements is Z.
     """
 
-    __slots__ = ("r", "degree", "psi", "_power_sums", "_two_shape")
+    __slots__ = ("r", "degree", "psi", "_power_sums", "_two_shape", "_residue_field")
     m = 0
 
     def __init__(self, r: int):
@@ -103,6 +103,7 @@ class RealCyclotomicField:
         # zeta^k + zeta^-k in the theta basis, grown on demand (append-only).
         self._power_sums: list[CycInt] = []
         self._two_shape: tuple[tuple[int, int], ...] | None = None
+        self._residue_field: F2Field | None = None
 
     @staticmethod
     def _minimal_polynomial(d: int) -> tuple[int, ...]:
@@ -159,12 +160,52 @@ class RealCyclotomicField:
         return memo[k]
 
     def two_shape(self) -> tuple[tuple[int, int], ...]:
-        """Distinct-degree shape of psi_r mod 2 as sorted (degree, count)
-        pairs: 2 is unramified (disc(psi_r) is odd) and splits into `count`
-        primes of residue degree `degree`.  Memoized per field."""
+        """The splitting of 2 in Q(theta) as sorted (residue degree, count)
+        pairs: ((f, d/f),) with f the order of 2 in (Z/r)^*/{±1}
+        (numutil.order_of_two_mod_pm1).  Memoized per field.
+
+        Why: 2 is unramified in Q(zeta_r), and its Frobenius in
+        Gal(Q(zeta_r)/Q) = (Z/r)^* is 2 itself.  Q(theta) is the fixed field
+        of {±1}, so the Frobenius of 2 in its abelian Galois group
+        (Z/r)^*/{±1} is the class of 2, whose order f is the residue degree
+        of every prime above 2; there are d/f of them.
+
+        Second route, with ConsistencyError on any disagreement.  Where
+        f = d (2 inert), residue_field_at_2() must build: its Berlekamp rank
+        proves psi_r mod 2 irreducible, the same GF(2^d) that
+        galoisring.is_square_pi_r then hands to its Galois ring, so one
+        Berlekamp matrix is built per field.  Where 2 splits, the
+        distinct-degree shape of psi_r mod 2 must be ((f, d/f),); it is the
+        splitting of 2 because disc(psi_r) is odd (a power of r), so
+        Z[theta] is 2-maximal and Dedekind's criterion applies."""
         if self._two_shape is None:
-            self._two_shape = tuple(ddf_degrees(f2_from_coeffs(self.psi)))
+            f = order_of_two_mod_pm1(self.r)
+            shape = ((f, self.degree // f),)
+            if f == self.degree:
+                try:
+                    self.residue_field_at_2()
+                except ValueError as exc:
+                    raise ConsistencyError(
+                        f"r = {self.r}: 2 has order {f} = (r-1)/2 in (Z/r)^*/{{±1}}, "
+                        f"but the Berlekamp rank of psi_r mod 2 disagrees ({exc})"
+                    ) from exc
+            else:
+                ddf = tuple(ddf_degrees(f2_from_coeffs(self.psi)))
+                if ddf != shape:
+                    raise ConsistencyError(
+                        f"r = {self.r}: the order of 2 gives the shape {list(shape)}, "
+                        f"the DDF of psi_r mod 2 {list(ddf)}"
+                    )
+            self._two_shape = shape
         return self._two_shape
+
+    def residue_field_at_2(self) -> F2Field:
+        """GF(2^d) = GF(2)[t]/(psi_r mod 2), the residue field of the inert
+        prime above 2, built once per field (ValueError from its Berlekamp
+        rank when psi_r mod 2 is reducible, that is when 2 is not inert)."""
+        if self._residue_field is None:
+            self._residue_field = F2Field(self.degree, f2_from_coeffs(self.psi))
+        return self._residue_field
 
     def require_two_inert(self) -> None:
         """Raise NotInertError unless 2 stays prime in Q(theta)."""

@@ -6,24 +6,28 @@ u is a square exactly when two finite obstructions vanish, one mod 4 and one
 mod 8 (an Artin-Schreier trace condition); beyond mod 8 Hensel lifting is
 unobstructed.  That yields an exact decision procedure for congruences
 u = v^2 mod P^n once n >= 3.  The mod-8 obstruction is read in the residue
-field GF(2^f): `residue` and `lift` move between the ring and its
-`residue_field`, an ffpoly.F2Field whose elements are bit-packed ints, and
-the only inverse taken is that of the residue root, one extended Euclid in
-GF(2^f) (F2Field.inverse) per square root.  The residue field is built once
-per ring from the Berlekamp matrix of psi mod 2, whose rank is the second
-test that 2 is inert (the first is the DDF of
-RealCyclotomicField.two_shape); its square root, trace and Artin-Schreier
-solver then cost one product, one AND and one reduction per call.
+field GF(2^f), the ring's `residue_field`, an ffpoly.F2Field whose elements
+are bit-packed ints, and the only inverse taken is that of the residue root,
+one extended Euclid in GF(2^f) (F2Field.inverse) per square root.  The
+residue field comes from the Berlekamp matrix of psi mod 2, whose rank
+proves psi irreducible mod 2: for psi_r, RealCyclotomicField builds it once
+as the second route of two_shape (the first is the order of 2 in
+(Z/r)^*/{±1}) and is_square_pi_r hands that same field to the ring, which
+checks its modulus.  Its square root, trace and Artin-Schreier solver then
+cost one product, one AND and one reduction per call.  gr_sqrt works on the
+packed ints of the ring's kernel throughout: it packs u once, moves between
+the ring and the residue field by byte translation (PackedMulMod.residue and
+lift) and unpacks only the root.
 
 For the field Q(zeta_r + 1/zeta_r) with 2 inert, O/2^n O is GR(2^n, (r-1)/2)
 with modulus psi_r mod 2^n; this identification uses that Z[theta] is the
 full ring of integers (odd discriminant), which holds for every prime r here.
 A GaloisRing is a view of Z[theta]'s arithmetic mod 2^n: its elements are
 cycfield.CycInt coefficient vectors reduced mod m = 2^n, multiplied by the
-ring's own whole-int kernel (`GaloisRing.mul_coeffs`: one Kronecker product
-and a Barrett reduction, a few big-int multiplies in place of f^2
-coefficient products), and GaloisRingElem adds only `is_unit`, its repr and
-its own name for the product.
+ring's own whole-int kernel (`GaloisRing.kernel`, a PackedMulMod: one
+Kronecker product and a Barrett reduction, a few big-int multiplies in place
+of f^2 coefficient products), and GaloisRingElem adds only `is_unit`, its
+repr and its own name for the product.
 """
 
 from __future__ import annotations
@@ -40,10 +44,10 @@ PI_R_PRECISION = 5
 
 
 class PackedMulMod:
-    """Products of coefficient vectors mod a monic polynomial `psi` of
-    degree f over Z/2^n, by a Kronecker substitution with a Barrett reduction
-    (von zur Gathen and Gerhard, Modern Computer Algebra, sections 8.4 and
-    9.1).
+    """Coefficient vectors mod a monic polynomial `psi` of degree f over
+    Z/2^n, each packed into one int, and their products by a Kronecker
+    substitution with a Barrett reduction (von zur Gathen and Gerhard,
+    Modern Computer Algebra, sections 8.4 and 9.1).
 
     A vector with coefficients in [0, 2^n) is packed into one int,
     coefficient i in the k-bit slot i.  Every operand is masked to [0, 2^n)
@@ -51,10 +55,13 @@ class PackedMulMod:
     f * 2^(2n) in a slot; k >= 2n + bit_length(f) keeps that below 2^k, no
     slot carries into the next, and shifts and masks are exact polynomial
     operations.  k is the narrowest array type that fits, or whole bytes
-    past 64 bits (numutil.slot_layout)."""
+    past 64 bits (numutil.slot_layout).  Since k > n + 1, a sum or a
+    difference offset by 2^n stays inside its slot too, so `add`, `sub`,
+    `div_pow2`, `residue` and `lift` work on the packed int as a whole, and
+    gr_sqrt packs its input once and unpacks its root once."""
 
     __slots__ = ("_f", "_typecode", "_slot_bytes", "_slot_bits",
-                 "_mask", "_mask_q", "_mask_r", "_mu", "_neg_psi")
+                 "_mask", "_mask_q", "_mask_r", "_mu", "_neg_psi", "_ones", "_top")
 
     def __init__(self, psi, n: int) -> None:
         """psi: the monic modulus, constant term first, coefficients in
@@ -65,22 +72,25 @@ class PackedMulMod:
         k = self._slot_bits = 8 * self._slot_bytes
         # m - 1 in each of the 2f - 1 slots of a product; the top f - 1 slots
         # hold a quotient, the bottom f a remainder.
-        self._mask = self._pack([m - 1] * (2 * f - 1))
+        self._mask = self.pack([m - 1] * (2 * f - 1))
         self._mask_q = self._mask >> (k * f)
         self._mask_r = self._mask >> (k * (f - 1))
         self._mu = self._barrett_constant(psi, m)
-        self._neg_psi = self._pack([-c % m for c in psi[:f]])
+        self._neg_psi = self.pack([-c % m for c in psi[:f]])
+        # 1 and 2^n in each of the f slots of a vector.
+        self._ones = self.pack([1] * f)
+        self._top = self._ones << n
 
-    def _pack(self, coeffs) -> int:
+    def pack(self, coeffs) -> int:
         """Coefficients in [0, 2^k) as one int, coefficient i in slot i."""
         if self._typecode:
             return int.from_bytes(array(self._typecode, coeffs).tobytes(), "little")
         w = self._slot_bytes
         return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in coeffs]), "little")
 
-    def _unpack(self, x: int, count: int) -> list[int]:
-        """The low `count` slots of x, slot 0 first."""
-        buf = x.to_bytes(count * self._slot_bytes, "little")
+    def unpack(self, x: int, count: int | None = None) -> list[int]:
+        """The low `count` slots of x (f by default), slot 0 first."""
+        buf = x.to_bytes((self._f if count is None else count) * self._slot_bytes, "little")
         if self._typecode:
             return array(self._typecode, buf).tolist()
         w = self._slot_bytes
@@ -96,8 +106,8 @@ class PackedMulMod:
         size = f - 1
         if size < 1:
             return 0  # f = 1: a product of constants needs no reduction
-        m_each = self._pack([m] * size)
-        rev_psi = self._pack(psi[f:1:-1])
+        m_each = self.pack([m] * size)
+        rev_psi = self.pack(psi[f:1:-1])
         g, prec = 1, 1
         while prec < size:
             prec = min(2 * prec, size)
@@ -105,33 +115,84 @@ class PackedMulMod:
             e = (rev_psi * g) & low
             # (m_each + 1 - e) & low is 1 - e mod 2^n in each slot
             g = (g + g * ((m_each + 1 - e) & low)) & low
-        return self._pack(self._unpack(g, size)[::-1])
+        return self.pack(self.unpack(g, size)[::-1])
 
     def mul(self, a, b) -> tuple[int, ...]:
         """a * b mod (psi, 2^n) for coefficient vectors a, b of length at
-        most f with entries in [0, 2^n).  With p the product and p_hi its
-        terms of degree >= f shifted down, the quotient by psi is
-        floor(p_hi * mu / x^(f-2)) and the remainder p - quotient * psi;
-        both are read mod 2^n."""
+        most f with entries in [0, 2^n), by mul_packed."""
+        return tuple(self.unpack(self.mul_packed(self.pack(a), self.pack(b))))
+
+    def mul_packed(self, a: int, b: int) -> int:
+        """a * b mod (psi, 2^n) for packed vectors a, b of at most f slots,
+        each in [0, 2^n); the result is packed the same way.  With p the
+        product and p_hi its terms of degree >= f shifted down, the quotient
+        by psi is floor(p_hi * mu / x^(f-2)) and the remainder
+        p - quotient * psi; both are read mod 2^n."""
         k, f = self._slot_bits, self._f
-        p = (self._pack(a) * self._pack(b)) & self._mask
+        p = (a * b) & self._mask
         high = p >> (k * f)
         if high:
             q = ((high * self._mu) >> (k * (f - 2))) & self._mask_q
             # Slots at and above f are garbage here and masked away.
             p = (p + q * self._neg_psi) & self._mask_r
-        return tuple(self._unpack(p, f))
+        return p
+
+    def add(self, a: int, b: int) -> int:
+        """a + b mod 2^n slot by slot: each sum is below 2^(n+1) < 2^k."""
+        return (a + b) & self._mask_r
+
+    def sub(self, a: int, b: int) -> int:
+        """a - b mod 2^n slot by slot: 2^n + a_i - b_i lies in (0, 2^(n+1)),
+        so no slot borrows from the next."""
+        return ((a | self._top) - b) & self._mask_r
+
+    def div_pow2(self, a: int, j: int) -> int | None:
+        """a / 2^j slot by slot, or None when some slot is not divisible: a
+        mask test of the low j bits of every slot, then one shift, which
+        moves no bit across a slot boundary once those bits are 0."""
+        if a & (self._ones * ((1 << j) - 1)):
+            return None
+        return a >> j
+
+    def residue(self, a: int) -> int:
+        """a mod 2 as a bit-packed GF(2) polynomial, bit i from slot i: the
+        low byte of each slot, read big-endian (slot f-1 first), is
+        translated to the ASCII digit of its low bit."""
+        w = self._slot_bytes
+        return int(a.to_bytes(self._f * w, "big")[w - 1 :: w].translate(_LOW_BIT_DIGIT), 2)
+
+    def lift(self, b: int) -> int:
+        """The packed vector with slot i the bit i of b (degree < f): its
+        binary digits, most significant first, translated to bytes 0 and 1
+        and placed in the low byte of each slot of a big-endian buffer."""
+        f, w = self._f, self._slot_bytes
+        digits = format(b, f"0{f}b").encode().translate(_DIGIT_VALUE)
+        if w == 1:
+            return int.from_bytes(digits, "big")
+        buf = bytearray(f * w)
+        buf[w - 1 :: w] = digits
+        return int.from_bytes(buf, "big")
+
+
+# Byte translations between a byte's low bit and the ASCII digits "0", "1".
+_LOW_BIT_DIGIT = bytes(48 + (i & 1) for i in range(256))
+_DIGIT_VALUE = bytes(i - 48 if i in (48, 49) else 0 for i in range(256))
 
 
 class GaloisRing:
     """GR(2^n, f) with a fixed monic modulus `psi` of degree f, irreducible
     mod 2.  It owns its elements the way a RealCyclotomicField does: `degree`
-    is f, `psi` the modulus mod 2^n, `m` = 2^n and `mul_coeffs` the product,
-    a PackedMulMod built once per ring."""
+    is f, `psi` the modulus mod 2^n, `m` = 2^n and `mul_coeffs` the product
+    of its `kernel`, a PackedMulMod built once per ring."""
 
-    __slots__ = ("n", "degree", "psi", "m", "residue_field", "mul_coeffs")
+    __slots__ = ("n", "degree", "psi", "m", "residue_field", "kernel", "mul_coeffs")
 
-    def __init__(self, n: int, modulus_coeffs) -> None:
+    def __init__(self, n: int, modulus_coeffs, residue_field: F2Field | None = None) -> None:
+        """residue_field: GF(2)[t]/(psi mod 2) when the caller has built it
+        already (RealCyclotomicField.residue_field_at_2); its modulus must be
+        psi mod 2 (ValueError otherwise).  Without it the ring builds one,
+        whose Berlekamp rank test raises ValueError if psi is reducible
+        mod 2."""
         if n < 1:
             raise ValueError("precision exponent n must be >= 1")
         psi = [c % (1 << n) for c in modulus_coeffs]
@@ -140,13 +201,17 @@ class GaloisRing:
         f = len(psi) - 1
         if f < 1:
             raise ValueError("modulus must have degree >= 1")
-        # Berlekamp's rank test: raises if psi is reducible mod 2.
-        self.residue_field = F2Field(f, f2_from_coeffs(psi))
+        if residue_field is None:
+            residue_field = F2Field(f, f2_from_coeffs(psi))
+        elif residue_field.modulus != f2_from_coeffs(psi):
+            raise ValueError("the residue field's modulus is not psi mod 2")
+        self.residue_field = residue_field
         self.n = n
         self.degree = f
         self.psi = tuple(psi)
         self.m = 1 << n
-        self.mul_coeffs = PackedMulMod(self.psi, n).mul
+        self.kernel = PackedMulMod(self.psi, n)
+        self.mul_coeffs = self.kernel.mul
 
     # -- element plumbing --------------------------------------------------
 
@@ -159,23 +224,6 @@ class GaloisRing:
     @property
     def one(self) -> "GaloisRingElem":
         return self.element(1)
-
-    def residue(self, a: "GaloisRingElem") -> int:
-        """a mod 2, as an element of residue_field (a bit-packed int)."""
-        return f2_from_coeffs(a.coeffs)
-
-    def lift(self, b: int) -> "GaloisRingElem":
-        """The lift of the residue-field element b with 0/1 coefficients."""
-        return self.element([(b >> i) & 1 for i in range(self.degree)])
-
-    def exact_div_pow2(self, a: "GaloisRingElem", k: int) -> "GaloisRingElem":
-        """Divide every coefficient by 2^k; the division must be exact."""
-        out = []
-        for c in a.coeffs:
-            if c % (1 << k):
-                raise ConsistencyError("coefficient not divisible by 2^k")
-            out.append(c >> k)
-        return self.element(out)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GaloisRing) and other.n == self.n and other.psi == self.psi
@@ -217,6 +265,13 @@ def gr_sqrt(u: GaloisRingElem) -> GaloisRingElem | None:
     which never obstruct once k >= 3.  The residue root is inverted once and
     no Galois-ring inverse is taken.  Each residue-field step is one product
     or one reduction (ffpoly.F2Field), with no loop over the Frobenius map.
+
+    u is packed once (the ring's PackedMulMod) and everything up to the
+    root stays a packed int: products by mul_packed, u - s^2 by sub, the
+    exact divisions by 2^k by div_pow2, residue and lift by byte
+    translation.  The root is unpacked once and checked by one element
+    product, s * s == u, which shares only the kernel's product with the
+    steps it checks.
     """
     ring = u.field
     fld = ring.residue_field
@@ -224,34 +279,39 @@ def gr_sqrt(u: GaloisRingElem) -> GaloisRingElem | None:
         raise PrecisionError("square obstructions need precision n >= 3")
     if not u.is_unit():
         raise NonUnitError("gr_sqrt needs a unit")
+    vec = ring.kernel
+    packed_u = vec.pack(u.coeffs)
 
-    residue_u = ring.residue(u)
+    residue_u = vec.residue(packed_u)
     root = fld.sqrt(residue_u)
     if fld.mul(root, root) != residue_u:
         raise ConsistencyError("residue-field root does not square back to residue(u)")
     root_inv = fld.inverse(root)
-    s = ring.lift(root)
-    diff = u - s * s
-    if any(c % 4 for c in diff.coeffs):
+    s = vec.lift(root)
+    quarter = vec.div_pow2(vec.sub(packed_u, vec.mul_packed(s, s)), 2)
+    if quarter is None:
         return None
 
     # (u/s^2 - 1)/4 = (u - s^2)/4 * s^-2, and s = root mod 2.
-    c = fld.mul(fld.mul(ring.residue(ring.exact_div_pow2(diff, 2)), root_inv), root_inv)
+    c = fld.mul(fld.mul(vec.residue(quarter), root_inv), root_inv)
     v = fld.artin_schreier(c)
     if (v is None) != (fld.trace(c) == 1):
         raise ConsistencyError("trace and Artin-Schreier reduction disagree")
     if v is None:
         return None
-    s = s * (ring.one + 2 * ring.lift(v))  # now s^2 = u mod 8
+    s = vec.mul_packed(s, 1 + (vec.lift(v) << 1))  # s (1 + 2 lift(v)): s^2 = u mod 8
 
     # s = lift(root) mod 2 throughout, so root_inv inverts every residue of s.
     for k in range(3, ring.n):
-        rem = ring.exact_div_pow2(u - s * s, k)
-        t = fld.mul(ring.residue(rem), root_inv)
-        s = s + (1 << (k - 1)) * ring.lift(t)
-    if not (s * s == u):
+        rem = vec.div_pow2(vec.sub(packed_u, vec.mul_packed(s, s)), k)
+        if rem is None:
+            raise ConsistencyError("u - s^2 is not divisible by 2^k")
+        t = fld.mul(vec.residue(rem), root_inv)
+        s = vec.add(s, vec.lift(t) << (k - 1))
+    root_elem = GaloisRingElem(ring, tuple(vec.unpack(s)))
+    if not (root_elem * root_elem == u):
         raise ConsistencyError("lifted root does not square back to u")
-    return s
+    return root_elem
 
 
 def is_square_pi_r(field: RealCyclotomicField) -> bool:
@@ -263,6 +323,6 @@ def is_square_pi_r(field: RealCyclotomicField) -> bool:
     the caller must fall back to the norm-residue criterion instead.
     """
     field.require_two_inert()
-    ring = GaloisRing(PI_R_PRECISION, field.psi)
+    ring = GaloisRing(PI_R_PRECISION, field.psi, field.residue_field_at_2())
     u = ring.element(field.pi_r().coeffs)
     return gr_sqrt(u) is not None

@@ -7,7 +7,9 @@ algorithms are plenty.  `negacyclic_resultant` gives h_r^- at every
 r <= 199: Res(x^m + 1, q) is the product, over the cyclotomic factors
 Phi_d of x^m + 1, of the norm of q(zeta_d), and each norm is the product of
 the phi(d) conjugates of q, each packed into one int, taken in
-Z/(2^(dL/2) + 1) and lifted exactly; m conjugates in all.  The quadratic
+Z/(2^(dL/2) + 1) and lifted exactly; m conjugates in all, each product
+reduced by `fermat_fold` (a mask, a shift and a subtraction, with one sign
+fix-up) in place of a long division.  The quadratic
 subresultant algorithm that it replaced is the reference in
 tests/oracles.py.  One row-echelon eliminator over Z, `_echelon`, serves
 `row_lattice_index` and `hermite_basis`.  GF(2) vectors are bit-packed
@@ -97,8 +99,14 @@ def negacyclic_resultant(q) -> int:
        (2^L - 1)^phi(d) >= (2A)^phi(d) >= 2 A^phi(d) >= 2 |N_d|.  So N_d is
        the residue of least absolute value mod M.
 
-    All m conjugates cost one slice, one int.from_bytes and one product
-    mod 2^(hL) + 1 each."""
+    4. Fold.  Each running product is reduced mod F = 2^(hL) + 1 by
+       fermat_fold, a mask, a shift and a subtraction in place of a long
+       division: the running product stays in [0, F), and each packed
+       conjugate less the offset lies in (-2^(hL), 2^(hL)), so every
+       product fed to the fold has absolute value below 2^(2hL).
+
+    All m conjugates cost one slice, one int.from_bytes, one product and
+    one fold each."""
     m = len(q)
     if not m:
         raise ValueError("q must have at least one coefficient")
@@ -120,17 +128,37 @@ def negacyclic_resultant(q) -> int:
             tiles, join = array(code, slots) * h, array.tobytes
         else:
             tiles, join = [s.to_bytes(width, "little") for s in slots] * h, b"".join
-        fermat = (1 << (h * bits)) + 1
+        width_f = h * bits
+        fermat = (1 << width_f) + 1
         offset = base * ((fermat - 2) // ((1 << bits) - 1))
         norm = 1
         for u in range(1, d, 2):
             if math.gcd(u, d) == 1:
                 packed = int.from_bytes(join(tiles[: h * u : u]), "little")
-                norm = norm * (packed - offset) % fermat
+                norm = fermat_fold(norm * (packed - offset), width_f)
         modulus = moduli[e] = fermat // math.prod(v for f, v in moduli.items() if e % f == 0)
         norm %= modulus
         res *= norm - modulus if 2 * norm > modulus else norm
     return res
+
+
+def fermat_fold(value: int, n: int) -> int:
+    """value mod F = 2^n + 1 in [0, F), for |value| <= 2^(2n), without a
+    division.
+
+    Write value = hi 2^n + lo with lo = value & (2^n - 1) in [0, 2^n) and
+    hi = value >> n (a floor, so also for value < 0).  As 2^n = -1 mod F,
+    value = lo - hi mod F.  |value| <= 2^(2n) gives -2^n <= hi <= 2^n, so
+    x = lo - hi lies in [-2^n, 2^(n+1) - 1] = [1 - F, 2F - 3]: one addition
+    of F when x < 0, or one subtraction when x >= F, brings it into
+    [0, F)."""
+    mask = (1 << n) - 1
+    x = (value & mask) - (value >> n)
+    if x < 0:
+        return x + mask + 2
+    if x > mask + 1:
+        return x - mask - 2
+    return x
 
 
 def gf2_reduce(pivots: dict, vec: int, combo: int = 0) -> tuple[int, int]:

@@ -49,6 +49,22 @@ def least_primitive_root(p: int) -> int:
     return g
 
 
+def order_of_two_mod_pm1(r: int) -> int:
+    """The order of 2 in (Z/r)^*/{±1} for an odd prime r <= MAX_R: the least
+    f >= 1 with 2^f = ±1 mod r, found by stepping 2^f mod r, at most
+    (r - 1)/2 multiplications.  The bound comes first, as in
+    least_primitive_root."""
+    if r > MAX_R:
+        raise ValueError(f"r = {r} exceeds MAX_R = {MAX_R}")
+    if r < 3 or not is_prime(r):
+        raise ValueError(f"r = {r} must be an odd prime")
+    x, f = 2, 1
+    while x != 1 and x != r - 1:
+        x = 2 * x % r
+        f += 1
+    return f
+
+
 def primes_upto(n: int) -> list[int]:
     """All primes <= n by sieve."""
     if n < 2:

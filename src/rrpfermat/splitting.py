@@ -1,11 +1,12 @@
 """Decomposition of 2 and r in Q+ = Q(theta) and in the compositum
 K+ = Q(sqrt(d), theta).
 
-The decomposition of 2 in Q+ is read off the distinct-degree factorization
-of psi_r mod 2 (valid because disc(psi_r) is odd, so 2 is unramified and
-Z[theta] is 2-maximal).  For quadratic base fields the compositum is never
-analyzed through a global integral basis; instead each prime q of Q+ above 2
-contributes a fiber computed locally: q has an unramified local field of
+The decomposition of 2 in Q+ is read off the order of 2 in (Z/r)^*/{±1},
+with the factorization of psi_r mod 2 as the second route (valid because
+disc(psi_r) is odd, so 2 is unramified and Z[theta] is 2-maximal).  For
+quadratic base fields the compositum is never analyzed through a global
+integral basis; instead each prime q of Q+ above 2 contributes a fiber
+computed locally: q has an unramified local field of
 residue degree f, and the quadratic x^2 - d splits, stays inert, or ramifies
 over it according to the 2-adic square-class of d, decided with the same
 mod-4 / mod-8 (trace) obstructions used by the Galois-ring square root.
@@ -82,9 +83,11 @@ def _as_field(r) -> RealCyclotomicField:
 
 
 def split_2_in_Qplus(r) -> SplittingReport:
-    """Decomposition of 2 in Q(theta_r): unramified with residue degrees
-    given by the distinct-degree shape of psi_r mod 2 (memoized on the
-    field)."""
+    """Decomposition of 2 in Q(theta_r): unramified, (r-1)/(2f) primes of
+    residue degree f, the order of 2 in (Z/r)^*/{±1}, read off the field's
+    memoized two_shape(), which checks it against the Berlekamp rank of
+    psi_r mod 2 where 2 is inert and against its distinct-degree shape
+    where 2 splits."""
     fld = _as_field(r)
     primes = []
     for deg, count in fld.two_shape():
@@ -132,13 +135,14 @@ def _quadratic_fiber(d: int, f: int) -> tuple[tuple[int, int], ...]:
 def split_2_in_Kplus(d: int, r) -> SplittingReport:
     """Decomposition of 2 in K+ = Q(sqrt(d), theta_r) by the local tower
     rule: base step in Q+ (unramified, residue degree f per prime), then the
-    quadratic fiber over each of those primes."""
+    quadratic fiber over each of those primes.  Every prime above 2 in the
+    Galois extension Q+ has the same residue degree f, so the fiber is
+    computed once and repeated."""
     check_quadratic_d(d)
     fld = _as_field(r)
     base = split_2_in_Qplus(fld)
-    primes: list[tuple[int, int]] = []
-    for _, f in base.primes:
-        primes.extend(_quadratic_fiber(d, f))
+    f = base.primes[0][1]
+    primes = _quadratic_fiber(d, f) * len(base.primes)
     return SplittingReport(2, 2 * fld.degree, tuple(sorted(primes)))
 
 

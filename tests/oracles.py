@@ -18,8 +18,14 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p
 
 from rrpfermat.cycfield import CycInt, RealCyclotomicField
-from rrpfermat.errors import DegenerateCurveError, UnfactoredCofactorError
-from rrpfermat.ffpoly import X, f2_gcd, f2_mod, f2_mulmod
+from rrpfermat.errors import (
+    ConsistencyError,
+    DegenerateCurveError,
+    NonUnitError,
+    PrecisionError,
+    UnfactoredCofactorError,
+)
+from rrpfermat.ffpoly import X, f2_from_coeffs, f2_gcd, f2_mod, f2_mulmod
 from rrpfermat.intlinalg import row_lattice_index
 from rrpfermat.numutil import strip_factor
 
@@ -520,6 +526,55 @@ def gr_square_set(ring) -> frozenset:
     """Coefficient tuples of every square in a small GR(2^n, f), found by
     squaring each of its elements."""
     return frozenset((v * v).coeffs for v in gr_elements(ring))
+
+
+def gr_sqrt_elementwise(u):
+    """The element-wise galoisring.gr_sqrt that the packed one replaced,
+    kept as its reference: the same stages (residue root, mod-4 test,
+    Artin-Schreier step in the residue field, Hensel steps) on GaloisRingElem
+    coefficient tuples, one element product and one tuple comprehension per
+    step, with residue, lift and the exact division by 2^k written out."""
+    ring = u.field
+    fld = ring.residue_field
+    if ring.n < 3:
+        raise PrecisionError("square obstructions need precision n >= 3")
+    if not u.is_unit():
+        raise NonUnitError("gr_sqrt needs a unit")
+
+    def residue(a):
+        return f2_from_coeffs(a.coeffs)
+
+    def lift(b):
+        return ring.element([(b >> i) & 1 for i in range(ring.degree)])
+
+    def exact_div_pow2(a, k):
+        if any(c % (1 << k) for c in a.coeffs):
+            raise ConsistencyError("coefficient not divisible by 2^k")
+        return ring.element([c >> k for c in a.coeffs])
+
+    residue_u = residue(u)
+    root = fld.sqrt(residue_u)
+    if fld.mul(root, root) != residue_u:
+        raise ConsistencyError("residue-field root does not square back to residue(u)")
+    root_inv = fld.inverse(root)
+    s = lift(root)
+    diff = u - s * s
+    if any(c % 4 for c in diff.coeffs):
+        return None
+    c = fld.mul(fld.mul(residue(exact_div_pow2(diff, 2)), root_inv), root_inv)
+    v = fld.artin_schreier(c)
+    if (v is None) != (fld.trace(c) == 1):
+        raise ConsistencyError("trace and Artin-Schreier reduction disagree")
+    if v is None:
+        return None
+    s = s * (ring.one + 2 * lift(v))
+    for k in range(3, ring.n):
+        rem = exact_div_pow2(u - s * s, k)
+        t = fld.mul(residue(rem), root_inv)
+        s = s + (1 << (k - 1)) * lift(t)
+    if not (s * s == u):
+        raise ConsistencyError("lifted root does not square back to u")
+    return s
 
 
 # -- global splitting oracle for the quadratic tower --------------------------

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ from rrpfermat import classnumber, criteria
 from rrpfermat.cli import (
     EXIT_FAIL,
     EXIT_INTERNAL,
+    EXIT_IOERR,
     EXIT_PASS,
     EXIT_UNDETERMINED,
     EXIT_USAGE,
@@ -288,3 +292,22 @@ def test_internal_cross_check_failure_exits_70(monkeypatch, capsys):
     code, _, err = run(capsys, "frey", "--r", "5", "--x", "2", "--y", "1")
     assert code == EXIT_INTERNAL
     assert err.startswith("error:") and "A + B + C" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-q", "--r", "199", "--json"],
+    ["scan-q", "--max-r", "30"],
+])
+def test_a_closed_stdout_pipe_exits_74_without_a_traceback(argv):
+    # The read end of the pipe is closed before the child starts, so its
+    # first write or flush fails with EPIPE, as under `| head -1`.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "rrpfermat.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_IOERR == 74
+    assert b"Traceback" not in proc.stderr and b"Exception ignored" not in proc.stderr

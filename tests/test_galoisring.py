@@ -9,7 +9,7 @@ from rrpfermat.cli import EXIT_INTERNAL, main
 from rrpfermat.cycfield import build_field
 from rrpfermat.errors import ConsistencyError, NonUnitError, NotInertError, PrecisionError
 from rrpfermat.ffpoly import F2Field, least_irreducible
-from rrpfermat.galoisring import GaloisRing, GaloisRingElem, gr_sqrt, is_square_pi_r
+from rrpfermat.galoisring import GaloisRing, GaloisRingElem, PackedMulMod, gr_sqrt, is_square_pi_r
 from rrpfermat.numutil import primes_upto
 from rrpfermat.splitting import split_2_in_Qplus
 
@@ -197,6 +197,61 @@ def test_gr_sqrt_properties(case):
         assert (u_root is not None) == (u.coeffs in oracles.gr_square_set(ring))
 
 
+_LEAST_IRREDUCIBLE: dict[int, int] = {}
+
+
+@st.composite
+def wide_ring_and_unit(draw):
+    """A unit of GR(2^n, f) for 1 <= f <= 99 and 3 <= n <= 12 over the least
+    irreducible of degree f with random higher 2-adic digits: a random
+    unit (mostly stopped by the mod-4 test), a square, or a square times
+    1 + 4c (stopped or not by the trace of c at the mod-8 step)."""
+    f = draw(st.integers(1, 99))
+    n = draw(st.integers(3, 12))
+    if f not in _LEAST_IRREDUCIBLE:
+        _LEAST_IRREDUCIBLE[f] = least_irreducible(f)
+    low = _LEAST_IRREDUCIBLE[f]
+    lifts = draw(st.lists(st.integers(0, (1 << (n - 1)) - 1), min_size=f, max_size=f))
+    ring = GaloisRing(n, [((low >> i) & 1) + 2 * c for i, c in enumerate(lifts)] + [1])
+    coeffs = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=f, max_size=f))
+    coeffs[draw(st.integers(0, f - 1))] |= 1
+    u = ring.element(coeffs)
+    kind = draw(st.sampled_from(["unit", "square", "mod8"]))
+    if kind == "unit":
+        return u
+    if kind == "square":
+        return u * u
+    c = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=f, max_size=f))
+    return u * u * (ring.one + 4 * ring.element(c))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(wide_ring_and_unit())
+def test_packed_gr_sqrt_matches_the_elementwise_reference(u):
+    root = gr_sqrt(u)
+    assert root == oracles.gr_sqrt_elementwise(u)
+    if root is not None:
+        assert type(root) is GaloisRingElem and root * root == u
+
+
+def test_packed_gr_sqrt_reaches_every_stage():
+    # The three outcomes of gr_sqrt at f = 99, n = 12: stopped mod 4,
+    # stopped by a trace-1 Artin-Schreier input mod 8, and a root.
+    ring = make_ring(12, 99)
+    rng = random.Random(99)
+    w = ring.element([rng.randrange(1 << 12) | (i == 0) for i in range(99)])
+    c = next(b for b in range(1, 1 << 8) if ring.residue_field.trace(b))
+    cases = {
+        "mod 4": w * w + 2,
+        "mod 8": w * w * (ring.one + 4 * ring.element([(c >> i) & 1 for i in range(99)])),
+        "root": w * w,
+    }
+    for name, u in cases.items():
+        root = gr_sqrt(u)
+        assert root == oracles.gr_sqrt_elementwise(u), name
+        assert (root is None) == (name != "root"), name
+
+
 INERT_R = [r for r in primes_upto(61) if r >= 5 and split_2_in_Qplus(r).inert]
 
 
@@ -269,3 +324,26 @@ def test_a_trace_that_disagrees_with_artin_schreier_raises_and_exits_70(monkeypa
     captured = capsys.readouterr()
     assert code == EXIT_INTERNAL
     assert captured.err.startswith("error:") and "Artin-Schreier" in captured.err
+
+
+def test_a_root_that_does_not_square_back_raises(monkeypatch):
+    # The packed stages end in one element product, s * s == u, which shares
+    # only the kernel's product with them: a root corrupted on unpacking
+    # (slot 0 off by 2) is caught there.
+    ring = make_ring(5, 3)
+    u = ring.element([3, 1, 2]) * ring.element([3, 1, 2])
+    assert gr_sqrt(u) is not None
+    true_unpack = PackedMulMod.unpack
+    corrupted = []
+
+    def unpack_once_wrong(self, x, count=None):
+        slots = true_unpack(self, x, count)
+        if not corrupted:
+            corrupted.append(x)
+            slots[0] = (slots[0] + 2) % 32
+        return slots
+
+    monkeypatch.setattr(PackedMulMod, "unpack", unpack_once_wrong)
+    with pytest.raises(ConsistencyError, match="square back to u"):
+        gr_sqrt(u)
+    assert corrupted

@@ -8,8 +8,10 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rrpfermat.intlinalg as intlinalg
 from rrpfermat.intlinalg import (
     bareiss_det,
+    fermat_fold,
     gf2_det,
     gf2_pivots,
     gf2_reduce,
@@ -281,6 +283,75 @@ def test_negacyclic_resultant_at_each_slot_width_boundary(weight, code, m):
         assert sum(map(abs, q)) == weight
         assert slot_layout((2 * weight).bit_length())[0] == code
         assert negacyclic_resultant(q) == resultant(_negacyclic(q), q)
+
+
+# Widths hL of the Fermat modulus 2^(hL) + 1 at each slot width L of
+# numutil.slot_layout (8, 16, 32 and 64 bits, then whole bytes), for the
+# h = 1, 2, 3 and 8 that small m give.
+FOLD_WIDTHS = [h * bits for bits in (8, 16, 32, 64, 72) for h in (1, 2, 3, 8)]
+
+
+def _fold_edges(n):
+    """Inputs at the edges of fermat_fold's domain |value| <= 2^(2n) and of
+    each of its three branches, with F = 2^n + 1."""
+    F = (1 << n) + 1
+    top = 1 << (2 * n)
+    edges = {0, 1, 2, F - 2, F - 1, F, F + 1, 2 * F - 1, 2 * F, 1 << n, (1 << n) - 1,
+             top, top - 1, top - F, (F - 1) * (F - 1), (F - 2) * ((1 << n) - 1)}
+    return sorted(edges | {-e for e in edges})
+
+
+@pytest.mark.parametrize("n", FOLD_WIDTHS)
+def test_fermat_fold_at_the_edges_of_each_width(n):
+    F = (1 << n) + 1
+    for value in _fold_edges(n):
+        assert fermat_fold(value, n) == value % F, (n, value)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(FOLD_WIDTHS), st.data())
+def test_fermat_fold_is_the_remainder_on_its_whole_domain(n, data):
+    top = 1 << (2 * n)
+    value = data.draw(st.integers(-top, top))
+    assert fermat_fold(value, n) == value % ((1 << n) + 1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6, 15, 16])
+def test_negacyclic_resultant_at_norms_zero_and_unit(m):
+    # q = 0 and q = 1 + x at odd m (x = -1 is a root of x^m + 1) give 0;
+    # +-1 and +-x^(m-1) are units, so their conjugates multiply to -1 = F - 1
+    # and to the other +-2^k mod F at the top of the fold's range.
+    cases = [[0] * m, [1] + [0] * (m - 1), [-1] + [0] * (m - 1),
+             [0] * (m - 1) + [1], [0] * (m - 1) + [-1]]
+    if m % 2 and m > 1:
+        cases.append([1, 1] + [0] * (m - 2))
+    for q in cases:
+        expected = resultant(_negacyclic(q), q)
+        assert expected in (0, 1, -1)
+        assert negacyclic_resultant(q) == expected, q
+
+
+def test_every_product_fed_to_the_fold_lies_in_its_domain(monkeypatch):
+    # negacyclic_resultant's docstring bounds each product by 2^(2hL); run
+    # the 44 Maillet resultants and the slot-width boundary cases through a
+    # fold that checks the bound and records which fix-up branch it took.
+    branches = set()
+
+    def checked_fold(value, n):
+        assert abs(value) <= 1 << (2 * n)
+        x = (value & ((1 << n) - 1)) - (value >> n)
+        branches.add(-1 if x < 0 else int(x > 1 << n))  # add F, keep, subtract F
+        return fermat_fold(value, n)
+
+    monkeypatch.setattr(intlinalg, "fermat_fold", checked_fold)
+    from rrpfermat.numutil import primes_upto
+
+    qs = [oracles.maillet_qbar(r) for r in primes_upto(199) if r >= 5]
+    for weight in (127, 128, 2**15, 2**31, 2**63 - 1, 2**63):
+        qs += [[weight] + [0] * 5, [0] * 5 + [-weight], [weight - 5] + [(-1) ** i for i in range(5)]]
+    for q in qs:
+        assert negacyclic_resultant(q) == resultant(_negacyclic(q), q)
+    assert branches == {-1, 0, 1}
 
 
 def test_negacyclic_resultant_needs_a_coefficient():

@@ -70,6 +70,7 @@ def test_the_search_finds_the_known_entry_points():
         "descent.signed_norm_of_pi_r",
         "numutil.least_primitive_root",
         "numutil.legendre_symbol",
+        "numutil.order_of_two_mod_pm1",
     } <= names
     assert set(NOT_A_PRIME) <= names
     assert len(names) >= 20

@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrpfermat.cli import MAX_D
-from rrpfermat.numutil import MAX_R, is_squarefree, least_primitive_root, legendre_symbol, primes_upto
+from rrpfermat.numutil import (
+    MAX_R,
+    is_squarefree,
+    least_primitive_root,
+    legendre_symbol,
+    order_of_two_mod_pm1,
+    primes_upto,
+)
 from rrpfermat.splitting import check_r_inert_in_quadratic
 
 
@@ -63,6 +70,27 @@ def test_least_primitive_root_matches_sympy():
     for bad in (2, 9, 1, MAX_R + 1):
         with pytest.raises(ValueError):
             least_primitive_root(bad)
+
+
+def test_order_of_two_mod_pm1_against_sympy_n_order():
+    # The order of 2 mod ±1 is the order of 2 mod r, halved when that order
+    # is even (then -1 is a power of 2 in the cyclic group (Z/r)^*).
+    for r in primes_upto(MAX_R)[1:]:
+        o = sp.n_order(2, r)
+        assert order_of_two_mod_pm1(r) == (o // 2 if o % 2 == 0 else o), r
+    for bad in (2, 9, 1, MAX_R + 1):
+        with pytest.raises(ValueError):
+            order_of_two_mod_pm1(bad)
+
+
+def test_order_of_two_bound_checked_before_primality(monkeypatch):
+    def no_primality_test(_):
+        raise AssertionError("primality tested before the MAX_R bound")
+
+    monkeypatch.setattr("rrpfermat.numutil.is_prime", no_primality_test)
+    r = 10**30 + 57
+    with pytest.raises(ValueError, match=f"r = {r} exceeds MAX_R = {MAX_R}"):
+        order_of_two_mod_pm1(r)
 
 
 @pytest.mark.parametrize("call", [

@@ -1,7 +1,8 @@
 """Property tests of the polynomial-ring kernels against sympy: the
 schoolbook `polyrem` / `polymulmod` over Z, and the packed Kronecker-Barrett
 product over Z/2^n (`galoisring.PackedMulMod`), also against the schoolbook
-Z/2^n oracle."""
+Z/2^n oracle; and the packed slot-wise operations that gr_sqrt runs between
+its products, against the same operations on coefficient lists."""
 
 import random
 
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rrpfermat.cycfield import build_field, polymulmod, polyrem
+from rrpfermat.ffpoly import f2_from_coeffs
 from rrpfermat.galoisring import PackedMulMod
 
 import oracles
@@ -83,6 +85,32 @@ def test_packed_mulmod_matches_sympy_and_schoolbook(case):
     expected = oracles.schoolbook_mulmod_2n(a, b, modulus, m)
     assert PackedMulMod(modulus, n).mul(a, b) == expected
     assert tuple(c % m for c in sympy_rem(oracles.poly_mul(a, b), modulus)) == expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(packed_cases(), st.integers(0, 2**99 - 1), st.integers(1, 40))
+@example(((1, 1), 3, [7], [7]), 1, 2)  # 8-bit slots
+@example((tuple([(1 << 40) - 1] * 99) + (1,), 40, [(1 << 40) - 1] * 99, [0] * 99), 2**99 - 1, 40)
+def test_packed_slot_operations_match_coefficient_lists(case, bits, j):
+    # add, sub, div_pow2, residue and lift on packed ints against the same
+    # operation coefficient by coefficient, at every slot width that
+    # packed_cases reaches (8 to 64 bits, then whole bytes).
+    modulus, n, a, b = case
+    f, m = len(modulus) - 1, 1 << n
+    a, b = a + [0] * (f - len(a)), b + [0] * (f - len(b))
+    kernel = PackedMulMod(modulus, n)
+    pa, pb = kernel.pack(a), kernel.pack(b)
+    assert kernel.unpack(pa) == a
+    assert kernel.unpack(kernel.add(pa, pb)) == [(x + y) % m for x, y in zip(a, b)]
+    assert kernel.unpack(kernel.sub(pa, pb)) == [(x - y) % m for x, y in zip(a, b)]
+    assert kernel.unpack(kernel.mul_packed(pa, pb)) == list(kernel.mul(a, b))
+    j = min(j, n)
+    divisible = [x - x % (1 << j) for x in a]
+    assert kernel.unpack(kernel.div_pow2(kernel.pack(divisible), j)) == [x >> j for x in divisible]
+    assert (kernel.div_pow2(pa, j) is None) == any(x % (1 << j) for x in a)
+    assert kernel.residue(pa) == f2_from_coeffs(a)
+    low = bits & ((1 << f) - 1)
+    assert kernel.unpack(kernel.lift(low)) == [(low >> i) & 1 for i in range(f)]
 
 
 def test_packed_mulmod_slot_widths():

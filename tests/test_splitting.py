@@ -1,5 +1,6 @@
 import pytest
 
+import rrpfermat.splitting as splitting
 from rrpfermat.errors import NotCoprimeError
 from rrpfermat.numutil import primes_upto
 from rrpfermat.splitting import (
@@ -130,3 +131,15 @@ def test_check_r_inert_matches_legendre_oracle():
             if d % r == 0:
                 continue
             assert check_r_inert_in_quadratic(d, r) == (d % r not in squares), (d, r)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 17])
+def test_the_quadratic_fiber_is_computed_once_per_op(monkeypatch, d):
+    # Every prime above 2 in Q+ has the same residue degree, so at r = 31
+    # (three primes of degree 5) one fiber serves all three.
+    calls = []
+    real_fiber = splitting._quadratic_fiber
+    monkeypatch.setattr(splitting, "_quadratic_fiber", lambda d, f: calls.append(f) or real_fiber(d, f))
+    rep = split_2_in_Kplus(d, 31)
+    assert calls == [5]
+    assert rep.primes == tuple(sorted(real_fiber(d, 5) * 3))

@@ -1,33 +1,40 @@
 """The splitting of 2 in Q(theta_r) is decided on one route,
-RealCyclotomicField.two_shape(); every consumer must agree with the
-independent order-of-2 oracle for each prime 5 <= r <= 199."""
+RealCyclotomicField.two_shape(), from the order of 2 in (Z/r)^*/{±1}; every
+consumer must agree with sympy's factorization of psi_r mod 2 for each prime
+5 <= r <= 199.  Its second route (the Berlekamp rank where 2 is inert, the
+DDF where 2 splits) raises ConsistencyError on any disagreement, and
+check-q then exits 70."""
 
 import pytest
 
+import rrpfermat.cycfield as cycfield
+import rrpfermat.ffpoly as ffpoly
+from rrpfermat.cli import EXIT_INTERNAL, main
 from rrpfermat.cycfield import build_field
-from rrpfermat.errors import NotInertError
-from rrpfermat.galoisring import is_square_pi_r
+from rrpfermat.errors import ConsistencyError, NotInertError
+from rrpfermat.galoisring import GaloisRing, is_square_pi_r
 from rrpfermat.numutil import primes_upto
 from rrpfermat.splitting import split_2_in_Qplus
 
-from test_ffpoly import order_of_two_mod_pm1
+import oracles
 
 PRIMES = [r for r in primes_upto(199) if r >= 5]
 
 
 @pytest.mark.parametrize("r", PRIMES)
-def test_two_shape_matches_order_oracle(r):
+def test_two_shape_matches_sympy_factorization(r):
     field = build_field(r)
-    f = order_of_two_mod_pm1(r)
-    assert field.two_shape() == ((f, field.degree // f),)
+    shape = oracles.gf2_factor_shape(field.psi)
+    assert list(field.two_shape()) == shape
     assert field.two_shape() is field.two_shape()  # memoized
-    assert split_2_in_Qplus(field).primes == ((1, f),) * (field.degree // f)
+    (f, count), = shape
+    assert split_2_in_Qplus(field).primes == ((1, f),) * count
 
 
 @pytest.mark.parametrize("r", PRIMES)
 def test_inert_consumers_raise_exactly_when_two_splits(r):
     field = build_field(r)
-    inert = order_of_two_mod_pm1(r) == field.degree
+    inert = oracles.gf2_factor_shape(field.psi) == [(field.degree, 1)]
     consumers = [
         lambda: is_square_pi_r(field),
         field.require_two_inert,
@@ -38,3 +45,73 @@ def test_inert_consumers_raise_exactly_when_two_splits(r):
         else:
             with pytest.raises(NotInertError):
                 call()
+
+
+def test_one_residue_field_per_inert_r(monkeypatch):
+    # two_shape's Berlekamp route builds the GF(2^d) that is_square_pi_r
+    # hands to its Galois ring: one F2Field per field, none from the DDF.
+    built = []
+    real_f2field = cycfield.F2Field
+
+    def counting(*args):
+        built.append(args)
+        return real_f2field(*args)
+
+    monkeypatch.setattr(cycfield, "F2Field", counting)
+    monkeypatch.setattr(cycfield, "ddf_degrees", lambda p: pytest.fail("DDF ran at an inert r"))
+    field = build_field(199)
+    field.require_two_inert()
+    is_square_pi_r(field)
+    is_square_pi_r(field)
+    assert len(built) == 1
+    assert field.residue_field_at_2() is field.residue_field_at_2()
+
+
+def test_the_ddf_runs_where_two_splits(monkeypatch):
+    calls = []
+    real_ddf = cycfield.ddf_degrees
+    monkeypatch.setattr(cycfield, "ddf_degrees", lambda p: calls.append(p) or real_ddf(p))
+    assert build_field(193).two_shape() == ((48, 2),)
+    assert len(calls) == 1
+
+
+def test_a_ddf_that_disagrees_raises_and_exits_70(monkeypatch, capsys):
+    # r = 193: 2 splits into two primes of degree 48; a DDF that reads it
+    # as four primes of degree 24 contradicts the order of 2.
+    monkeypatch.setattr(cycfield, "ddf_degrees", lambda p: [(24, 4)])
+    with pytest.raises(ConsistencyError, match="DDF"):
+        build_field(193).two_shape()
+    code = main(["check-q", "--r", "193"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL
+    assert captured.err.startswith("error:") and "DDF" in captured.err
+
+
+def test_a_failed_berlekamp_rank_raises_and_exits_70(monkeypatch, capsys):
+    # r = 199: 2 is inert; a rank of Q - I one short of f - 1 would mean
+    # psi_r mod 2 has two factors, which contradicts the order of 2.
+    real_pivots = ffpoly.gf2_pivots
+
+    def one_pivot_short(vectors):
+        pivots = real_pivots(vectors)
+        pivots.pop(max(pivots))
+        return pivots
+
+    monkeypatch.setattr(ffpoly, "gf2_pivots", one_pivot_short)
+    with pytest.raises(ConsistencyError, match="Berlekamp"):
+        build_field(199).two_shape()
+    code = main(["check-q", "--r", "199"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL
+    assert captured.err.startswith("error:") and "Berlekamp" in captured.err
+
+
+def test_a_galois_ring_refuses_a_residue_field_of_another_modulus():
+    f7, f11 = build_field(7), build_field(11)  # both inert, degrees 3 and 5
+    with pytest.raises(ValueError, match="residue field"):
+        GaloisRing(5, f7.psi, f11.residue_field_at_2())
+    with pytest.raises(ValueError, match="residue field"):
+        # same degree, another modulus: x^3 + x + 1, while psi_7 = x^3 + x^2 + 1 mod 2
+        GaloisRing(5, [1, 1, 0, 1], f7.residue_field_at_2())
+    ring = GaloisRing(5, f7.psi, f7.residue_field_at_2())
+    assert ring.residue_field is f7.residue_field_at_2()
