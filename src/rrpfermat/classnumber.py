@@ -65,11 +65,9 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
-from .cycfield import MAX_R  # noqa: F401 -- re-exported: callers read classnumber.MAX_R
-from .cycfield import check_prime_r
 from .errors import ConsistencyError, TableError
 from .intlinalg import bareiss_det, gf2_det, negacyclic_resultant
-from .numutil import least_primitive_root
+from .numutil import LOW_BIT_DIGIT, check_prime_r, least_primitive_root
 
 ODD = "odd"
 EVEN = "even"
@@ -142,10 +140,6 @@ def maillet_h_minus(r: int) -> HMinusResult:
     )
 
 
-# Byte b -> ASCII "0" or "1", the parity of b.
-_PARITY_DIGIT = bytes(0x30 | (b & 1) for b in range(256))
-
-
 def maillet_parity_rows(r: int, inverses: list[int]) -> list[int]:
     """The rows of M mod 2 as ints, column j in bit j, with M[a][b] =
     a * c_b mod r and inverses = [c_1, ..., c_m].
@@ -167,7 +161,7 @@ def maillet_parity_rows(r: int, inverses: list[int]) -> list[int]:
     tops = ones << top
     row, rows = step, []
     for _ in range(m):
-        digits = row.to_bytes(m * s, "little")[::s].translate(_PARITY_DIGIT)
+        digits = row.to_bytes(m * s, "little")[::s].translate(LOW_BIT_DIGIT)
         rows.append(int(digits[::-1], 2))
         row += step
         row -= (((row + offset) & tops) >> top) * r

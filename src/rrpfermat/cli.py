@@ -37,7 +37,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__, classnumber, criteria, frey
-from .cycfield import build_field, check_prime_r
+from .cycfield import build_field
 from .errors import (
     ConsistencyError,
     DegenerateCurveError,
@@ -45,6 +45,7 @@ from .errors import (
     TableError,
     UnfactoredCofactorError,
 )
+from .numutil import MAX_R, check_prime_r
 from .splitting import check_quadratic_d
 
 EXIT_PASS = 0
@@ -136,12 +137,13 @@ def build_parser() -> _Parser:
 
 
 def _require_prime_r(r: int):
-    # The bound comes first: the primality test trial-divides up to sqrt(r).
-    if r > classnumber.MAX_R:
-        raise UsageError(f"--r {r}: desk-scale guard is r <= {classnumber.MAX_R}")
+    # check_prime_r tests the bound before primality; its message says which
+    # of the two refused r.
     try:
         check_prime_r(r)
-    except ValueError:
+    except ValueError as exc:
+        if "exceeds MAX_R" in str(exc):
+            raise UsageError(f"--r {r}: desk-scale guard is r <= {MAX_R}")
         raise UsageError(f"--r {r}: must be a prime >= 5")
 
 
@@ -192,8 +194,8 @@ def cmd_check_q(args) -> int:
 
 
 def cmd_scan_q(args) -> int:
-    if args.max_r > classnumber.MAX_R:
-        raise UsageError(f"--max-r {args.max_r}: desk-scale guard is {classnumber.MAX_R}")
+    if args.max_r > MAX_R:
+        raise UsageError(f"--max-r {args.max_r}: desk-scale guard is {MAX_R}")
     if args.max_r < 0:
         raise UsageError("--max-r must be nonnegative")
     expected = _load_input("--expect", args.expect, _read_int_list)

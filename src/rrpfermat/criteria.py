@@ -15,8 +15,7 @@ from typing import NamedTuple
 
 from . import classnumber, descent, galoisring, splitting
 from .cycfield import build_field
-from .errors import NotCoprimeError
-from .numutil import primes_upto
+from .numutil import MAX_R, primes_upto
 
 PASS = "pass"
 FAIL = "fail"
@@ -86,14 +85,6 @@ def _unique_prime_above_2(report) -> Condition:
     )
 
 
-def _r_inert_in_K(d: int, r: int) -> bool | None:
-    """Whether r stays prime in K = Q(sqrt(d)); None when r divides d."""
-    try:
-        return splitting.check_r_inert_in_quadratic(d, r)
-    except NotCoprimeError:
-        return None
-
-
 def check_corollary_Q(r: int) -> Verdict:
     """The three rational-base hypotheses: r not 1 mod 8, 2 inert in
     Q(theta_r), h+ odd.  When 2 is inert the direct Galois-ring test of the
@@ -154,7 +145,7 @@ def check_corollary_quad(d: int, r: int, table=None) -> Verdict:
     conditions.append(_unique_prime_above_2(report))
     conditions.append(_parity_condition(d, r, table))
 
-    inert = _r_inert_in_K(d, r)
+    inert = splitting.check_r_inert_in_quadratic(d, r)
     diagnostics = {"r_inert_in_K": "r divides d" if inert is None else inert}
     if inert is False:
         diagnostics["r_inert_note"] = (
@@ -206,7 +197,7 @@ def check_four_hypotheses(base_d: int, r: int, table=None) -> Verdict:
     else:
         # split_2_in_Kplus refuses a base_d that is not a squarefree integer > 1.
         report = splitting.split_2_in_Kplus(base_d, field)
-        inert = _r_inert_in_K(base_d, r)
+        inert = splitting.check_r_inert_in_quadratic(base_d, r)
         if inert is None:
             r_inert = Condition("r inert in K", FAIL, {"reason": "r divides d"})
         else:
@@ -226,10 +217,10 @@ def check_four_hypotheses(base_d: int, r: int, table=None) -> Verdict:
 
 def scan_Q(r_max: int) -> list[int]:
     """All primes 5 <= r <= r_max whose rational-base verdict is a full
-    pass, in increasing order.  r_max is capped at classnumber.MAX_R (the
+    pass, in increasing order.  r_max is capped at numutil.MAX_R (the
     class-number engine's guard)."""
-    if r_max > classnumber.MAX_R:
-        raise ValueError(f"r_max = {r_max} exceeds the supported bound {classnumber.MAX_R}")
+    if r_max > MAX_R:
+        raise ValueError(f"r_max = {r_max} exceeds the supported bound {MAX_R}")
     out = []
     for r in primes_upto(r_max):
         if r < 5:

@@ -39,17 +39,7 @@ from math import comb
 from .errors import ConsistencyError, NotInertError
 from .ffpoly import F2Field, ddf_degrees, f2_from_coeffs
 from .intlinalg import bareiss_det
-from .numutil import MAX_R, is_prime, order_of_two_mod_pm1
-
-
-def check_prime_r(r: int) -> None:
-    """The one rule for the exponent r: a prime with 5 <= r <= MAX_R
-    (ValueError otherwise).  The bound comes first: the primality test
-    trial-divides up to sqrt(r)."""
-    if r > MAX_R:
-        raise ValueError(f"r = {r} exceeds MAX_R = {MAX_R}")
-    if r < 5 or not is_prime(r):
-        raise ValueError(f"r = {r} must be a prime >= 5")
+from .numutil import check_prime_r, order_of_two_mod_pm1
 
 
 def polyrem(vec, modulus) -> tuple[int, ...]:

@@ -17,8 +17,8 @@ levels at which the two base-field cases are actually decided.
 
 from __future__ import annotations
 
-from .cycfield import check_prime_r
 from .errors import ConsistencyError, NotCoprimeError
+from .numutil import check_prime_r
 from .splitting import check_quadratic_d
 
 

@@ -67,10 +67,10 @@ def frey_curve(field: RealCyclotomicField, x, y, k1: int, k2: int, k3: int) -> F
 
 
 def invariants(curve: FreyCurve) -> FreyInvariants:
-    return invariants_from_abc(curve.field, curve.A, curve.B, curve.C)
+    return invariants_from_abc(curve.A, curve.B, curve.C)
 
 
-def invariants_from_abc(field: RealCyclotomicField, A: CycInt, B: CycInt, C: CycInt) -> FreyInvariants:
+def invariants_from_abc(A: CycInt, B: CycInt, C: CycInt) -> FreyInvariants:
     """Invariants from explicit A, B, C with A + B + C = 0."""
     if not (A + B + C).is_zero():
         raise ValueError("A + B + C must vanish")

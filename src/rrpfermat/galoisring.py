@@ -37,7 +37,7 @@ from array import array
 from .cycfield import CycInt, RealCyclotomicField, polyrem
 from .errors import ConsistencyError, NonUnitError, PrecisionError
 from .ffpoly import F2Field, f2_from_coeffs
-from .numutil import slot_layout
+from .numutil import LOW_BIT_DIGIT, slot_layout
 
 # Precision n of O/P^n for hypothesis (iv): the mod-P^(4e+1) level, e = 1.
 PI_R_PRECISION = 5
@@ -159,7 +159,7 @@ class PackedMulMod:
         low byte of each slot, read big-endian (slot f-1 first), is
         translated to the ASCII digit of its low bit."""
         w = self._slot_bytes
-        return int(a.to_bytes(self._f * w, "big")[w - 1 :: w].translate(_LOW_BIT_DIGIT), 2)
+        return int(a.to_bytes(self._f * w, "big")[w - 1 :: w].translate(LOW_BIT_DIGIT), 2)
 
     def lift(self, b: int) -> int:
         """The packed vector with slot i the bit i of b (degree < f): its
@@ -174,8 +174,7 @@ class PackedMulMod:
         return int.from_bytes(buf, "big")
 
 
-# Byte translations between a byte's low bit and the ASCII digits "0", "1".
-_LOW_BIT_DIGIT = bytes(48 + (i & 1) for i in range(256))
+# ASCII digit "0" or "1" -> byte 0 or 1, the inverse of numutil.LOW_BIT_DIGIT.
 _DIGIT_VALUE = bytes(i - 48 if i in (48, 49) else 0 for i in range(256))
 
 

@@ -26,14 +26,26 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _check_bounded_prime(name: str, n: int, least: int) -> None:
+    """The one rule for a prime parameter: n a prime with least <= n <=
+    MAX_R (ValueError naming the parameter otherwise).  The bound comes
+    first: the primality test trial-divides up to sqrt(n)."""
+    if n > MAX_R:
+        raise ValueError(f"{name} = {n} exceeds MAX_R = {MAX_R}")
+    if n < least or not is_prime(n):
+        kind = "an odd prime" if least == 3 else f"a prime >= {least}"
+        raise ValueError(f"{name} = {n} must be {kind}")
+
+
+def check_prime_r(r: int) -> None:
+    """The rule for the exponent r: a prime with 5 <= r <= MAX_R."""
+    _check_bounded_prime("r", r, 5)
+
+
 def least_primitive_root(p: int) -> int:
     """The least g >= 2 that generates (Z/p)^* for an odd prime p <= MAX_R:
-    g^((p-1)/q) is not 1 mod p for any prime q dividing p - 1.  The bound
-    comes first, as in legendre_symbol."""
-    if p > MAX_R:
-        raise ValueError(f"p = {p} exceeds MAX_R = {MAX_R}")
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"p = {p} must be an odd prime")
+    g^((p-1)/q) is not 1 mod p for any prime q dividing p - 1."""
+    _check_bounded_prime("p", p, 3)
     n, q, quotients = p - 1, 2, []
     while q * q <= n:
         if n % q == 0:
@@ -52,12 +64,8 @@ def least_primitive_root(p: int) -> int:
 def order_of_two_mod_pm1(r: int) -> int:
     """The order of 2 in (Z/r)^*/{±1} for an odd prime r <= MAX_R: the least
     f >= 1 with 2^f = ±1 mod r, found by stepping 2^f mod r, at most
-    (r - 1)/2 multiplications.  The bound comes first, as in
-    least_primitive_root."""
-    if r > MAX_R:
-        raise ValueError(f"r = {r} exceeds MAX_R = {MAX_R}")
-    if r < 3 or not is_prime(r):
-        raise ValueError(f"r = {r} must be an odd prime")
+    (r - 1)/2 multiplications."""
+    _check_bounded_prime("r", r, 3)
     x, f = 2, 1
     while x != 1 and x != r - 1:
         x = 2 * x % r
@@ -97,14 +105,15 @@ def is_squarefree(n: int) -> bool:
 
 def legendre_symbol(a: int, p: int) -> int:
     """(a|p) in {-1, 0, 1} for an odd prime p <= MAX_R, by Euler's
-    criterion.  The bound comes first: the primality test trial-divides up
-    to sqrt(p)."""
-    if p > MAX_R:
-        raise ValueError(f"p = {p} exceeds MAX_R = {MAX_R}")
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"p = {p} must be an odd prime")
+    criterion."""
+    _check_bounded_prime("p", p, 3)
     ls = pow(a % p, (p - 1) // 2, p)
     return -1 if ls == p - 1 else ls
+
+
+# Byte b -> ASCII "0" or "1", the low bit of b: translating the low byte of
+# each packed slot and reading the digits in base 2 gives the slots mod 2.
+LOW_BIT_DIGIT = bytes(0x30 | (b & 1) for b in range(256))
 
 
 # (width in bits, array type code) for packing values into the slots of one

@@ -19,54 +19,43 @@ excludes through r not dividing d.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .cycfield import RealCyclotomicField, build_field
-from .errors import ConsistencyError, NotCoprimeError
+from .errors import ConsistencyError
 from .ffpoly import F2Field
 from .numutil import is_squarefree, legendre_symbol
 
 
-class SplittingReport:
+class _SplittingFields(NamedTuple):
+    rational_prime: int
+    field_degree: int
+    primes: tuple[tuple[int, int], ...]
+
+
+class SplittingReport(_SplittingFields):
     """Splitting type of a rational prime in a field of given degree.
 
     primes is a tuple of (ramification index e_i, residue degree f_i);
     the fundamental identity sum(e_i * f_i) = field_degree is enforced on
     construction, and the unique/inert flags are derived, not supplied.
-    Immutable and hashable.
     """
 
-    __slots__ = ("rational_prime", "field_degree", "primes", "unique", "inert")
+    __slots__ = ()
 
-    def __init__(self, rational_prime: int, field_degree: int, primes: tuple[tuple[int, int], ...]):
+    def __new__(cls, rational_prime: int, field_degree: int, primes: tuple[tuple[int, int], ...]):
         total = sum(e * f for e, f in primes)
         if total != field_degree:
             raise ValueError(f"sum(e*f) = {total} != field degree {field_degree}")
-        unique = len(primes) == 1
-        object.__setattr__(self, "rational_prime", rational_prime)
-        object.__setattr__(self, "field_degree", field_degree)
-        object.__setattr__(self, "primes", primes)
-        object.__setattr__(self, "unique", unique)
-        object.__setattr__(self, "inert", unique and primes[0] == (1, field_degree))
+        return super().__new__(cls, rational_prime, field_degree, primes)
 
-    def __setattr__(self, *_):
-        raise AttributeError("SplittingReport is immutable")
+    @property
+    def unique(self) -> bool:
+        return len(self.primes) == 1
 
-    def _key(self) -> tuple:
-        return (self.rational_prime, self.field_degree, self.primes)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SplittingReport):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"SplittingReport(rational_prime={self.rational_prime}, "
-            f"field_degree={self.field_degree}, primes={self.primes}, "
-            f"unique={self.unique}, inert={self.inert})"
-        )
+    @property
+    def inert(self) -> bool:
+        return self.unique and self.primes[0] == (1, self.field_degree)
 
     def to_dict(self) -> dict:
         return {
@@ -117,13 +106,11 @@ def split_2_in_quadratic(d: int) -> SplittingReport:
 def _quadratic_fiber(d: int, f: int) -> tuple[tuple[int, int], ...]:
     """Splitting of x^2 - d over the unramified 2-adic field of residue
     degree f, as (e, residue degree) pairs relative to that base."""
-    if d % 2 == 0:
-        # v(d) = 1: ramified regardless of the residue field.
-        return ((2, f),)
-    if d % 4 == 3:
-        # The square of any lift of sqrt(d mod 2) = 1 is 1 mod 4 != d:
-        # mod-4 obstruction fails for d and for every unit multiple of a
-        # square, so the extension is ramified.
+    if d % 4 != 1:
+        # Ramified regardless of the residue field: for d even, v(d) = 1;
+        # for d = 3 mod 4, the square of any lift of sqrt(d mod 2) = 1 is
+        # 1 mod 4 != d, so the mod-4 obstruction fails for d and for every
+        # unit multiple of a square.
         return ((2, f),)
     # d = 1 mod 4: unramified extension; square vs inert by the trace of
     # c = (d - 1)/4 mod 2 in GF(2^f).
@@ -159,13 +146,10 @@ def split_r_in_Qplus(r) -> SplittingReport:
     return SplittingReport(fld.r, fld.degree, ((fld.degree, 1),))
 
 
-def check_r_inert_in_quadratic(d: int, r: int) -> bool:
+def check_r_inert_in_quadratic(d: int, r: int) -> bool | None:
     """Whether r stays prime in Q(sqrt(d)): true exactly when d is a
-    quadratic non-residue mod r.  r | d (the symbol 0) is reported as its
-    own failure, not folded into the boolean.  legendre_symbol refuses an r
-    that is not an odd prime <= MAX_R with ValueError, testing the bound
-    before primality."""
+    quadratic non-residue mod r, and None when r divides d (the symbol 0:
+    r ramifies).  legendre_symbol refuses an r that is not an odd prime
+    <= MAX_R with ValueError, testing the bound before primality."""
     symbol = legendre_symbol(d, r)
-    if symbol == 0:
-        raise NotCoprimeError(f"r = {r} divides d = {d}")
-    return symbol == -1
+    return None if symbol == 0 else symbol == -1

@@ -352,6 +352,14 @@ def gf2_factor_shape(coeffs_low_first) -> list[tuple[int, int]]:
     return sorted(shape.items())
 
 
+def two_residue_degree(r: int) -> int:
+    """The residue degree of 2 in Q(zeta_r + 1/zeta_r), the order of 2 in
+    (Z/r)^*/{±1}, via sympy's n_order: the order of 2 mod r, halved when it
+    is even (then -1 is a power of 2 in the cyclic group (Z/r)^*)."""
+    o = sp.n_order(2, r)
+    return o // 2 if o % 2 == 0 else o
+
+
 def gf2_is_irreducible(p: int) -> bool:
     """sympy's irreducibility test over GF(2) on the bit-packed polynomial p
     (the routine behind sympy.Poly(..., modulus=2).is_irreducible, called on

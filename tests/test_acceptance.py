@@ -27,7 +27,7 @@ from rrpfermat.numutil import primes_upto
 
 import oracles
 from fixtures import FAIL_H_PARITY, FAIL_INERT, FAIL_R_MOD_8, H_MINUS, Q_LIST
-from test_ffpoly import order_of_two_mod_pm1, psi_bits
+from test_ffpoly import psi_bits
 
 
 def _report(n: int, ok: bool, detail: str, elapsed: float):
@@ -64,7 +64,7 @@ def test_criterion_2_named_exclusions():
         ok &= v.condition("r mod 8").status == PASS
         ok &= v.condition("h+ parity").status == PASS
         ok &= ddf_degrees(psi_bits(r)) == shape
-        ok &= shape[0][0] == order_of_two_mod_pm1(r)
+        ok &= shape[0][0] == oracles.two_residue_degree(r)
     _report(2, ok, "exclusions 17,41,73,89,97,113,137 (r mod 8); 29 (h- even, "
             "oracle-confirmed); 31,43 (DDF 5x3 / 7x3, order-confirmed)",
             time.monotonic() - t0)

@@ -5,7 +5,6 @@ import pytest
 
 from rrpfermat.classnumber import (
     EVEN,
-    MAX_R,
     ODD,
     UNDETERMINED,
     h_plus_parity,
@@ -15,7 +14,7 @@ from rrpfermat.classnumber import (
     table_digest,
 )
 from rrpfermat.errors import TableError
-from rrpfermat.numutil import primes_upto
+from rrpfermat.numutil import MAX_R, primes_upto
 
 import oracles
 from fixtures import H_MINUS, Q_LIST
@@ -40,7 +39,7 @@ def test_maillet_checks_the_bound_before_primality(monkeypatch):
     def no_primality_test(_):
         raise AssertionError("primality tested before the MAX_R bound")
 
-    monkeypatch.setattr("rrpfermat.cycfield.is_prime", no_primality_test)
+    monkeypatch.setattr("rrpfermat.numutil.is_prime", no_primality_test)
     r = 10**30 + 57
     with pytest.raises(ValueError, match=f"r = {r} exceeds MAX_R = 200"):
         maillet_h_minus(r)

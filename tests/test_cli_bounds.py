@@ -2,7 +2,6 @@
 
 import time
 
-from rrpfermat.classnumber import MAX_R
 from rrpfermat.cli import (
     EXIT_INTERNAL,
     EXIT_USAGE,
@@ -12,6 +11,7 @@ from rrpfermat.cli import (
     MAX_SMOOTHNESS_BOUND,
     main,
 )
+from rrpfermat.numutil import MAX_R
 
 
 def test_check_quad_refuses_huge_d_quickly(capsys):
@@ -42,7 +42,7 @@ def test_huge_r_is_refused_before_the_primality_test(capsys, monkeypatch):
     def no_trial_division(n):
         raise AssertionError(f"is_prime({n}) ran before the desk-scale guard")
 
-    monkeypatch.setattr("rrpfermat.cycfield.is_prime", no_trial_division)
+    monkeypatch.setattr("rrpfermat.numutil.is_prime", no_trial_division)
     r = str(10**30 + 57)
     for argv in (["check-q"], ["check-quad", "--d", "2"], ["frey", "--x", "3", "--y", "2"]):
         t0 = time.monotonic()

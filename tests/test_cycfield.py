@@ -4,10 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rrpfermat.cycfield import MAX_R, alpha_beta_gamma, build_field, f_k_eval
+from rrpfermat.cycfield import alpha_beta_gamma, build_field, f_k_eval
 from rrpfermat.descent import norm_necessary_condition
 from rrpfermat.galoisring import GaloisRing
-from rrpfermat.numutil import primes_upto
+from rrpfermat.numutil import MAX_R, primes_upto
 from rrpfermat.splitting import split_2_in_Kplus
 
 import oracles
@@ -31,7 +31,7 @@ def test_r_bound_checked_before_primality(monkeypatch, call):
     def no_primality_test(_):
         raise AssertionError("primality tested before the MAX_R bound")
 
-    monkeypatch.setattr("rrpfermat.cycfield.is_prime", no_primality_test)
+    monkeypatch.setattr("rrpfermat.numutil.is_prime", no_primality_test)
     r = 10**30 + 57
     with pytest.raises(ValueError, match=f"r = {r} exceeds MAX_R = {MAX_R}"):
         call(r)

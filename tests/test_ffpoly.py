@@ -35,17 +35,6 @@ def psi_bits(r: int) -> int:
     return sum((c & 1) << i for i, c in enumerate(f.psi))
 
 
-def order_of_two_mod_pm1(r: int) -> int:
-    """Multiplicative order of 2 in (Z/r)^x / {+-1}: the least k >= 1 with
-    2^k = +-1 mod r.  Independent arithmetic cross-check for residue degrees."""
-    x = 1
-    for k in range(1, r):
-        x = x * 2 % r
-        if x == 1 or x == r - 1:
-            return k
-    raise AssertionError("order not found")
-
-
 def test_ddf_examples():
     assert ddf_degrees(psi_bits(5)) == [(2, 1)]  # x^2+x+1 irreducible
     assert ddf_degrees(psi_bits(31)) == [(5, 3)]  # three quintics
@@ -88,7 +77,7 @@ def test_ddf_psi_equal_degree_and_order_oracle():
         assert len(shape) == 1, (r, shape)
         deg, count = shape[0]
         assert deg * count == (r - 1) // 2
-        assert deg == order_of_two_mod_pm1(r), r
+        assert deg == oracles.two_residue_degree(r), r
 
 
 def test_least_irreducible_values():
@@ -145,7 +134,7 @@ def test_least_irreducible_matches_rabin_scan_for_small_degrees():
 
 
 def test_least_irreducible_matches_rabin_scan_at_every_residue_degree():
-    degrees = sorted({order_of_two_mod_pm1(r) for r in primes_upto(199) if r >= 5})
+    degrees = sorted({oracles.two_residue_degree(r) for r in primes_upto(199) if r >= 5})
     assert len(degrees) == 37 and degrees[-1] == 99
     for f in degrees:
         assert least_irreducible(f) == oracles.rabin_least_irreducible(f), f
@@ -292,7 +281,7 @@ def test_trace_is_additive():
 
 # 2 is inert in Q(theta_r) exactly when psi_r mod 2 is irreducible, of
 # degree f = (r - 1)/2; these are the residue fields gr_sqrt works in.
-INERT_R = [r for r in primes_upto(199) if r >= 5 and order_of_two_mod_pm1(r) == (r - 1) // 2]
+INERT_R = [r for r in primes_upto(199) if r >= 5 and oracles.two_residue_degree(r) == (r - 1) // 2]
 
 
 @functools.cache

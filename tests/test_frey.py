@@ -93,7 +93,7 @@ def test_invariants_against_weierstrass_oracle_random():
 def test_degenerate_curve():
     f5 = build_field(5)
     with pytest.raises(DegenerateCurveError):
-        invariants_from_abc(f5, f5.one, -f5.one, f5.element(0))
+        invariants_from_abc(f5.one, -f5.one, f5.element(0))
     # x = 1, y = -1 sends f_0 to 0, so A = 0
     cur = frey_curve(f5, 1, -1, 0, 1, 2)
     with pytest.raises(DegenerateCurveError):
@@ -103,7 +103,7 @@ def test_degenerate_curve():
 def test_invariants_from_abc_requires_sum_zero():
     f5 = build_field(5)
     with pytest.raises(ValueError):
-        invariants_from_abc(f5, f5.one, f5.one, f5.one)
+        invariants_from_abc(f5.one, f5.one, f5.one)
 
 
 def test_coprimality_examples():

@@ -1,7 +1,6 @@
 import pytest
 
 import rrpfermat.splitting as splitting
-from rrpfermat.errors import NotCoprimeError
 from rrpfermat.numutil import primes_upto
 from rrpfermat.splitting import (
     SplittingReport,
@@ -13,7 +12,6 @@ from rrpfermat.splitting import (
 )
 
 import oracles
-from test_ffpoly import order_of_two_mod_pm1
 
 
 def test_report_invariant_enforced():
@@ -44,7 +42,7 @@ def test_split_2_in_Qplus_residue_degree_oracle():
         f = rep.primes[0][1]
         assert all(e == 1 for e, _ in rep.primes), r
         assert all(fi == f for _, fi in rep.primes), r
-        assert f == order_of_two_mod_pm1(r), r
+        assert f == oracles.two_residue_degree(r), r
         assert sum(e * fi for e, fi in rep.primes) == (r - 1) // 2
 
 
@@ -117,10 +115,8 @@ def test_check_r_inert_in_quadratic():
     assert check_r_inert_in_quadratic(2, 5) is True  # (2|5) = -1
     assert check_r_inert_in_quadratic(2, 7) is False  # 2 = 3^2 mod 7
     assert check_r_inert_in_quadratic(5, 7) is True  # squares mod 7: {1,2,4}
-    with pytest.raises(NotCoprimeError):
-        check_r_inert_in_quadratic(5, 5)
-    with pytest.raises(NotCoprimeError):
-        check_r_inert_in_quadratic(14, 7)
+    assert check_r_inert_in_quadratic(5, 5) is None  # r | d: r ramifies
+    assert check_r_inert_in_quadratic(14, 7) is None
 
 
 def test_check_r_inert_matches_legendre_oracle():
