@@ -60,7 +60,6 @@ and records the SHA-256 of exactly the bytes it parsed.
 
 from __future__ import annotations
 
-import hashlib
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
@@ -207,6 +206,8 @@ def load_hplus_table(path: str | Path | None = None) -> HPlusTable:
 
 
 def table_digest(data: bytes) -> str:
+    import hashlib  # only a table load hashes; the other commands never load it
+
     return hashlib.sha256(data).hexdigest()
 
 

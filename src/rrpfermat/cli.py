@@ -23,6 +23,10 @@ main is the only place that maps exceptions to exit codes.
 JSON reports (--json) are deterministic: stable key order, no timestamps,
 byte-identical for identical inputs and tool version.  Wall-clock timing is
 printed only in the human-readable form.
+
+Each subcommand imports only the modules it runs: check-q and scan-q load
+the verdict engine (criteria), check-quad also the h+ table, and frey only
+the curve and its field, so a frey process never loads the verdict engine.
 """
 
 from __future__ import annotations
@@ -36,8 +40,7 @@ import time
 from importlib import resources
 from pathlib import Path
 
-from . import __version__, classnumber, criteria, frey
-from .cycfield import build_field
+from . import __version__
 from .errors import (
     ConsistencyError,
     DegenerateCurveError,
@@ -45,8 +48,7 @@ from .errors import (
     TableError,
     UnfactoredCofactorError,
 )
-from .numutil import MAX_R, check_prime_r
-from .splitting import check_quadratic_d
+from .numutil import DEFAULT_SMOOTHNESS_BOUND, MAX_R, check_prime_r
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -79,11 +81,9 @@ MAX_SMOOTHNESS_BOUND = 10**7
 MAX_FREY_R = 31
 MAX_FREY_XY = 10**4
 
-_VERDICT_EXIT = {
-    criteria.PASS: EXIT_PASS,
-    criteria.FAIL: EXIT_FAIL,
-    criteria.UNDETERMINED: EXIT_UNDETERMINED,
-}
+# Keyed by criteria.PASS, FAIL and UNDETERMINED, spelled out so that
+# importing the CLI does not load the verdict engine.
+_VERDICT_EXIT = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "undetermined": EXIT_UNDETERMINED}
 
 
 class UsageError(Exception):
@@ -128,7 +128,7 @@ def build_parser() -> _Parser:
     p.add_argument("--y", type=int, required=True)
     p.add_argument("--k", type=str, default="0,1,2",
                    help="comma-separated distinct indices k1,k2,k3 (default 0,1,2)")
-    p.add_argument("--smoothness-bound", type=int, default=frey.DEFAULT_SMOOTHNESS_BOUND,
+    p.add_argument("--smoothness-bound", type=int, default=DEFAULT_SMOOTHNESS_BOUND,
                    dest="smoothness_bound")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_frey)
@@ -187,6 +187,8 @@ def _emit_verdict(verdict, args, extra: dict | None = None, elapsed: float = 0.0
 
 
 def cmd_check_q(args) -> int:
+    from . import criteria
+
     _require_prime_r(args.r)
     t0 = time.monotonic()
     verdict = criteria.check_corollary_Q(args.r)
@@ -194,6 +196,8 @@ def cmd_check_q(args) -> int:
 
 
 def cmd_scan_q(args) -> int:
+    from . import criteria
+
     if args.max_r > MAX_R:
         raise UsageError(f"--max-r {args.max_r}: desk-scale guard is {MAX_R}")
     if args.max_r < 0:
@@ -231,6 +235,9 @@ def shipped_q_list_path() -> str:
 
 
 def cmd_check_quad(args) -> int:
+    from . import classnumber, criteria
+    from .splitting import check_quadratic_d
+
     _require_prime_r(args.r)
     if args.d > MAX_D:
         raise UsageError(f"--d {args.d}: desk-scale guard is d <= {MAX_D}")
@@ -264,6 +271,9 @@ def cmd_check_quad(args) -> int:
 
 
 def cmd_frey(args) -> int:
+    from . import frey
+    from .cycfield import build_field
+
     _require_prime_r(args.r)
     if args.r > MAX_FREY_R:
         raise UsageError(f"--r {args.r}: frey's desk-scale guard is r <= {MAX_FREY_R}")

@@ -32,7 +32,7 @@ from .errors import (
     UnfactoredCofactorError,
 )
 from .intlinalg import hermite_basis, row_lattice_index
-from .numutil import strip_factor
+from .numutil import DEFAULT_SMOOTHNESS_BOUND, strip_factor
 
 
 class FreyCurve(NamedTuple):
@@ -160,8 +160,6 @@ def coprimality_check(field: RealCyclotomicField, x: int, y: int) -> Coprimality
 
 
 # -- conductor support --------------------------------------------------------
-
-DEFAULT_SMOOTHNESS_BOUND = 100_000
 
 
 def conductor_support_outside_S(curve: FreyCurve, smoothness_bound: int = DEFAULT_SMOOTHNESS_BOUND) -> tuple[int, ...]:

@@ -9,6 +9,11 @@ from array import array
 # range and guard on r refers to this bound.
 MAX_R = 200
 
+# Default bound up to which frey.conductor_support_outside_S trial-divides
+# the closed-form factors of Norm(ABC), and the CLI's --smoothness-bound
+# default: defined here so that building the CLI parser imports no frey.
+DEFAULT_SMOOTHNESS_BOUND = 100_000
+
 
 def is_prime(n: int) -> bool:
     """Deterministic trial division; inputs here are desk scale."""

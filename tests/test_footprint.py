@@ -2,17 +2,22 @@
 dataclasses, which pulls in inspect, ast, dis and tokenize (about 1 MB of
 resident memory in every process that imports the CLI), and element
 arithmetic parks no memory on the interpreter's tuple free lists.  Its code
-footprint too: no module imports a name it does not use."""
+footprint too: no module imports a name it does not use, and each CLI
+subcommand loads only the modules it runs."""
 
 import ast
 import gc
+import json
 import os
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
+import pytest
+
 import rrpfermat
+from rrpfermat import cli, criteria
 from rrpfermat.cycfield import build_field
 
 PACKAGE = Path(rrpfermat.__file__).parent
@@ -63,6 +68,62 @@ def test_importing_the_cli_leaves_dataclasses_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+# Run in a fresh interpreter: import rrpfermat.cli, make the one cli.main call
+# given (none for None), print the rrpfermat submodules then loaded and
+# whether hashlib is.
+_LOADED = """\
+import contextlib, io, json, sys
+from rrpfermat import cli
+argv = json.loads(sys.argv[1])
+if argv is not None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv)
+loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("rrpfermat."))
+print(json.dumps([loaded, "hashlib" in sys.modules]))
+"""
+
+
+def _loaded_after(argv):
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", _LOADED, json.dumps(argv)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    loaded, hashlib_loaded = json.loads(out.stdout)
+    return set(loaded), hashlib_loaded
+
+
+def test_importing_the_cli_loads_only_errors_and_numutil():
+    assert _loaded_after(None) == ({"cli", "errors", "numutil"}, False)
+
+
+def test_a_frey_process_loads_only_the_curve_and_the_field():
+    loaded, hashlib_loaded = _loaded_after(["frey", "--r", "5", "--x", "2", "--y", "1", "--json"])
+    assert loaded == {"cli", "cycfield", "errors", "ffpoly", "frey", "intlinalg", "numutil"}
+    assert not hashlib_loaded
+
+
+@pytest.mark.parametrize("argv", [["check-q", "--r", "7", "--json"], ["scan-q", "--max-r", "30"]])
+def test_the_rational_commands_load_no_curve_descent_or_digest(argv):
+    loaded, hashlib_loaded = _loaded_after(argv)
+    assert "criteria" in loaded
+    assert not loaded & {"frey", "descent"}
+    assert not hashlib_loaded
+
+
+@pytest.mark.parametrize("theorem", [False, True])
+def test_check_quad_loads_descent_only_with_theorem(theorem):
+    argv = ["check-quad", "--d", "2", "--r", "11", "--json"] + ["--theorem"] * theorem
+    loaded, hashlib_loaded = _loaded_after(argv)
+    assert ("descent" in loaded) == theorem
+    assert "frey" not in loaded
+    assert hashlib_loaded  # the shipped h+ table is hashed into the report
+
+
+def test_the_verdict_exit_codes_cover_the_three_verdicts():
+    assert set(cli._VERDICT_EXIT) == {criteria.PASS, criteria.FAIL, criteria.UNDETERMINED}
 
 
 def test_element_arithmetic_leaves_no_tuples_on_the_free_lists():
