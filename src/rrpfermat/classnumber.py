@@ -24,8 +24,8 @@ The resultant is intlinalg.negacyclic_resultant, a product of norms:
 x^m + 1 is the product of the cyclotomic Phi_d over the d | 2m that do not
 divide m, and Res(Phi_d, Qbar) is the norm of Qbar(zeta_d), the product of
 its phi(d) Galois conjugates.  Each conjugate is Qbar folded mod
-x^(d/2) + 1 with its slots permuted, read off a tiled array by one strided
-slice and evaluated at zeta_d = 2^L in Z/(2^(dL/2) + 1); the product,
+x^(d/2) + 1 with its slots permuted, a strided slice of one tile of
+numutil.Slots, evaluated at zeta_d = 2^L in Z/(2^(dL/2) + 1); the product,
 reduced mod Phi_d(2^L) > 2 |norm|, lifts to the norm itself.  That is m
 packed products in all, in place of the O(m^2) steps of a subresultant.  A
 division that leaves a remainder, or a quotient below 1, is a hard internal
@@ -42,7 +42,7 @@ Two independent routes check the result:
   det M = h_r^- (mod 2), and the GF(2) determinant of M mod 2 must equal the
   parity of h_r^-.  The bit rows of M mod 2 are built one from the other,
   row a + 1 = row a + (c_b) mod r, on whole ints that hold every column in
-  a slot of its own (maillet_parity_rows);
+  a slot of one numutil.Slots (maillet_parity_rows);
 - the signed value, for r <= BAREISS_CHECK_MAX_R: row 1 of M is (c_b), and
   row_a - a * row_1 = -r * (a * c_b // r), so the r-reduced matrix M'' with
   row 1 equal to (c_b) and row a >= 2 equal to (-(a * c_b // r)) has
@@ -60,13 +60,12 @@ and records the SHA-256 of exactly the bytes it parsed.
 
 from __future__ import annotations
 
-from importlib import resources
-from pathlib import Path
+import os
 from typing import NamedTuple
 
 from .errors import ConsistencyError, TableError
 from .intlinalg import bareiss_det, gf2_det, negacyclic_resultant
-from .numutil import LOW_BIT_DIGIT, check_prime_r, least_primitive_root
+from .numutil import Slots, check_prime_r, least_primitive_root
 
 ODD = "odd"
 EVEN = "even"
@@ -144,24 +143,21 @@ def maillet_parity_rows(r: int, inverses: list[int]) -> list[int]:
     a * c_b mod r and inverses = [c_1, ..., c_m].
 
     Row a + 1 is row a plus (c_b) mod r, so each row comes from the one
-    before with whole-int operations.  Column b sits in a slot of s bytes,
-    s the least with r < 2^(8s - 1); a sum of two residues stays below
-    2r < 2^(8s), and adding 2^(8s-1) - r to every slot sets a slot's top bit
-    exactly where the sum reached r, so those slots get r taken off.  The
-    low byte of each slot, mapped to the digit of its parity, spells the
-    row in binary."""
+    before with whole-int operations.  Column b sits in a slot of a
+    numutil.Slots for r.bit_length() + 1 bits, k bits wide with r < 2^(k-1):
+    a sum of two residues stays below 2r < 2^k, and adding 2^(k-1) - r to
+    every slot sets a slot's top bit exactly where the sum reached r, so
+    those slots get r taken off.  Slots.residue reads each row mod 2."""
     check_prime_r(r)
-    m = len(inverses)
-    s = (r.bit_length() + 8) // 8
-    top = 8 * s - 1
-    step = int.from_bytes(b"".join([c.to_bytes(s, "little") for c in inverses]), "little")
-    ones = int.from_bytes((b"\x01" + bytes(s - 1)) * m, "little")
+    slots = Slots(r.bit_length() + 1, len(inverses))
+    top = slots.bits - 1
+    step = slots.pack(inverses)
+    ones = slots.pack([1] * slots.count)
     offset = ((1 << top) - r) * ones
     tops = ones << top
     row, rows = step, []
-    for _ in range(m):
-        digits = row.to_bytes(m * s, "little")[::s].translate(LOW_BIT_DIGIT)
-        rows.append(int(digits[::-1], 2))
+    for _ in inverses:
+        rows.append(slots.residue(row))
         row += step
         row -= (((row + offset) & tops) >> top) * r
     return rows
@@ -176,10 +172,14 @@ class HPlusTable(dict):
     __slots__ = ("sha256",)
 
 
-def load_hplus_table(path: str | Path | None = None) -> HPlusTable:
+def load_hplus_table(path: str | os.PathLike | None = None) -> HPlusTable:
     """Parse a parity table, the shipped one by default: lines of `d r parity
     source...`, # comments, UTF-8.  Duplicate (d, r) keys are an error."""
+    from pathlib import Path  # only check-quad reads a table
+
     if path is None:
+        from importlib import resources
+
         path = resources.files("rrpfermat").joinpath("data/hplus_parity.txt")
     src = Path(str(path))
     data = src.read_bytes()

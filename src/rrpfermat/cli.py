@@ -37,8 +37,6 @@ import math
 import os
 import sys
 import time
-from importlib import resources
-from pathlib import Path
 
 from . import __version__
 from .errors import (
@@ -223,6 +221,8 @@ def cmd_scan_q(args) -> int:
 
 def _read_int_list(path: str) -> list[int]:
     """Whitespace-separated integers, # comments, UTF-8."""
+    from pathlib import Path  # only scan-q --expect reads a list
+
     out = []
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.split("#", 1)[0]
@@ -231,6 +231,8 @@ def _read_int_list(path: str) -> list[int]:
 
 
 def shipped_q_list_path() -> str:
+    from importlib import resources  # not needed by the other commands
+
     return str(resources.files("rrpfermat").joinpath("data/q_list.txt"))
 
 

@@ -15,61 +15,55 @@ as the second route of two_shape (the first is the order of 2 in
 (Z/r)^*/{±1}) and is_square_pi_r hands that same field to the ring, which
 checks its modulus.  Its square root, trace and Artin-Schreier solver then
 cost one product, one AND and one reduction per call.  gr_sqrt works on the
-packed ints of the ring's kernel throughout: it packs u once, moves between
-the ring and the residue field by byte translation (PackedMulMod.residue and
-lift) and unpacks only the root.
+ring's packed ints throughout: it packs u once, moves between the ring and
+the residue field by byte translation (numutil.Slots.residue and lift) and
+unpacks only the root.
 
 For the field Q(zeta_r + 1/zeta_r) with 2 inert, O/2^n O is GR(2^n, (r-1)/2)
 with modulus psi_r mod 2^n; this identification uses that Z[theta] is the
 full ring of integers (odd discriminant), which holds for every prime r here.
 A GaloisRing is a view of Z[theta]'s arithmetic mod 2^n: its elements are
-cycfield.CycInt coefficient vectors reduced mod m = 2^n, multiplied by the
-ring's own whole-int kernel (`GaloisRing.kernel`, a PackedMulMod: one
-Kronecker product and a Barrett reduction, a few big-int multiplies in place
-of f^2 coefficient products), and GaloisRingElem adds only `is_unit`, its
-repr and its own name for the product.
+cycfield.CycInt coefficient vectors reduced mod m = 2^n.  The ring is its
+own whole-int kernel: GaloisRing extends PackedMulMod, which packs a vector
+into the slots of a numutil.Slots and multiplies by one Kronecker product
+and a Barrett reduction, a few big-int multiplies in place of f^2
+coefficient products.  GaloisRingElem adds only `is_unit`, its repr and its
+own name for the product.
 """
 
 from __future__ import annotations
 
-from array import array
-
 from .cycfield import CycInt, RealCyclotomicField, polyrem
 from .errors import ConsistencyError, NonUnitError, PrecisionError
 from .ffpoly import F2Field, f2_from_coeffs
-from .numutil import LOW_BIT_DIGIT, slot_layout
+from .numutil import Slots
 
 # Precision n of O/P^n for hypothesis (iv): the mod-P^(4e+1) level, e = 1.
 PI_R_PRECISION = 5
 
 
-class PackedMulMod:
+class PackedMulMod(Slots):
     """Coefficient vectors mod a monic polynomial `psi` of degree f over
-    Z/2^n, each packed into one int, and their products by a Kronecker
-    substitution with a Barrett reduction (von zur Gathen and Gerhard,
-    Modern Computer Algebra, sections 8.4 and 9.1).
+    Z/2^n, each packed into one int (a numutil.Slots of f slots), and their
+    products by a Kronecker substitution with a Barrett reduction (von zur
+    Gathen and Gerhard, Modern Computer Algebra, sections 8.4 and 9.1).
 
-    A vector with coefficients in [0, 2^n) is packed into one int,
-    coefficient i in the k-bit slot i.  Every operand is masked to [0, 2^n)
-    per slot, so a product of vectors with at most f slots holds less than
-    f * 2^(2n) in a slot; k >= 2n + bit_length(f) keeps that below 2^k, no
-    slot carries into the next, and shifts and masks are exact polynomial
-    operations.  k is the narrowest array type that fits, or whole bytes
-    past 64 bits (numutil.slot_layout).  Since k > n + 1, a sum or a
-    difference offset by 2^n stays inside its slot too, so `add`, `sub`,
-    `div_pow2`, `residue` and `lift` work on the packed int as a whole, and
-    gr_sqrt packs its input once and unpacks its root once."""
+    Every operand is masked to [0, 2^n) per slot, so a product of vectors
+    with at most f slots holds less than f * 2^(2n) in a slot; slots of
+    k >= 2n + bit_length(f) bits keep that below 2^k, no slot carries into
+    the next, and shifts and masks are exact polynomial operations.  Since
+    k > n + 1, a sum or a difference offset by 2^n stays inside its slot
+    too, so `add`, `sub`, `div_pow2` and the inherited `residue` and `lift`
+    work on the packed int as a whole."""
 
-    __slots__ = ("_f", "_typecode", "_slot_bytes", "_slot_bits",
-                 "_mask", "_mask_q", "_mask_r", "_mu", "_neg_psi", "_ones", "_top")
+    __slots__ = ("_mask", "_mask_q", "_mask_r", "_mu", "_neg_psi", "_ones", "_top")
 
     def __init__(self, psi, n: int) -> None:
         """psi: the monic modulus, constant term first, coefficients in
         [0, 2^n)."""
-        f = self._f = len(psi) - 1
-        m = 1 << n
-        self._typecode, self._slot_bytes = slot_layout(2 * n + f.bit_length())
-        k = self._slot_bits = 8 * self._slot_bytes
+        f = len(psi) - 1
+        super().__init__(2 * n + f.bit_length(), f)
+        k, m = self.bits, 1 << n
         # m - 1 in each of the 2f - 1 slots of a product; the top f - 1 slots
         # hold a quotient, the bottom f a remainder.
         self._mask = self.pack([m - 1] * (2 * f - 1))
@@ -81,28 +75,13 @@ class PackedMulMod:
         self._ones = self.pack([1] * f)
         self._top = self._ones << n
 
-    def pack(self, coeffs) -> int:
-        """Coefficients in [0, 2^k) as one int, coefficient i in slot i."""
-        if self._typecode:
-            return int.from_bytes(array(self._typecode, coeffs).tobytes(), "little")
-        w = self._slot_bytes
-        return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in coeffs]), "little")
-
-    def unpack(self, x: int, count: int | None = None) -> list[int]:
-        """The low `count` slots of x (f by default), slot 0 first."""
-        buf = x.to_bytes((self._f if count is None else count) * self._slot_bytes, "little")
-        if self._typecode:
-            return array(self._typecode, buf).tolist()
-        w = self._slot_bytes
-        return [int.from_bytes(buf[i : i + w], "little") for i in range(0, len(buf), w)]
-
     def _barrett_constant(self, psi, m: int) -> int:
         """mu = floor(x^(2f-2) / psi) mod 2^n, packed.  Its reversal is the
         inverse of the reversal of psi mod x^(f-1), a power series with
         constant term 1 since psi is monic; Newton's step
         g <- g + g(1 - rev(psi) g) doubles the precision of g, and every
         step stays mod 2^n."""
-        f, k = self._f, self._slot_bits
+        f, k = self.count, self.bits
         size = f - 1
         if size < 1:
             return 0  # f = 1: a product of constants needs no reduction
@@ -128,7 +107,7 @@ class PackedMulMod:
         product and p_hi its terms of degree >= f shifted down, the quotient
         by psi is floor(p_hi * mu / x^(f-2)) and the remainder
         p - quotient * psi; both are read mod 2^n."""
-        k, f = self._slot_bits, self._f
+        k, f = self.bits, self.count
         p = (a * b) & self._mask
         high = p >> (k * f)
         if high:
@@ -154,37 +133,16 @@ class PackedMulMod:
             return None
         return a >> j
 
-    def residue(self, a: int) -> int:
-        """a mod 2 as a bit-packed GF(2) polynomial, bit i from slot i: the
-        low byte of each slot, read big-endian (slot f-1 first), is
-        translated to the ASCII digit of its low bit."""
-        w = self._slot_bytes
-        return int(a.to_bytes(self._f * w, "big")[w - 1 :: w].translate(LOW_BIT_DIGIT), 2)
 
-    def lift(self, b: int) -> int:
-        """The packed vector with slot i the bit i of b (degree < f): its
-        binary digits, most significant first, translated to bytes 0 and 1
-        and placed in the low byte of each slot of a big-endian buffer."""
-        f, w = self._f, self._slot_bytes
-        digits = format(b, f"0{f}b").encode().translate(_DIGIT_VALUE)
-        if w == 1:
-            return int.from_bytes(digits, "big")
-        buf = bytearray(f * w)
-        buf[w - 1 :: w] = digits
-        return int.from_bytes(buf, "big")
-
-
-# ASCII digit "0" or "1" -> byte 0 or 1, the inverse of numutil.LOW_BIT_DIGIT.
-_DIGIT_VALUE = bytes(i - 48 if i in (48, 49) else 0 for i in range(256))
-
-
-class GaloisRing:
+class GaloisRing(PackedMulMod):
     """GR(2^n, f) with a fixed monic modulus `psi` of degree f, irreducible
-    mod 2.  It owns its elements the way a RealCyclotomicField does: `degree`
-    is f, `psi` the modulus mod 2^n, `m` = 2^n and `mul_coeffs` the product
-    of its `kernel`, a PackedMulMod built once per ring."""
+    mod 2.  It owns its elements the way a RealCyclotomicField does:
+    `degree` is f (its slot count), `psi` the modulus mod 2^n, `m` = 2^n,
+    and `mul_coeffs` its own packed product, PackedMulMod.mul."""
 
-    __slots__ = ("n", "degree", "psi", "m", "residue_field", "kernel", "mul_coeffs")
+    __slots__ = ("n", "psi", "m", "residue_field")
+
+    mul_coeffs = PackedMulMod.mul
 
     def __init__(self, n: int, modulus_coeffs, residue_field: F2Field | None = None) -> None:
         """residue_field: GF(2)[t]/(psi mod 2) when the caller has built it
@@ -206,11 +164,13 @@ class GaloisRing:
             raise ValueError("the residue field's modulus is not psi mod 2")
         self.residue_field = residue_field
         self.n = n
-        self.degree = f
         self.psi = tuple(psi)
         self.m = 1 << n
-        self.kernel = PackedMulMod(self.psi, n)
-        self.mul_coeffs = self.kernel.mul
+        super().__init__(self.psi, n)
+
+    @property
+    def degree(self) -> int:
+        return self.count
 
     # -- element plumbing --------------------------------------------------
 
@@ -265,12 +225,12 @@ def gr_sqrt(u: GaloisRingElem) -> GaloisRingElem | None:
     no Galois-ring inverse is taken.  Each residue-field step is one product
     or one reduction (ffpoly.F2Field), with no loop over the Frobenius map.
 
-    u is packed once (the ring's PackedMulMod) and everything up to the
+    u is packed once (the ring is a PackedMulMod) and everything up to the
     root stays a packed int: products by mul_packed, u - s^2 by sub, the
     exact divisions by 2^k by div_pow2, residue and lift by byte
     translation.  The root is unpacked once and checked by one element
-    product, s * s == u, which shares only the kernel's product with the
-    steps it checks.
+    product, s * s == u, which shares only the ring's packed product with
+    the steps it checks.
     """
     ring = u.field
     fld = ring.residue_field
@@ -278,36 +238,35 @@ def gr_sqrt(u: GaloisRingElem) -> GaloisRingElem | None:
         raise PrecisionError("square obstructions need precision n >= 3")
     if not u.is_unit():
         raise NonUnitError("gr_sqrt needs a unit")
-    vec = ring.kernel
-    packed_u = vec.pack(u.coeffs)
+    packed_u = ring.pack(u.coeffs)
 
-    residue_u = vec.residue(packed_u)
+    residue_u = ring.residue(packed_u)
     root = fld.sqrt(residue_u)
     if fld.mul(root, root) != residue_u:
         raise ConsistencyError("residue-field root does not square back to residue(u)")
     root_inv = fld.inverse(root)
-    s = vec.lift(root)
-    quarter = vec.div_pow2(vec.sub(packed_u, vec.mul_packed(s, s)), 2)
+    s = ring.lift(root)
+    quarter = ring.div_pow2(ring.sub(packed_u, ring.mul_packed(s, s)), 2)
     if quarter is None:
         return None
 
     # (u/s^2 - 1)/4 = (u - s^2)/4 * s^-2, and s = root mod 2.
-    c = fld.mul(fld.mul(vec.residue(quarter), root_inv), root_inv)
+    c = fld.mul(fld.mul(ring.residue(quarter), root_inv), root_inv)
     v = fld.artin_schreier(c)
     if (v is None) != (fld.trace(c) == 1):
         raise ConsistencyError("trace and Artin-Schreier reduction disagree")
     if v is None:
         return None
-    s = vec.mul_packed(s, 1 + (vec.lift(v) << 1))  # s (1 + 2 lift(v)): s^2 = u mod 8
+    s = ring.mul_packed(s, 1 + (ring.lift(v) << 1))  # s (1 + 2 lift(v)): s^2 = u mod 8
 
     # s = lift(root) mod 2 throughout, so root_inv inverts every residue of s.
     for k in range(3, ring.n):
-        rem = vec.div_pow2(vec.sub(packed_u, vec.mul_packed(s, s)), k)
+        rem = ring.div_pow2(ring.sub(packed_u, ring.mul_packed(s, s)), k)
         if rem is None:
             raise ConsistencyError("u - s^2 is not divisible by 2^k")
-        t = fld.mul(vec.residue(rem), root_inv)
-        s = vec.add(s, vec.lift(t) << (k - 1))
-    root_elem = GaloisRingElem(ring, tuple(vec.unpack(s)))
+        t = fld.mul(ring.residue(rem), root_inv)
+        s = ring.add(s, ring.lift(t) << (k - 1))
+    root_elem = GaloisRingElem(ring, tuple(ring.unpack(s)))
     if not (root_elem * root_elem == u):
         raise ConsistencyError("lifted root does not square back to u")
     return root_elem

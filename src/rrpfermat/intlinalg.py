@@ -6,11 +6,11 @@ frey caps) and the 30x30 Maillet check at r <= 61, so the classical cubic
 algorithms are plenty.  `negacyclic_resultant` gives h_r^- at every
 r <= 199: Res(x^m + 1, q) is the product, over the cyclotomic factors
 Phi_d of x^m + 1, of the norm of q(zeta_d), and each norm is the product of
-the phi(d) conjugates of q, each packed into one int, taken in
-Z/(2^(dL/2) + 1) and lifted exactly; m conjugates in all, each product
-reduced by `fermat_fold` (a mask, a shift and a subtraction, with one sign
-fix-up) in place of a long division.  The quadratic
-subresultant algorithm that it replaced is the reference in
+the phi(d) conjugates of q, each a strided slice of one tile of slots packed
+into one int (numutil.Slots), taken in Z/(2^(dL/2) + 1) and lifted exactly;
+m conjugates in all, each product reduced by `fermat_fold` (a mask, a shift
+and a subtraction, with one sign fix-up) in place of a long division.  The
+quadratic subresultant algorithm that it replaced is the reference in
 tests/oracles.py.  One row-echelon eliminator over Z, `_echelon`, serves
 `row_lattice_index` and `hermite_basis`.  GF(2) vectors are bit-packed
 ints, and one XOR eliminator, `gf2_reduce`, serves `gf2_det` (the Maillet
@@ -20,9 +20,8 @@ Artin-Schreier equations by one reduction each."""
 from __future__ import annotations
 
 import math
-from array import array
 
-from .numutil import slot_layout
+from .numutil import Slots
 
 
 def bareiss_det(rows) -> int:
@@ -93,7 +92,7 @@ def negacyclic_resultant(q) -> int:
        x^h + 1 = prod Phi_(2^(a+1) f) over f | e, M is 2^(hL) + 1 divided by
        the M of every proper divisor f of e, each found before e.  Let
        A = sum |q_i|, so |C_t| <= A and |N_d| <= A^phi(d).  L is the slot
-       width that numutil.slot_layout gives for (2A).bit_length() bits, so
+       width of numutil.Slots for (2A).bit_length() bits, so
        2^L >= 2A + 1: every B + C_t lies in [0, 2^L), and
        M = prod |2^L - w| over the primitive d-th roots w of unity exceeds
        (2^L - 1)^phi(d) >= (2A)^phi(d) >= 2 A^phi(d) >= 2 |N_d|.  So N_d is
@@ -105,13 +104,13 @@ def negacyclic_resultant(q) -> int:
        conjugate less the offset lies in (-2^(hL), 2^(hL)), so every
        product fed to the fold has absolute value below 2^(2hL).
 
-    All m conjugates cost one slice, one int.from_bytes, one product and
-    one fold each."""
+    U is one Slots.tile, and all m conjugates cost one slice, one
+    Slots.pack, one product and one fold each."""
     m = len(q)
     if not m:
         raise ValueError("q must have at least one coefficient")
-    code, width = slot_layout((2 * sum(map(abs, q))).bit_length())
-    bits = 8 * width
+    slots = Slots((2 * sum(map(abs, q))).bit_length())
+    bits = slots.bits
     base = 1 << (bits - 1)
     two_part, odd = 2, m
     while odd % 2 == 0:
@@ -123,18 +122,14 @@ def negacyclic_resultant(q) -> int:
         d = two_part * e
         h = d // 2
         folded = [sum(q[s :: d]) - sum(q[s + h :: d]) for s in range(h)]
-        slots = [base + c for c in folded] + [base - c for c in folded]
-        if code:
-            tiles, join = array(code, slots) * h, array.tobytes
-        else:
-            tiles, join = [s.to_bytes(width, "little") for s in slots] * h, b"".join
+        tiles = slots.tile([base + c for c in folded] + [base - c for c in folded], h)
         width_f = h * bits
         fermat = (1 << width_f) + 1
         offset = base * ((fermat - 2) // ((1 << bits) - 1))
         norm = 1
         for u in range(1, d, 2):
             if math.gcd(u, d) == 1:
-                packed = int.from_bytes(join(tiles[: h * u : u]), "little")
+                packed = slots.pack(tiles[: h * u : u])
                 norm = fermat_fold(norm * (packed - offset), width_f)
         modulus = moduli[e] = fermat // math.prod(v for f, v in moduli.items() if e % f == 0)
         norm %= modulus

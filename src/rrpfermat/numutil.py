@@ -116,24 +116,68 @@ def legendre_symbol(a: int, p: int) -> int:
     return -1 if ls == p - 1 else ls
 
 
-# Byte b -> ASCII "0" or "1", the low bit of b: translating the low byte of
-# each packed slot and reading the digits in base 2 gives the slots mod 2.
-LOW_BIT_DIGIT = bytes(0x30 | (b & 1) for b in range(256))
-
-
-# (width in bits, array type code) for packing values into the slots of one
-# int, narrowest first.
+# (width in bits, array type code) of the array slots, narrowest first.
 _SLOT_TYPES = sorted((array(code).itemsize * 8, code) for code in "BHIQ")
 
+# Byte b -> ASCII "0" or "1", the low bit of b, and back: a slot's low byte
+# becomes the binary digit of its parity, and a digit the byte 0 or 1.
+_PARITY_DIGIT = bytes(0x30 | (b & 1) for b in range(256))
+_DIGIT_BIT = bytes.maketrans(b"01", b"\x00\x01")
 
-def slot_layout(bits: int) -> tuple[str | None, int]:
-    """(array type code, bytes per slot) for packing values below 2^bits
-    into one int, a slot per value: the narrowest array type at least `bits`
-    wide, or no type code and whole bytes past 64 bits."""
-    for width, code in _SLOT_TYPES:
-        if bits <= width:
-            return code, width // 8
-    return None, -(-bits // 8)
+
+class Slots:
+    """The packed-slot format of the whole-int kernels (Kronecker
+    substitution; von zur Gathen and Gerhard, Modern Computer Algebra, 8.4):
+    nonnegative values below 2^bits as one int, value i in bits
+    [i * self.bits, (i + 1) * self.bits).  The slot is the narrowest array
+    type at least `bits` wide (`code`), or whole bytes past 64 bits (code
+    None).  `count` is the number of slots unpack, residue and lift read."""
+
+    __slots__ = ("bits", "code", "count")
+
+    def __init__(self, bits: int, count: int = 0) -> None:
+        self.bits, self.code = next(
+            ((w, c) for w, c in _SLOT_TYPES if bits <= w), (8 * -(-bits // 8), None))
+        self.count = count
+
+    def pack(self, values) -> int:
+        """The values (a list, or a slice of a tile) as one int."""
+        if self.code:
+            if type(values) is not array:
+                values = array(self.code, values)
+            return int.from_bytes(values.tobytes(), "little")
+        w = self.bits // 8
+        return int.from_bytes(b"".join([v.to_bytes(w, "little") for v in values]), "little")
+
+    def unpack(self, x: int, count: int | None = None) -> list[int]:
+        """The low `count` slots of x (self.count by default), slot 0 first."""
+        w = self.bits // 8
+        buf = x.to_bytes((self.count if count is None else count) * w, "little")
+        if self.code:
+            return array(self.code, buf).tolist()
+        return [int.from_bytes(buf[i : i + w], "little") for i in range(0, len(buf), w)]
+
+    def tile(self, values, times: int):
+        """The values repeated `times` times, as a sequence whose slices
+        pack: an array, or a list past 64 bits."""
+        return (array(self.code, values) if self.code else list(values)) * times
+
+    def residue(self, x: int) -> int:
+        """The `count` slots of x mod 2 as one int, bit i the parity of slot
+        i: the low byte of each slot, read big-endian (slot count - 1 first),
+        is translated to the ASCII digit of its low bit."""
+        w = self.bits // 8
+        return int(x.to_bytes(self.count * w, "big")[w - 1 :: w].translate(_PARITY_DIGIT), 2)
+
+    def lift(self, b: int) -> int:
+        """The packed int with slot i the bit i of b (below 2^count), the
+        inverse of residue on slots 0 and 1: the binary digits of b, most
+        significant first, translated to the bytes 0 and 1 and placed in the
+        low byte of each slot of a big-endian buffer."""
+        count, w = self.count, self.bits // 8
+        buf = bytearray(count * w)
+        buf[w - 1 :: w] = format(b, f"0{count}b").encode().translate(_DIGIT_BIT)
+        return int.from_bytes(buf, "big")
 
 
 def strip_factor(n: int, p: int) -> int:

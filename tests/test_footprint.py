@@ -105,6 +105,24 @@ def test_a_frey_process_loads_only_the_curve_and_the_field():
     assert not hashlib_loaded
 
 
+def test_a_frey_process_loads_no_resource_or_path_modules():
+    # Under -S no site-packages .pth file imports these first, so this sees
+    # what the package itself loads: the shipped data paths import
+    # importlib.resources and pathlib only where they are read.
+    code = (
+        "import contextlib, io, sys\n"
+        "from rrpfermat import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['frey', '--r', '5', '--x', '2', '--y', '1', '--json'])\n"
+        "print(sorted(m for m in ('importlib.resources', 'pathlib') if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("argv", [["check-q", "--r", "7", "--json"], ["scan-q", "--max-r", "30"]])
 def test_the_rational_commands_load_no_curve_descent_or_digest(argv):
     loaded, hashlib_loaded = _loaded_after(argv)

@@ -19,7 +19,7 @@ from rrpfermat.intlinalg import (
     negacyclic_resultant,
     row_lattice_index,
 )
-from rrpfermat.numutil import slot_layout
+from rrpfermat.numutil import Slots
 
 import oracles
 from oracles import gf2_solve, resultant
@@ -281,12 +281,12 @@ def test_negacyclic_resultant_at_each_slot_width_boundary(weight, code, m):
     # width; q = weight * x^(m-1) makes every conjugate as large as it can be.
     for q in ([0] * (m - 1) + [weight], [weight - m + 1] + [(-1) ** i for i in range(m - 1)]):
         assert sum(map(abs, q)) == weight
-        assert slot_layout((2 * weight).bit_length())[0] == code
+        assert Slots((2 * weight).bit_length()).code == code
         assert negacyclic_resultant(q) == resultant(_negacyclic(q), q)
 
 
 # Widths hL of the Fermat modulus 2^(hL) + 1 at each slot width L of
-# numutil.slot_layout (8, 16, 32 and 64 bits, then whole bytes), for the
+# numutil.Slots (8, 16, 32 and 64 bits, then whole bytes), for the
 # h = 1, 2, 3 and 8 that small m give.
 FOLD_WIDTHS = [h * bits for bits in (8, 16, 32, 64, 72) for h in (1, 2, 3, 8)]
 

@@ -1,7 +1,9 @@
 """is_squarefree trial-divides only while p^3 <= m, m the cofactor left, and
 finishes with a perfect-square test; checked against sympy.factorint.  The
 least primitive root is checked against sympy.primitive_root on its domain,
-the odd primes up to MAX_R."""
+the odd primes up to MAX_R.  The packed-slot format, Slots, is checked value
+by value: its round trips, its parity reader against ffpoly.f2_from_coeffs,
+and its width at every array-type boundary."""
 
 import pytest
 import sympy as sp
@@ -9,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrpfermat.cli import MAX_D
+from rrpfermat.ffpoly import f2_from_coeffs
 from rrpfermat.numutil import (
     MAX_R,
+    Slots,
     is_squarefree,
     least_primitive_root,
     legendre_symbol,
@@ -118,3 +122,56 @@ def test_legendre_symbol_against_squares():
     for bad in (2, 9, 1, 0, -7, MAX_R + 1):
         with pytest.raises(ValueError):
             legendre_symbol(1, bad)
+
+
+@st.composite
+def slot_values(draw):
+    """(bits, values): 1 to 40 values below 2^bits, at widths that reach
+    every array type and the whole-byte slots past 64 bits."""
+    bits = draw(st.sampled_from([1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 72, 100]))
+    return bits, draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=1, max_size=40))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(slot_values(), st.integers(0, 2**40 - 1))
+def test_slots_round_trips_and_parity(case, low):
+    bits, values = case
+    slots = Slots(bits, len(values))
+    packed = slots.pack(values)
+    assert slots.unpack(packed) == values
+    assert slots.residue(packed) == f2_from_coeffs(values)
+    low &= (1 << len(values)) - 1
+    lifted = slots.lift(low)
+    assert slots.unpack(lifted) == [(low >> i) & 1 for i in range(len(values))]
+    assert slots.residue(lifted) == low
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(slot_values(), st.integers(1, 5), st.integers(1, 7))
+def test_slots_pack_strided_slices_of_a_tile(case, times, step):
+    bits, values = case
+    slots = Slots(bits)
+    tiled = values * times
+    chunk = slots.tile(values, times)[::step]
+    assert slots.unpack(slots.pack(chunk), len(chunk)) == tiled[::step]
+
+
+@pytest.mark.parametrize("bits, width, code", [
+    (1, 8, "B"), (8, 8, "B"), (9, 16, "H"), (16, 16, "H"), (17, 32, "I"),
+    (32, 32, "I"), (33, 64, "Q"), (64, 64, "Q"), (65, 72, None), (72, 72, None), (73, 80, None),
+])
+def test_slots_width_at_each_boundary(bits, width, code):
+    # The narrowest array type at least `bits` wide, then whole bytes.
+    assert (Slots(bits).bits, Slots(bits).code) == (width, code)
+
+
+@pytest.mark.parametrize("r, width", [(127, 8), (131, 16)])
+def test_parity_row_slots_switch_between_127_and_131(r, width):
+    # classnumber.maillet_parity_rows packs residues mod r in
+    # Slots(r.bit_length() + 1): a sum of two residues, below 2r, must fit a
+    # slot, and the slot's top bit must lie above r.  Bytes hold that up to
+    # r = 127; r = 131 takes 16-bit slots.
+    bits = Slots(r.bit_length() + 1).bits
+    assert bits == width
+    assert 2 * r <= 1 << bits and r < 1 << (bits - 1)
+    assert (r < 1 << 7) == (width == 8)

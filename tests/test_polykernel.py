@@ -120,7 +120,7 @@ def test_packed_mulmod_slot_widths():
     for f, n, bits in ((3, 2, 8), (99, 4, 16), (99, 5, 32), (99, 28, 64), (99, 29, 72), (40, 40, 88)):
         modulus = tuple(rng.randrange(1 << n) for _ in range(f)) + (1,)
         kernel = PackedMulMod(modulus, n)
-        assert kernel._slot_bits == bits, (f, n)
+        assert kernel.bits == bits, (f, n)
         a = [rng.randrange(1 << n) for _ in range(f)]
         b = [rng.randrange(1 << n) for _ in range(f)]
         assert kernel.mul(a, b) == oracles.schoolbook_mulmod_2n(a, b, modulus, 1 << n)
