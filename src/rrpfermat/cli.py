@@ -69,13 +69,14 @@ MAX_D = 10**12
 MAX_SMOOTHNESS_BOUND = 10**7
 
 # Largest frey --r and |--x|, |--y| accepted.  Whole process, 2-vCPU Xeon
-# (guards lifted past the caps): at x = 3, y = 2, r = 23 / 31 / 37 / 47 took
-# 0.19 / 0.21-0.26 / 0.23-0.25 / 0.30-0.36 s; the corner r = 31, x = 10^4,
-# y = 10^4 - 1 with --smoothness-bound 10^7 took 0.22-0.27 s, and x = 10^6
-# took 0.28-0.29 s.  The coprimality check takes floor((r - 1)/4) + 1 lattice
-# indices, one per Galois orbit of pairs (f_i, f_j).  Their Hermite bases are
-# not reduced modulo anything: at r = 23 and x, y <= 5 the entries inside
-# intlinalg._echelon reach about 1,270 bits, where Phi(x, y) has at most 54.
+# (guards lifted past the caps, three runs each): at x = 3, y = 2,
+# r = 23 / 31 / 37 / 47 took 0.18 / 0.18-0.19 / 0.18 / 0.18-0.20 s; the corner
+# r = 31, x = 10^4, y = 10^4 - 1 with --smoothness-bound 10^7 took
+# 0.23 s, and x = 10^6 took 0.23-0.24 s.  In process, cli.main for r = 31 /
+# 47 at x = 3, y = 2 takes 4.0 / 7.8 ms.  The coprimality check takes
+# floor((r - 1)/4) + 1 lattice indices, one per Galois orbit of pairs
+# (f_i, f_j), over Hermite bases in closed form whose entries stay below
+# Phi(x, y).
 MAX_FREY_R = 31
 MAX_FREY_XY = 10**4
 

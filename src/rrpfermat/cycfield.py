@@ -35,11 +35,14 @@ function of r alone, so a racing first computation stores an equal value.
 from __future__ import annotations
 
 from math import comb
+from typing import TYPE_CHECKING
 
 from .errors import ConsistencyError, NotInertError
-from .ffpoly import F2Field, ddf_degrees, f2_from_coeffs
 from .intlinalg import bareiss_det
 from .numutil import check_prime_r, order_of_two_mod_pm1
+
+if TYPE_CHECKING:
+    from .ffpoly import F2Field
 
 
 def polyrem(vec, modulus) -> tuple[int, ...]:
@@ -169,6 +172,8 @@ class RealCyclotomicField:
         splitting of 2 because disc(psi_r) is odd (a power of r), so
         Z[theta] is 2-maximal and Dedekind's criterion applies."""
         if self._two_shape is None:
+            from . import ffpoly  # GF(2) code, which a frey process never runs
+
             f = order_of_two_mod_pm1(self.r)
             shape = ((f, self.degree // f),)
             if f == self.degree:
@@ -180,7 +185,7 @@ class RealCyclotomicField:
                         f"but the Berlekamp rank of psi_r mod 2 disagrees ({exc})"
                     ) from exc
             else:
-                ddf = tuple(ddf_degrees(f2_from_coeffs(self.psi)))
+                ddf = tuple(ffpoly.ddf_degrees(ffpoly.f2_from_coeffs(self.psi)))
                 if ddf != shape:
                     raise ConsistencyError(
                         f"r = {self.r}: the order of 2 gives the shape {list(shape)}, "
@@ -194,7 +199,9 @@ class RealCyclotomicField:
         prime above 2, built once per field (ValueError from its Berlekamp
         rank when psi_r mod 2 is reducible, that is when 2 is not inert)."""
         if self._residue_field is None:
-            self._residue_field = F2Field(self.degree, f2_from_coeffs(self.psi))
+            from . import ffpoly
+
+            self._residue_field = ffpoly.F2Field(self.degree, ffpoly.f2_from_coeffs(self.psi))
         return self._residue_field
 
     def require_two_inert(self) -> None:

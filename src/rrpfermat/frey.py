@@ -31,7 +31,7 @@ from .errors import (
     NotCoprimeError,
     UnfactoredCofactorError,
 )
-from .intlinalg import hermite_basis, row_lattice_index
+from .intlinalg import row_lattice_index
 from .numutil import DEFAULT_SMOOTHNESS_BOUND, strip_factor
 
 
@@ -128,19 +128,40 @@ def coprimality_check(field: RealCyclotomicField, x: int, y: int) -> Coprimality
 
     For each pair i < j the norm of the ideal (f_i(x,y), f_j(x,y)) is
     computed exactly and stripped of its r-part; a leftover > 1 names an
-    offending pair.  The norm is the index of the lattice spanned by the
-    Hermite bases of the principal ideals (f_i) and (f_j), each reduced once
-    from the rows f_k, f_k*theta, ..., f_k*theta^(d-1); a zero f_k has an
-    empty basis.  (Coprimality of ideals is strictly stronger than
+    offending pair.  (Coprimality of ideals is strictly stronger than
     coprimality of element norms: conjugate factors share their norm without
     sharing any prime, so norm gcds would flag false positives.)
+
+    The residue map.  Let Phi = (x^r + y^r)/(x + y), the full value (2 and r
+    not stripped).  For k >= 1 and coprime x, y, xy is prime to Phi and
+    x^r = -y^r mod Phi, so t = (-x/y)^(k^-1 mod r) has t^r = 1 mod Phi, and
+    theta -> a_k = t + t^-1 is a ring map Z[theta] -> Z/Phi that sends f_k to
+    0 (`_residue_root`).  Before it is used, `_residue_basis` checks
+    psi_r(a_k) = 0 and x^2 + s_k(a_k) xy + y^2 = 0 mod Phi, with s_k the
+    field's theta_power_sum(k), and raises ConsistencyError otherwise.  The
+    map is onto, so its kernel has index Phi and contains (f_k), whose index
+    is |N(f_k)| = Phi: the two ideals are equal, and the Hermite basis of
+    (f_k) (Cohen, GTM 138, Sec. 2.4, upper triangular) is that of the kernel,
+    in closed form: e_i + c_i e_(d-1) with c_i = -a_k^i a_k^-(d-1) mod Phi
+    for i < d - 1, then Phi e_(d-1).  (f_0) = ((x + y)^2) has the basis
+    (x + y)^2 I_d, and none when x + y = 0.
+
+    Two routes per index.  One is the index of the lattice spanned by the
+    two Hermite bases.  The other is a gcd from the residue map.  For (0, j)
+    it is gcd((x + y)^2, Phi), as Z[theta]/(f_j) = Z/Phi.  For 1 <= i < j,
+    f_j - f_i = (s_j - s_i) xy with xy a unit mod Phi, so the index is
+    gcd(Phi, s_j(a_i) - s_i(a_i)), and that equals gcd(Phi, a_i - a_j): at
+    a prime p != r of Phi, -x/y has order r, so both differences are units
+    mod p (i != +-j mod r); r divides Phi exactly when it divides x + y, and
+    then only once, and both differences are 0 mod r.  A disagreement raises
+    ConsistencyError.
 
     The index is computed once per Galois orbit of pairs.  For rational x, y
     the automorphism sigma_a of Q(theta) (zeta -> zeta^a, a prime to r) sends
     f_k(x, y) to f_fold(a k)(x, y), hence the ideal (f_i, f_j) to
     (f_fold(a i), f_fold(a j)), and automorphisms keep ideal norms.  Each
     orbit has a representative (0, 1) or (1, m) (`_orbit_representative`):
-    floor(d/2) + 1 indices per call, and Hermite bases only for the f_k that
+    floor(d/2) + 1 indices per call, and residue maps only for the f_k that
     a representative names.
     """
     if not isinstance(x, int) or not isinstance(y, int):
@@ -150,13 +171,75 @@ def coprimality_check(field: RealCyclotomicField, x: int, y: int) -> Coprimality
     r, d = field.r, field.degree
     reps = {(i, j): _orbit_representative(i, j, r)
             for i in range(d + 1) for j in range(i + 1, d + 1)}
-    bases = {k: hermite_basis(field.multiplication_rows(f_k_eval(field, k, x, y)))
-             for k in {k for rep in reps.values() for k in rep}}
-    norms = {(i, j): strip_factor(row_lattice_index(bases[i] + bases[j], d), r)
-             for i, j in set(reps.values())}
+    phi = _phi(x, y, r)
+    square = (x + y) ** 2
+    named = {k for rep in reps.values() for k in rep}
+    roots = {k: _residue_root(k, x, y, r, phi) for k in named if k}
+    bases = {k: _residue_basis(field, k, a, x, y, phi) for k, a in roots.items()}
+    bases[0] = _scalar_basis(square, d)
+    norms = {}
+    for i, j in set(reps.values()):
+        index = row_lattice_index(bases[i] + bases[j], d)
+        residue = math.gcd(phi, roots[i] - roots[j]) if i else math.gcd(square, phi)
+        if index != residue:
+            raise ConsistencyError(
+                f"(f_{i}, f_{j}) at ({x}, {y}): lattice index {index}, residue map {residue}"
+            )
+        norms[i, j] = strip_factor(index, r)
     pairs = tuple((i, j, norms[rep]) for (i, j), rep in reps.items())
     offending = tuple((i, j) for i, j, outside_r in pairs if outside_r != 1)
     return CoprimalityReport(r, x, y, pairs, offending)
+
+
+def _phi(x: int, y: int, r: int) -> int:
+    """Phi(x, y) = (x^r + y^r)/(x + y) as the alternating sum, which also
+    holds at x + y = 0."""
+    return sum((-1) ** i * x ** (r - 1 - i) * y**i for i in range(r))
+
+
+def _residue_root(k: int, x: int, y: int, r: int, phi: int) -> int:
+    """a_k = t + t^-1 mod Phi, t = (-x/y)^(k^-1 mod r): the image of theta
+    in Z[theta]/(f_k(x, y)) = Z/Phi, for 1 <= k <= (r-1)/2."""
+    t = pow(-x * pow(y, -1, phi), pow(k, -1, r), phi)
+    return (t + pow(t, -1, phi)) % phi
+
+
+def _residue_basis(field: RealCyclotomicField, k: int, a: int, x: int, y: int,
+                   phi: int) -> list[list[int]]:
+    """The Hermite basis of (f_k(x, y)), k >= 1, from its residue map
+    theta -> a mod Phi, once the map is checked to send psi_r and f_k to 0
+    (ConsistencyError otherwise; see `coprimality_check`)."""
+    s_k = _evaluate(field.theta_power_sum(k).coeffs, a, phi)
+    if _evaluate(field.psi, a, phi) or (x * x + s_k * x * y + y * y) % phi:
+        raise ConsistencyError(
+            f"theta -> {a} mod {phi} does not send psi_r and f_{k}({x}, {y}) to 0"
+        )
+    d = field.degree
+    powers = [1]
+    for _ in range(d - 1):
+        powers.append(powers[-1] * a % phi)
+    scale = -pow(powers[-1], -1, phi)
+    rows = [[0] * d for _ in range(d)]
+    for i, power in enumerate(powers[:-1]):
+        rows[i][i] = 1
+        rows[i][-1] = power * scale % phi
+    rows[-1][-1] = phi
+    return rows
+
+
+def _scalar_basis(c: int, d: int) -> list[list[int]]:
+    """The Hermite basis of the principal ideal (c) for a rational integer
+    c >= 0: c I_d, and no rows for c = 0."""
+    return [[c if i == j else 0 for j in range(d)] for i in range(d)] if c else []
+
+
+def _evaluate(coeffs, a: int, m: int) -> int:
+    """The polynomial with the given coefficients (constant term first) at
+    a, mod m, by Horner's rule."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value * a + c) % m
+    return value
 
 
 # -- conductor support --------------------------------------------------------
@@ -183,7 +266,7 @@ def conductor_support_outside_S(curve: FreyCurve, smoothness_bound: int = DEFAUL
     if math.gcd(x, y) != 1:
         raise NotCoprimeError(f"gcd({x}, {y}) != 1")
     x_plus_y = _outside_2_r(x + y, r)
-    phi = _outside_2_r(sum((-1) ** i * x ** (r - 1 - i) * y**i for i in range(r)), r)
+    phi = _outside_2_r(_phi(x, y, r), r)
     e0 = r - 1 if 0 in curve.k else 0
     m = sum(1 for k in curve.k if k)
     if _outside_2_r(n, r) != x_plus_y**e0 * phi**m:

@@ -1,6 +1,6 @@
 """Exact integer linear algebra: fraction-free determinants, the resultant
-of x^m + 1 with an integer polynomial, row-lattice indices, Hermite bases
-and determinants over GF(2).  Exactness is the only requirement, and the
+of x^m + 1 with an integer polynomial, row-lattice indices and
+determinants over GF(2).  Exactness is the only requirement, and the
 matrices stay small: Bareiss serves norms in Z[theta] (at most 15x15 at the
 frey caps) and the 30x30 Maillet check at r <= 61, so the classical cubic
 algorithms are plenty.  `negacyclic_resultant` gives h_r^- at every
@@ -12,10 +12,10 @@ m conjugates in all, each product reduced by `fermat_fold` (a mask, a shift
 and a subtraction, with one sign fix-up) in place of a long division.  The
 quadratic subresultant algorithm that it replaced is the reference in
 tests/oracles.py.  One row-echelon eliminator over Z, `_echelon`, serves
-`row_lattice_index` and `hermite_basis`.  GF(2) vectors are bit-packed
-ints, and one XOR eliminator, `gf2_reduce`, serves `gf2_det` (the Maillet
-parity) and `gf2_pivots`, whose pivots ffpoly.F2Field keeps to solve
-Artin-Schreier equations by one reduction each."""
+`row_lattice_index`.  GF(2) vectors are bit-packed ints, and one XOR
+eliminator, `gf2_reduce`, serves `gf2_det` (the Maillet parity) and
+`gf2_pivots`, whose pivots ffpoly.F2Field keeps to solve Artin-Schreier
+equations by one reduction each."""
 
 from __future__ import annotations
 
@@ -268,26 +268,3 @@ def row_lattice_index(rows, dim: int) -> int:
         index *= row[0]
     return abs(index)
 
-
-def hermite_basis(rows) -> list[list[int]]:
-    """The Hermite normal form of the lattice spanned by the integer rows
-    (Cohen, GTM 138, Sec. 2.4, in upper-triangular orientation): one row per
-    pivot, in pivot order, each pivot positive, and every entry above a
-    pivot reduced into [0, pivot).  It spans the same lattice as the rows and
-    is unique for it, so it is a short, small-entried input for
-    `row_lattice_index`.  Rows are reduced from the last pivot up, so a row
-    is only ever reduced by rows that are reduced already; top-down, the
-    unreduced entries of each new row would multiply into every row above."""
-    pivots = _echelon(rows)
-    reduced: list[tuple[int, list[int]]] = []  # (pivot column, row), in pivot order
-    for col in sorted(pivots, reverse=True):
-        tail = pivots[col]
-        if tail[0] < 0:
-            tail = [-a for a in tail]
-        row = [0] * col + tail
-        for c, below in reduced:
-            q = row[c] // below[c]
-            if q:
-                row = [a - q * b for a, b in zip(row, below)]
-        reduced.insert(0, (col, row))
-    return [row for _, row in reduced]

@@ -26,7 +26,7 @@ from rrpfermat.errors import (
     UnfactoredCofactorError,
 )
 from rrpfermat.ffpoly import X, f2_from_coeffs, f2_gcd, f2_mod, f2_mulmod
-from rrpfermat.intlinalg import row_lattice_index
+from rrpfermat.intlinalg import _echelon, row_lattice_index
 from rrpfermat.numutil import strip_factor
 
 _x = sp.symbols("x")
@@ -411,6 +411,30 @@ def sympy_row_hnf(rows) -> list[list[int]]:
     hnf = hermite_normal_form(sp.Matrix(reversed_rows).T)
     cols = [[int(v) for v in hnf.col(j)][::-1] for j in range(hnf.cols)]
     return cols[::-1]
+
+
+def hermite_basis(rows) -> list[list[int]]:
+    """The Hermite normal form of the lattice spanned by the integer rows
+    (Cohen, GTM 138, Sec. 2.4, in upper-triangular orientation): one row per
+    pivot, in pivot order, each pivot positive, and every entry above a
+    pivot reduced into [0, pivot), by elimination (`intlinalg._echelon`).
+    frey builds the bases of its principal ideals in closed form; this is
+    their reference.  Rows are reduced from the last pivot up, so a row
+    is only ever reduced by rows that are reduced already; top-down, the
+    unreduced entries of each new row would multiply into every row above."""
+    pivots = _echelon(rows)
+    reduced: list[tuple[int, list[int]]] = []  # (pivot column, row), in pivot order
+    for col in sorted(pivots, reverse=True):
+        tail = pivots[col]
+        if tail[0] < 0:
+            tail = [-a for a in tail]
+        row = [0] * col + tail
+        for c, below in reduced:
+            q = row[c] // below[c]
+            if q:
+                row = [a - q * b for a, b in zip(row, below)]
+        reduced.insert(0, (col, row))
+    return [row for _, row in reduced]
 
 
 def ideal_norm(field: RealCyclotomicField, gens: list[CycInt]) -> int:

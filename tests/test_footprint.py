@@ -101,7 +101,7 @@ def test_importing_the_cli_loads_only_errors_and_numutil():
 
 def test_a_frey_process_loads_only_the_curve_and_the_field():
     loaded, hashlib_loaded = _loaded_after(["frey", "--r", "5", "--x", "2", "--y", "1", "--json"])
-    assert loaded == {"cli", "cycfield", "errors", "ffpoly", "frey", "intlinalg", "numutil"}
+    assert loaded == {"cli", "cycfield", "errors", "frey", "intlinalg", "numutil"}
     assert not hashlib_loaded
 
 

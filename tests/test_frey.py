@@ -13,7 +13,7 @@ from rrpfermat.errors import (
     NotCoprimeError,
     UnfactoredCofactorError,
 )
-from rrpfermat import frey
+from rrpfermat import cli, frey
 from rrpfermat.frey import (
     DEFAULT_SMOOTHNESS_BOUND,
     _orbit_representative,
@@ -268,3 +268,100 @@ def test_norm_alpha_beta_gamma_power_of_r_all_triples():
         for triple in combinations(range(f.degree + 1), 3):
             a, b, g = alpha_beta_gamma(f, *triple)
             assert strip_factor(f.norm(a * b * g), r) == 1, (r, triple)
+
+
+# -- the residue map of each (f_k) -------------------------------------------
+
+
+def _closed_form_basis(f, k, x, y):
+    phi = frey._phi(x, y, f.r)
+    if k == 0:
+        return frey._scalar_basis((x + y) ** 2, f.degree)
+    return frey._residue_basis(f, k, frey._residue_root(k, x, y, f.r, phi), x, y, phi)
+
+
+def _eliminated_basis(f, k, x, y):
+    return oracles.hermite_basis(f.multiplication_rows(f_k_eval(f, k, x, y)))
+
+
+def test_closed_form_bases_equal_the_eliminated_ones_on_the_desk_grid():
+    fields = {}
+    for r, x, y in _frey_desk_grid():
+        f = fields.setdefault(r, build_field(r))
+        for k in range(f.degree + 1):
+            assert _closed_form_basis(f, k, x, y) == _eliminated_basis(f, k, x, y), (r, x, y, k)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([5, 7, 11, 13, 17, 19, 23]),
+    st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)).filter(
+        lambda p: math.gcd(*p) == 1
+    ),
+    st.integers(0, 11),
+)
+def test_closed_form_bases_equal_the_eliminated_ones(r, xy, k):
+    f = build_field(r)
+    k %= f.degree + 1
+    assert _closed_form_basis(f, k, *xy) == _eliminated_basis(f, k, *xy)
+
+
+@pytest.mark.parametrize("xy", [(1, -1), (1, 0), (0, 1), (1, 1), (-1, 1)])
+def test_closed_form_bases_at_the_degenerate_values(xy):
+    # x + y = 0 leaves f_0 = 0 (no rows) and Phi = r; Phi = 1 leaves I_d.
+    for r in SMALL_PRIMES:
+        f = build_field(r)
+        for k in range(f.degree + 1):
+            assert _closed_form_basis(f, k, *xy) == _eliminated_basis(f, k, *xy), (r, xy, k)
+
+
+@pytest.mark.parametrize("r", SMALL_PRIMES)
+def test_the_residue_gcd_is_the_lattice_index_at_every_orbit(r):
+    # Each representative pair's index from all the rows of both generators
+    # at once (no Hermite basis) against the gcd that the residue map gives.
+    f = build_field(r)
+    grid = [(x, y) for x in range(-4, 5) for y in range(-4, 5) if math.gcd(x, y) == 1]
+    grid.append(((r + 1) // 2, (r - 1) // 2))  # r | x + y
+    reps = {_orbit_representative(i, j, r) for i, j in combinations(range(f.degree + 1), 2)}
+    for x, y in grid:
+        phi = frey._phi(x, y, r)
+        roots = {k: frey._residue_root(k, x, y, r, phi) for k in range(1, f.degree + 1)}
+        for i, j in reps:
+            gens = [g for g in (f_k_eval(f, i, x, y), f_k_eval(f, j, x, y)) if not g.is_zero()]
+            want = oracles.ideal_norm(f, gens)
+            got = math.gcd(phi, roots[i] - roots[j]) if i else math.gcd((x + y) ** 2, phi)
+            assert got == want, (r, x, y, i, j)
+
+
+def test_a_wrong_residue_root_fails_the_certificate_and_exits_70(monkeypatch, capsys):
+    real_root = frey._residue_root
+    monkeypatch.setattr(frey, "_residue_root", lambda *args: real_root(*args) + 1)
+    with pytest.raises(ConsistencyError, match="does not send psi_r"):
+        coprimality_check(build_field(7), 3, 2)
+    code = cli.main(["frey", "--r", "7", "--x", "3", "--y", "2", "--json"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL
+    assert captured.err.startswith("error:") and "does not send psi_r" in captured.err
+
+
+def test_each_half_of_the_certificate_refuses_a_wrong_root():
+    # At r = 11, (x, y) = (3, 2): -a_2 is a root of f_2 (s_2 is even) but not
+    # of psi_r, and a_2 is a root of psi_r but not of f_1.
+    f, x, y = build_field(11), 3, 2
+    phi = frey._phi(x, y, 11)
+    a_2 = frey._residue_root(2, x, y, 11, phi)
+    with pytest.raises(ConsistencyError, match="does not send psi_r"):
+        frey._residue_basis(f, 2, -a_2 % phi, x, y, phi)
+    with pytest.raises(ConsistencyError, match="does not send psi_r"):
+        frey._residue_basis(f, 1, a_2, x, y, phi)
+
+
+def test_a_lattice_index_that_disagrees_with_the_residue_gcd_exits_70(monkeypatch, capsys):
+    tripled = lambda rows, dim: 3 * row_lattice_index(rows, dim)  # noqa: E731
+    monkeypatch.setattr(frey, "row_lattice_index", tripled)
+    with pytest.raises(ConsistencyError, match="residue map"):
+        coprimality_check(build_field(11), 3, 2)
+    code = cli.main(["frey", "--r", "11", "--x", "3", "--y", "2"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL
+    assert "lattice index" in captured.err

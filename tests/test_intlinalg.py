@@ -1,5 +1,6 @@
-"""Property tests of the exact determinants, resultants, lattice indices and
-Hermite bases against sympy.  The resultant of x^m + 1 by packed conjugates
+"""Property tests of the exact determinants, resultants and lattice indices
+against sympy, and of the Hermite-basis oracle that frey's closed-form
+bases are checked against.  The resultant of x^m + 1 by packed conjugates
 is checked against the subresultant reference in oracles and against
 sympy."""
 
@@ -15,14 +16,13 @@ from rrpfermat.intlinalg import (
     gf2_det,
     gf2_pivots,
     gf2_reduce,
-    hermite_basis,
     negacyclic_resultant,
     row_lattice_index,
 )
 from rrpfermat.numutil import Slots
 
 import oracles
-from oracles import gf2_solve, resultant
+from oracles import gf2_solve, hermite_basis, resultant
 
 
 @st.composite

@@ -7,7 +7,6 @@ check-q then exits 70."""
 
 import pytest
 
-import rrpfermat.cycfield as cycfield
 import rrpfermat.ffpoly as ffpoly
 from rrpfermat.cli import EXIT_INTERNAL, main
 from rrpfermat.cycfield import build_field
@@ -51,14 +50,14 @@ def test_one_residue_field_per_inert_r(monkeypatch):
     # two_shape's Berlekamp route builds the GF(2^d) that is_square_pi_r
     # hands to its Galois ring: one F2Field per field, none from the DDF.
     built = []
-    real_f2field = cycfield.F2Field
+    real_f2field = ffpoly.F2Field
 
     def counting(*args):
         built.append(args)
         return real_f2field(*args)
 
-    monkeypatch.setattr(cycfield, "F2Field", counting)
-    monkeypatch.setattr(cycfield, "ddf_degrees", lambda p: pytest.fail("DDF ran at an inert r"))
+    monkeypatch.setattr(ffpoly, "F2Field", counting)
+    monkeypatch.setattr(ffpoly, "ddf_degrees", lambda p: pytest.fail("DDF ran at an inert r"))
     field = build_field(199)
     field.require_two_inert()
     is_square_pi_r(field)
@@ -69,8 +68,8 @@ def test_one_residue_field_per_inert_r(monkeypatch):
 
 def test_the_ddf_runs_where_two_splits(monkeypatch):
     calls = []
-    real_ddf = cycfield.ddf_degrees
-    monkeypatch.setattr(cycfield, "ddf_degrees", lambda p: calls.append(p) or real_ddf(p))
+    real_ddf = ffpoly.ddf_degrees
+    monkeypatch.setattr(ffpoly, "ddf_degrees", lambda p: calls.append(p) or real_ddf(p))
     assert build_field(193).two_shape() == ((48, 2),)
     assert len(calls) == 1
 
@@ -78,7 +77,7 @@ def test_the_ddf_runs_where_two_splits(monkeypatch):
 def test_a_ddf_that_disagrees_raises_and_exits_70(monkeypatch, capsys):
     # r = 193: 2 splits into two primes of degree 48; a DDF that reads it
     # as four primes of degree 24 contradicts the order of 2.
-    monkeypatch.setattr(cycfield, "ddf_degrees", lambda p: [(24, 4)])
+    monkeypatch.setattr(ffpoly, "ddf_degrees", lambda p: [(24, 4)])
     with pytest.raises(ConsistencyError, match="DDF"):
         build_field(193).two_shape()
     code = main(["check-q", "--r", "193"])
