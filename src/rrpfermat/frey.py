@@ -74,14 +74,15 @@ def invariants_from_abc(A: CycInt, B: CycInt, C: CycInt) -> FreyInvariants:
     """Invariants from explicit A, B, C with A + B + C = 0."""
     if not (A + B + C).is_zero():
         raise ValueError("A + B + C must vanish")
-    abc = A * B * C
+    ab = A * B
+    abc = ab * C
     if abc.is_zero():
         raise DegenerateCurveError("ABC = 0: singular model, j undefined")
-    s = A * B + B * C + C * A
-    delta = 16 * abc * abc
+    s = ab + B * C + C * A
+    j_den = abc * abc
+    delta = 16 * j_den
     c4 = -16 * s
     j_num = -256 * s * s * s
-    j_den = abc * abc
     if not (c4 * c4 * c4 * j_den == j_num * delta):
         raise ConsistencyError("c4^3 != j * Delta; invariant computation broken")
     return FreyInvariants(delta=delta, c4=c4, j_num=j_num, j_den=j_den)

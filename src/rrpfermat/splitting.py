@@ -10,6 +10,11 @@ computed locally: q has an unramified local field of
 residue degree f, and the quadratic x^2 - d splits, stays inert, or ramifies
 over it according to the 2-adic square-class of d, decided with the same
 mod-4 / mod-8 (trace) obstructions used by the Galois-ring square root.
+The trace is read in a GF(2^f): where 2 is inert in Q+, f = (r-1)/2 and
+that is the field's own residue_field_at_2(), which two_shape() has already
+built, so check-quad builds one GF(2^f) per op; only where 2 splits and
+d = 1 mod 4 is a GF(2^f) of the least irreducible modulus built.  Its
+second route is the closed form Tr(c) = c*f mod 2 for the constant c.
 
 The tower rule computes the splitting in the degree-(r-1) etale algebra
 Q(sqrt(d)) (x) Q+.  That coincides with the field K+ whenever sqrt(d) is not
@@ -19,7 +24,7 @@ excludes through r not dividing d.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .cycfield import RealCyclotomicField, build_field
 from .errors import ConsistencyError
@@ -103,9 +108,17 @@ def split_2_in_quadratic(d: int) -> SplittingReport:
     return SplittingReport(2, 2, primes)
 
 
-def _quadratic_fiber(d: int, f: int) -> tuple[tuple[int, int], ...]:
+def _quadratic_fiber(
+    d: int, f: int, residue_field: Callable[[], F2Field]
+) -> tuple[tuple[int, int], ...]:
     """Splitting of x^2 - d over the unramified 2-adic field of residue
-    degree f, as (e, residue degree) pairs relative to that base."""
+    degree f, as (e, residue degree) pairs relative to that base.
+
+    residue_field() returns a GF(2^f); it is called only for d = 1 mod 4,
+    where the fiber is the trace of c = (d - 1)/4 mod 2 read in it.  The
+    constant c lies in GF(2), where the trace is multiplication by f, so
+    Tr(c) = c*f mod 2 in every model of GF(2^f): that is the second route,
+    and a disagreement raises ConsistencyError."""
     if d % 4 != 1:
         # Ramified regardless of the residue field: for d even, v(d) = 1;
         # for d = 3 mod 4, the square of any lift of sqrt(d mod 2) = 1 is
@@ -114,7 +127,11 @@ def _quadratic_fiber(d: int, f: int) -> tuple[tuple[int, int], ...]:
         return ((2, f),)
     # d = 1 mod 4: unramified extension; square vs inert by the trace of
     # c = (d - 1)/4 mod 2 in GF(2^f).
-    if F2Field(f).trace(((d - 1) // 4) & 1) == 0:
+    c = ((d - 1) // 4) & 1
+    trace = residue_field().trace(c)
+    if trace != c * f % 2:
+        raise ConsistencyError(f"d = {d}: Tr({c}) = {trace} in GF(2^{f}), but c*f mod 2 = {c * f % 2}")
+    if trace == 0:
         return ((1, f), (1, f))
     return ((1, 2 * f),)
 
@@ -124,12 +141,17 @@ def split_2_in_Kplus(d: int, r) -> SplittingReport:
     rule: base step in Q+ (unramified, residue degree f per prime), then the
     quadratic fiber over each of those primes.  Every prime above 2 in the
     Galois extension Q+ has the same residue degree f, so the fiber is
-    computed once and repeated."""
+    computed once and repeated.
+
+    The fiber's GF(2^f) is the field's residue_field_at_2() where 2 is inert
+    (f = (r-1)/2; two_shape() has built and rank-checked it already), and
+    F2Field(f), built only if the fiber asks for it, where 2 splits."""
     check_quadratic_d(d)
     fld = _as_field(r)
     base = split_2_in_Qplus(fld)
     f = base.primes[0][1]
-    primes = _quadratic_fiber(d, f) * len(base.primes)
+    residue_field = fld.residue_field_at_2 if f == fld.degree else lambda: F2Field(f)
+    primes = _quadratic_fiber(d, f, residue_field) * len(base.primes)
     return SplittingReport(2, 2 * fld.degree, tuple(sorted(primes)))
 
 

@@ -612,6 +612,20 @@ def gr_sqrt_elementwise(u):
 # -- global splitting oracle for the quadratic tower --------------------------
 
 
+def quadratic_fiber_by_least_irreducible(d: int, f: int) -> tuple[tuple[int, int], ...]:
+    """The fiber of x^2 - d over the unramified 2-adic field of residue
+    degree f, d = 1 mod 4, by the trace of c = (d - 1)/4 mod 2 in a fresh
+    F2Field(f) on the least irreducible modulus: the route that
+    splitting._quadratic_fiber took before it read the trace in the field's
+    residue_field_at_2() where 2 is inert."""
+    from rrpfermat.ffpoly import F2Field
+
+    assert d % 4 == 1
+    if F2Field(f).trace(((d - 1) // 4) & 1) == 0:
+        return ((1, f), (1, f))
+    return ((1, 2 * f),)
+
+
 def quad_tower_splitting(d: int, r: int) -> list[tuple[int, int]] | None:
     """Splitting of 2 in Q(sqrt(d), theta_r) read from the factorization of
     the minimal polynomial of theta + w mod 2 (w = sqrt(d), or (1+sqrt(d))/2

@@ -52,7 +52,20 @@ def test_bareiss_and_gf2_match_sympy(rows):
 def test_gf2_det_rejects_non_square_rows():
     with pytest.raises(ValueError):
         gf2_det([0b100, 0b001])
+    with pytest.raises(ValueError):
+        gf2_det([0b1, -1])
     assert gf2_det([]) == 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=40).flatmap(
+    lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+@example([0b01, 0b11])  # second row meets the first pivot after one XOR
+@example([0b11, 0b11])  # a repeated row: singular
+@example([0b110, 0b011, 0b101])  # rank 2: the last row reduces to 0
+def test_gf2_det_is_full_rank_of_the_pivots(rows):
+    # The plain-int pivot list against gf2_pivots, whose pivots carry combos.
+    assert gf2_det(rows) == int(len(gf2_pivots(rows)) == len(rows))
 
 
 def test_gf2_pivots_rejects_negative_vectors():

@@ -1,7 +1,12 @@
 import pytest
 
+import rrpfermat.ffpoly as ffpoly
 import rrpfermat.splitting as splitting
-from rrpfermat.numutil import primes_upto
+from rrpfermat.cli import EXIT_INTERNAL, main
+from rrpfermat.cycfield import build_field
+from rrpfermat.errors import ConsistencyError
+from rrpfermat.ffpoly import F2Field
+from rrpfermat.numutil import is_squarefree, primes_upto
 from rrpfermat.splitting import (
     SplittingReport,
     check_r_inert_in_quadratic,
@@ -135,7 +140,76 @@ def test_the_quadratic_fiber_is_computed_once_per_op(monkeypatch, d):
     # (three primes of degree 5) one fiber serves all three.
     calls = []
     real_fiber = splitting._quadratic_fiber
-    monkeypatch.setattr(splitting, "_quadratic_fiber", lambda d, f: calls.append(f) or real_fiber(d, f))
+
+    def counting(d, f, residue_field):
+        calls.append(f)
+        return real_fiber(d, f, residue_field)
+
+    monkeypatch.setattr(splitting, "_quadratic_fiber", counting)
     rep = split_2_in_Kplus(d, 31)
     assert calls == [5]
-    assert rep.primes == tuple(sorted(real_fiber(d, 5) * 3))
+    assert rep.primes == tuple(sorted(real_fiber(d, 5, lambda: F2Field(5)) * 3))
+
+
+@pytest.mark.parametrize("r", [7, 199])
+@pytest.mark.parametrize("d", [5, 17])
+def test_an_inert_r_reads_the_fiber_in_the_residue_field(monkeypatch, r, d):
+    # Where 2 is inert in Q+, the fiber's GF(2^f) is the field's own
+    # residue_field_at_2() (modulus psi_r mod 2): no least irreducible is
+    # searched and no second field is built.
+    built = []
+    real_f2field = ffpoly.F2Field
+
+    def counting(*args):
+        built.append(args)
+        return real_f2field(*args)
+
+    monkeypatch.setattr(ffpoly, "least_irreducible", lambda f: pytest.fail("least_irreducible ran"))
+    monkeypatch.setattr(ffpoly, "F2Field", counting)
+    monkeypatch.setattr(splitting, "F2Field", counting)
+    field = build_field(r)
+    rep = split_2_in_Kplus(d, field)
+    assert len(built) == 1 and built[0][0] == field.degree
+    assert field.residue_field_at_2().modulus == ffpoly.f2_from_coeffs(field.psi)
+    assert len(rep.primes) == (1 if d % 8 == 5 else 2)
+
+
+def test_a_split_r_builds_its_fiber_field_only_for_d_1_mod_4(monkeypatch):
+    # r = 31: 2 splits into three primes of degree 5; d = 2, 3 mod 4 ramify
+    # without a trace, and d = 5 reads its trace in one F2Field(5).
+    built = []
+    real_f2field = splitting.F2Field
+    monkeypatch.setattr(splitting, "F2Field", lambda f: built.append(f) or real_f2field(f))
+    for d in (2, 3, 6, 7):
+        assert split_2_in_Kplus(d, 31).primes == ((2, 5),) * 3
+    assert built == []
+    assert split_2_in_Kplus(5, 31).primes == ((1, 10),) * 3
+    assert built == [5]
+
+
+_D_1_MOD_4 = [d for d in range(5, 60, 4) if is_squarefree(d)]
+
+
+@pytest.mark.parametrize("r", [r for r in primes_upto(199) if r >= 5])
+def test_the_fiber_equals_the_least_irreducible_route_and_c_f_mod_2(r):
+    field = build_field(r)
+    (_, f), *_ = split_2_in_Qplus(field).primes
+    count = field.degree // f
+    for d in _D_1_MOD_4:
+        c = ((d - 1) // 4) & 1
+        closed = ((1, f), (1, f)) if c * f % 2 == 0 else ((1, 2 * f),)
+        old = oracles.quadratic_fiber_by_least_irreducible(d, f)
+        assert old == closed, (d, r)
+        assert split_2_in_Kplus(d, field).primes == tuple(sorted(old * count)), (d, r)
+
+
+def test_a_trace_that_disagrees_with_c_f_mod_2_raises_and_exits_70(monkeypatch, capsys):
+    # r = 199: 2 is inert, f = 99, and d = 5 gives c = 1, so Tr(1) = 1.
+    real_trace = ffpoly.F2Field.trace
+    monkeypatch.setattr(ffpoly.F2Field, "trace", lambda self, a: real_trace(self, a) ^ 1)
+    with pytest.raises(ConsistencyError, match="c\\*f mod 2"):
+        split_2_in_Kplus(5, build_field(199))
+    code = main(["check-quad", "--d", "5", "--r", "199"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL
+    assert captured.err.startswith("error:") and "c*f mod 2" in captured.err
