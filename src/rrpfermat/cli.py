@@ -27,6 +27,11 @@ printed only in the human-readable form.
 Each subcommand imports only the modules it runs: check-q and scan-q load
 the verdict engine (criteria), check-quad also the h+ table, and frey only
 the curve and its field, so a frey process never loads the verdict engine.
+
+frey computes the invariants first (a singular model is a usage error), then
+the conductor support, then the coprimality certificate.  An unfactored
+conductor cofactor exits 70 before any certificate is built, so a refused op
+prints nothing on stdout.
 """
 
 from __future__ import annotations
@@ -299,8 +304,10 @@ def cmd_frey(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     inv = frey.invariants(curve)
-    cop = frey.coprimality_check(field, args.x, args.y)
+    # The conductor is the only step that refuses a valid input (exit 70), so
+    # it runs before the coprimality certificate, which a refusal never prints.
     support = frey.conductor_support_outside_S(curve, args.smoothness_bound)
+    cop = frey.coprimality_check(field, args.x, args.y)
     elapsed = time.monotonic() - t0
     report = {
         "A": list(curve.A.coeffs),

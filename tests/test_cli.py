@@ -1,11 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rrpfermat import classnumber, criteria
 from rrpfermat.cli import (
@@ -20,6 +25,10 @@ from rrpfermat.cli import (
 )
 from rrpfermat.cycfield import build_field
 from rrpfermat.descent import norm_necessary_condition
+from rrpfermat.errors import UnfactoredCofactorError
+from rrpfermat.frey import frey_curve
+
+import oracles
 
 
 def run(capsys, *argv):
@@ -232,6 +241,56 @@ def test_frey_unfactored_cofactor(capsys):
         capsys, "frey", "--r", "5", "--x", "2", "--y", "1", "--smoothness-bound", "5"
     )
     assert code == EXIT_INTERNAL and "cofactor" in err
+
+
+def test_frey_refuses_before_the_coprimality_certificate(monkeypatch, capsys):
+    """An unfactored conductor cofactor exits 70 before the certificate is
+    built, so a refusal does no certificate work and prints no report."""
+    import rrpfermat.frey
+
+    def never(field, x, y):
+        raise AssertionError("coprimality_check ran before the conductor refused")
+
+    monkeypatch.setattr(rrpfermat.frey, "coprimality_check", never)
+    code, out, err = run(capsys, "frey", "--r", "11", "--x", "1", "--y", "-5", "--json")
+    assert code == EXIT_INTERNAL
+    assert err == "error: cofactor 149011605834961 has no prime factor <= 100000\n"
+    assert out == ""
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([5, 7, 11, 13, 17, 19, 23]),
+    st.tuples(st.integers(-30, 30), st.integers(-30, 30)).filter(
+        lambda p: math.gcd(*p) == 1 and p[0] + p[1] != 0
+    ),
+    st.sampled_from([5, 100, 100000]),
+)
+@example(5, (2, 1), 100000)
+@example(23, (3, 2), 100000)
+@example(7, (1, 0), 5)
+@example(11, (1, -5), 100000)
+def test_frey_exit_matches_the_trial_division_conductor(r, xy, bound):
+    """frey exits 70 with the oracle's message exactly when the odd trial
+    division leaves a cofactor; otherwise it reports the oracle's support and
+    a coprime family.  (x + y = 0 is the singular model, exit 64.)"""
+    x, y = xy
+    curve = frey_curve(build_field(r), x, y, 0, 1, 2)
+    try:
+        want = oracles.conductor_support_trial_division(curve, bound)
+    except UnfactoredCofactorError as exc:
+        want = exc
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["frey", "--r", str(r), "--x", str(x), "--y", str(y),
+                     "--smoothness-bound", str(bound), "--json"])
+    if isinstance(want, UnfactoredCofactorError):
+        assert (code, out.getvalue(), err.getvalue()) == (EXIT_INTERNAL, "", f"error: {want}\n")
+    else:
+        assert code == EXIT_PASS and err.getvalue() == ""
+        payload = json.loads(out.getvalue())
+        assert payload["conductor_support_outside_S"] == list(want)
+        assert payload["coprimality_ok"] is True
 
 
 def test_json_reports_are_byte_identical_and_parse(capsys):
