@@ -28,10 +28,11 @@ Each subcommand imports only the modules it runs: check-q and scan-q load
 the verdict engine (criteria), check-quad also the h+ table, and frey only
 the curve and its field, so a frey process never loads the verdict engine.
 
-frey computes the invariants first (a singular model is a usage error), then
-the conductor support, then the coprimality certificate.  An unfactored
-conductor cofactor exits 70 before any certificate is built, so a refused op
-prints nothing on stdout.
+frey builds the curve, then computes the conductor support, then the
+invariants, then the coprimality certificate.  An unfactored conductor
+cofactor exits 70 before the invariants or any certificate are computed, so
+a refused op prints nothing on stdout.  A singular model (ABC = 0) is a
+usage error with one message, which the conductor and the invariants share.
 """
 
 from __future__ import annotations
@@ -303,10 +304,11 @@ def cmd_frey(args) -> int:
         curve = frey.frey_curve(field, args.x, args.y, k1, k2, k3)
     except ValueError as exc:
         raise UsageError(str(exc))
-    inv = frey.invariants(curve)
     # The conductor is the only step that refuses a valid input (exit 70), so
-    # it runs before the coprimality certificate, which a refusal never prints.
+    # it runs before the invariants and the coprimality certificate, which a
+    # refusal never prints.
     support = frey.conductor_support_outside_S(curve, args.smoothness_bound)
+    inv = frey.invariants(curve)
     cop = frey.coprimality_check(field, args.x, args.y)
     elapsed = time.monotonic() - t0
     report = {

@@ -139,17 +139,18 @@ class RealCyclotomicField:
         """zeta_r^k + zeta_r^-k in the theta basis, 0 <= k <= r-1.
 
         Uses the three-term recurrence s(k) = theta*s(k-1) - s(k-2) with
-        s(0) = 2, s(1) = theta; results are memoized per field.
+        s(0) = 2, s(1) = theta, where the product by theta is the shift and
+        reduction of `multiplication_rows`, polyrem((0,) + s(k-1), psi), not
+        a CycInt product; results are memoized per field.
         """
         if not 0 <= k <= self.r - 1:
             raise ValueError(f"k = {k} out of range 0..{self.r - 1}")
         memo = self._power_sums
         if not memo:
-            memo.append(self.element(2))
-            if self.degree >= 1:
-                memo.append(self.theta)
+            memo += [self.element(2), self.theta]
         while len(memo) <= k:
-            memo.append(self.theta * memo[-1] - memo[-2])
+            shifted = polyrem((0,) + memo[-1].coeffs, self.psi)
+            memo.append(CycInt(self, tuple([a - b for a, b in zip(shifted, memo[-2].coeffs)])))
         return memo[k]
 
     def two_shape(self) -> tuple[tuple[int, int], ...]:
@@ -379,15 +380,22 @@ def f_k_eval(field: RealCyclotomicField, k: int, x, y) -> CycInt:
 
     These are the degree-two factors of x^r + y^r over Q(theta):
     f_0 * prod_{k>=1} f_k = (x + y) * (x^r + y^r).
+
+    x and y are used as given when they are ints, and coerced through
+    field.element otherwise, so for rational x, y the value is one scalar
+    multiple of s_k = theta_power_sum(k), s_k * (xy) + (x^2 + y^2), and no
+    product in Z[theta]; either way the result is a CycInt of the field.
     """
-    x = field.element(x)
-    y = field.element(y)
+    if not isinstance(x, int):
+        x = field.element(x)
+    if not isinstance(y, int):
+        y = field.element(y)
     if k == 0:
         s = x + y
-        return s * s
+        return field.element(s * s)
     if not 1 <= k <= field.degree:
         raise ValueError(f"k = {k} out of range 0..{field.degree}")
-    return x * x + field.theta_power_sum(k) * x * y + y * y
+    return field.theta_power_sum(k) * (x * y) + (x * x + y * y)
 
 
 def alpha_beta_gamma(field: RealCyclotomicField, k1: int, k2: int, k3: int):

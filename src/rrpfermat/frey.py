@@ -35,6 +35,11 @@ from .intlinalg import row_lattice_index
 from .numutil import DEFAULT_SMOOTHNESS_BOUND, strip_factor
 
 
+# ABC = 0 (N(ABC) = 0): raised by both invariants and the conductor, so the
+# CLI prints the same usage error whichever of them meets it first.
+SINGULAR_MODEL = "ABC = 0: singular model, j undefined"
+
+
 class FreyCurve(NamedTuple):
     field: RealCyclotomicField
     k: tuple[int, int, int]
@@ -53,9 +58,12 @@ class FreyInvariants(NamedTuple):
 
 
 def frey_curve(field: RealCyclotomicField, x, y, k1: int, k2: int, k3: int) -> FreyCurve:
-    x = field.element(x)
-    y = field.element(y)
-    if x.is_zero() and y.is_zero():
+    """The curve for (x, y).  x and y are validated as field elements, and
+    f_k_eval gets them as given, so rational x, y cost no Z[theta] product
+    there."""
+    xe = field.element(x)
+    ye = field.element(y)
+    if xe.is_zero() and ye.is_zero():
         raise ValueError("x and y cannot both be zero")
     alpha, beta, gamma = alpha_beta_gamma(field, k1, k2, k3)
     a = alpha * f_k_eval(field, k1, x, y)
@@ -63,7 +71,7 @@ def frey_curve(field: RealCyclotomicField, x, y, k1: int, k2: int, k3: int) -> F
     c = gamma * f_k_eval(field, k3, x, y)
     if not (a + b + c).is_zero():
         raise ConsistencyError("A + B + C != 0; construction is broken")
-    return FreyCurve(field, (k1, k2, k3), x, y, a, b, c)
+    return FreyCurve(field, (k1, k2, k3), xe, ye, a, b, c)
 
 
 def invariants(curve: FreyCurve) -> FreyInvariants:
@@ -77,7 +85,7 @@ def invariants_from_abc(A: CycInt, B: CycInt, C: CycInt) -> FreyInvariants:
     ab = A * B
     abc = ab * C
     if abc.is_zero():
-        raise DegenerateCurveError("ABC = 0: singular model, j undefined")
+        raise DegenerateCurveError(SINGULAR_MODEL)
     s = ab + B * C + C * A
     j_den = abc * abc
     delta = 16 * j_den
@@ -258,11 +266,16 @@ def conductor_support_outside_S(curve: FreyCurve, smoothness_bound: int = DEFAUL
     factors are then trial-divided up to smoothness_bound: |x + y| by odd
     numbers, Phi only by 1 + 2rt, since every prime of Phi other than r is
     1 mod 2r (-x/y has order r modulo it).  A cofactor surviving the bound
-    raises instead of passing silently."""
+    raises instead of passing silently.
+
+    A singular model, N(ABC) = 0, raises DegenerateCurveError with the
+    message `invariants` gives it (SINGULAR_MODEL): the CLI runs this step
+    before the invariants, and the exit-64 text names the condition, not
+    the step that met it."""
     field, r = curve.field, curve.field.r
     n = abs(field.norm(curve.A * curve.B * curve.C))
     if n == 0:
-        raise DegenerateCurveError("ABC = 0 has no conductor support")
+        raise DegenerateCurveError(SINGULAR_MODEL)
     x, y = _rational(curve.x), _rational(curve.y)
     if math.gcd(x, y) != 1:
         raise NotCoprimeError(f"gcd({x}, {y}) != 1")

@@ -96,6 +96,16 @@ def psi_by_chebyshev_sum(d: int) -> tuple[int, ...]:
     return tuple(acc)
 
 
+def theta_power_sums_by_products(field: RealCyclotomicField) -> list[CycInt]:
+    """s_0, ..., s_(r-1), s_k = zeta^k + zeta^-k, by the recurrence
+    s_k = theta * s_(k-1) - s_(k-2) with each product a CycInt product (the
+    power sums before their shift-and-reduce step)."""
+    sums = [field.element(2), field.theta]
+    while len(sums) < field.r:
+        sums.append(field.theta * sums[-1] - sums[-2])
+    return sums
+
+
 def poly_add(a, b):
     n = max(len(a), len(b))
     return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
@@ -455,7 +465,7 @@ def conductor_support_trial_division(curve, smoothness_bound: int) -> tuple[int,
     the closed-form factors); raises UnfactoredCofactorError as it does."""
     n = abs(curve.field.norm(curve.A * curve.B * curve.C))
     if n == 0:
-        raise DegenerateCurveError("ABC = 0 has no conductor support")
+        raise DegenerateCurveError("ABC = 0: singular model, j undefined")
     n = strip_factor(strip_factor(n, 2), curve.field.r)
     support = []
     p = 3

@@ -232,8 +232,14 @@ def test_frey_guards(capsys):
 
 
 def test_frey_degenerate_is_usage_error(capsys):
-    code, _, err = run(capsys, "frey", "--r", "5", "--x", "1", "--y", "-1")
-    assert code == EXIT_USAGE and "singular" in err
+    """ABC = 0 meets the conductor first; its usage error keeps the
+    invariants' wording, and stdout stays empty."""
+    for argv in (("--r", "5", "--x", "1", "--y", "-1"),
+                 ("--r", "7", "--x", "1", "--y", "-1", "--k", "0,1,2", "--json")):
+        code, out, err = run(capsys, "frey", *argv)
+        assert code == EXIT_USAGE, argv
+        assert err == "usage error: ABC = 0: singular model, j undefined\n"
+        assert out == ""
 
 
 def test_frey_unfactored_cofactor(capsys):
@@ -256,6 +262,34 @@ def test_frey_refuses_before_the_coprimality_certificate(monkeypatch, capsys):
     assert code == EXIT_INTERNAL
     assert err == "error: cofactor 149011605834961 has no prime factor <= 100000\n"
     assert out == ""
+
+
+def test_frey_refuses_before_the_invariants(monkeypatch, capsys):
+    """The conductor runs before the invariants: a refused op computes none
+    and prints nothing, and a completed op computes them once."""
+    import rrpfermat.frey
+
+    real = rrpfermat.frey.invariants
+
+    def never(curve):
+        raise AssertionError("invariants ran before the conductor refused")
+
+    monkeypatch.setattr(rrpfermat.frey, "invariants", never)
+    code, out, err = run(capsys, "frey", "--r", "11", "--x", "1", "--y", "-5", "--json")
+    assert code == EXIT_INTERNAL
+    assert err == "error: cofactor 149011605834961 has no prime factor <= 100000\n"
+    assert out == ""
+
+    calls = []
+
+    def counted(curve):
+        calls.append(curve)
+        return real(curve)
+
+    monkeypatch.setattr(rrpfermat.frey, "invariants", counted)
+    code, out, _ = run(capsys, "frey", "--r", "5", "--x", "2", "--y", "1", "--json")
+    assert code == EXIT_PASS and json.loads(out)["j_den"]
+    assert len(calls) == 1
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

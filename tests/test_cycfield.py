@@ -93,13 +93,14 @@ def test_theta_power_sum_examples():
 
 
 def test_theta_power_sum_recurrence_symmetry_and_range():
-    for r in SMALL_PRIMES:
+    """The shift-and-reduce power sums equal the CycInt-product recurrence
+    at every prime up to MAX_R, and s_k = s_(r-k)."""
+    for r in [p for p in primes_upto(MAX_R) if p >= 5]:
         f = build_field(r)
-        th = f.theta
-        for k in range(2, r):
-            assert f.theta_power_sum(k) == th * f.theta_power_sum(k - 1) - f.theta_power_sum(k - 2)
-        for k in range(r):
-            assert f.theta_power_sum(k) == f.theta_power_sum((r - k) % r)
+        want = oracles.theta_power_sums_by_products(build_field(r))
+        assert [f.theta_power_sum(k) for k in range(r)] == want, r
+        for k in range(1, r):
+            assert f.theta_power_sum(k) == f.theta_power_sum(r - k), (r, k)
     with pytest.raises(ValueError):
         build_field(5).theta_power_sum(5)
     with pytest.raises(ValueError):
@@ -164,6 +165,23 @@ def test_f_k_eval_examples():
     assert prod == 99  # (2+1) * (2^5+1)
     with pytest.raises(ValueError):
         f_k_eval(f5, 3, 1, 1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(-10**4, 10**4), st.integers(-10**4, 10**4))
+@example(0, 0)
+@example(10**4, -10**4)
+def test_f_k_eval_argument_kinds_agree(x, y):
+    """Rational x, y as ints, as field elements or one of each give the
+    same f_k(x, y); the int route takes no Z[theta] product."""
+    for r in SMALL_PRIMES:
+        f = build_field(r)
+        xe, ye = f.element(x), f.element(y)
+        for k in range(f.degree + 1):
+            want = f_k_eval(f, k, xe, ye)
+            for args in ((x, y), (x, ye), (xe, y)):
+                got = f_k_eval(f, k, *args)
+                assert type(got) is type(want) and got == want, (r, k, args)
 
 
 def test_phi_r_and_product_identities_random():
