@@ -55,7 +55,10 @@ For quadratic base fields no desk-scale algorithm is implemented; parity of
 h+ for the compositum is read from an attested external table shipped as
 data (see data/hplus_parity.txt), and a missing entry is reported as
 undetermined rather than assumed.  load_hplus_table reads a table file once
-and records the SHA-256 of exactly the bytes it parsed.
+and records the SHA-256 of exactly the bytes it parsed.  The shipped table's
+path is built from this module's __file__ (_SHIPPED_TABLE), as the
+package's data lies on disk beside it; no importlib.resources lookup runs
+per load.
 """
 
 from __future__ import annotations
@@ -165,6 +168,8 @@ def maillet_parity_rows(r: int, inverses: list[int]) -> list[int]:
 
 # -- external h+ parity table ----------------------------------------------
 
+_SHIPPED_TABLE = os.path.join(os.path.dirname(__file__), "data", "hplus_parity.txt")
+
 
 class HPlusTable(dict):
     """(d, r) -> HPlusTableEntry; `sha256` digests the bytes parsed."""
@@ -177,11 +182,7 @@ def load_hplus_table(path: str | os.PathLike | None = None) -> HPlusTable:
     source...`, # comments, UTF-8.  Duplicate (d, r) keys are an error."""
     from pathlib import Path  # only check-quad reads a table
 
-    if path is None:
-        from importlib import resources
-
-        path = resources.files("rrpfermat").joinpath("data/hplus_parity.txt")
-    src = Path(str(path))
+    src = Path(str(_SHIPPED_TABLE if path is None else path))
     data = src.read_bytes()
     table = HPlusTable()
     table.sha256 = table_digest(data)

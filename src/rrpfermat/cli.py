@@ -22,7 +22,13 @@ main is the only place that maps exceptions to exit codes.
 
 JSON reports (--json) are deterministic: stable key order, no timestamps,
 byte-identical for identical inputs and tool version.  Wall-clock timing is
-printed only in the human-readable form.
+printed only in the human-readable form.  A report is written by a small
+private writer (_json_text) whose bytes are those of
+json.dumps(report, indent=2): on Python 3.10-3.12 json's C encoder ignores
+indent, so json.dumps would run its pure-Python encoder on every report.
+The writer's gain was measured on CPython 3.11 only.  On a later Python
+whose C encoder honours indent, json.dumps may be the faster of the two;
+that is unmeasured, and the choice would then go by sys.version_info.
 
 Each subcommand imports only the modules it runs: check-q and scan-q load
 the verdict engine (criteria), check-quad also the h+ table, and frey only
@@ -43,6 +49,7 @@ import math
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import __version__
 from .errors import (
@@ -158,7 +165,49 @@ def _print_json(args, body: dict) -> None:
     echo = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command", "json")}
     payload = {"tool": "rrpfermat", "version": __version__, "command": args.command,
                "input": echo, **body}
-    print(json.dumps(payload, indent=2))
+    print(_json_text(payload, "\n"))
+
+
+_int_text = int.__repr__
+
+
+def _json_text(value, indent: str) -> str:
+    r"""json.dumps(value, indent=2), byte for byte, for a value nested at the
+    depth whose line break and indentation `indent` is ("\n" at the top).
+
+    Types are tested in json's own order (str, None, bool, int, then lists
+    or tuples, then dicts); strings go through json's ASCII escaper and ints
+    through int.__repr__, as json does.  Anything else, a float or a dict
+    with a key that is not a str among them, is handed to json.dumps
+    itself, re-indented to its depth: json escapes every newline inside a
+    string, so each "\n" of its text is a line break."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return _int_text(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        # exact ints (no bool) are the common item: coefficient vectors
+        items = [_int_text(v) if type(v) is int else _json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        try:
+            items = [_json_str(k) + ": " + (_json_str(v) if type(v) is str else _json_text(v, inner))
+                     for k, v in value.items()]
+        except TypeError:  # a key that is not a str, or a value json refuses
+            return json.dumps(value, indent=2).replace("\n", indent)
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    return json.dumps(value, indent=2).replace("\n", indent)
 
 
 def _load_input(flag: str, path: str | None, load):
@@ -238,9 +287,8 @@ def _read_int_list(path: str) -> list[int]:
 
 
 def shipped_q_list_path() -> str:
-    from importlib import resources  # not needed by the other commands
-
-    return str(resources.files("rrpfermat").joinpath("data/q_list.txt"))
+    """The shipped list of passing r <= 150, next to this module on disk."""
+    return os.path.join(os.path.dirname(__file__), "data", "q_list.txt")
 
 
 def cmd_check_quad(args) -> int:

@@ -10,9 +10,10 @@ a shift and an XOR on whole ints, and one product to check the result.  A
 square root is one product with the field's sqrt(t), a trace one AND and a
 popcount with its trace vector, and an Artin-Schreier equation one
 reduction against its stored pivots; all three come once per field from
-its Berlekamp matrix (Fong, Hankerson, Lopez and Menezes, "Field inversion
-and point halving revisited", IEEE Trans. Computers 53(8), 2004, for the
-square root and the trace).
+its Berlekamp matrix, the pivots at construction and the trace vector
+and sqrt(t) at their first use (Fong, Hankerson, Lopez and Menezes, "Field
+inversion and point halving revisited", IEEE Trans. Computers 53(8), 2004,
+for the square root and the trace).
 
 The kernel follows Hankerson, Menezes and Vanstone, Guide to Elliptic Curve
 Cryptography, section 2.3: f2_divmod and f2_mod clear the leading bit of the
@@ -207,7 +208,7 @@ class F2Field:
     reduced first).  When no modulus is given the deterministic
     least_irreducible(f) is used.
 
-    Everything past mul and inverse is built once, in __init__, from the
+    Everything past mul and inverse is built once per field from the
     Berlekamp matrix Q of m (Berlekamp, "Factoring polynomials over finite
     fields", Bell Syst. Tech. J. 46, 1967), whose column i is
     S_i = t^(2i) mod m, so Q is the matrix of the Frobenius map a -> a^2:
@@ -239,9 +240,16 @@ class F2Field:
        reduction of c (intlinalg.gf2_reduce): a remainder means c is not in
        the image, which is the kernel of the trace; otherwise the columns
        that reduced c away add up to v.
+
+    __init__ runs steps 1 and 4, the squarefree test and the rank with the
+    pivots, and keeps the columns S_i.  Steps 2 and 3 wait for the first
+    trace() and the first sqrt(), each with its check.  So a field whose
+    caller reads only its rank (two_shape's second route) builds neither,
+    and one whose caller only takes traces (check-quad's fiber) builds no
+    sqrt(t).
     """
 
-    __slots__ = ("f", "modulus", "_pivots", "_tau", "_sqrt_t")
+    __slots__ = ("f", "modulus", "_squares", "_pivots", "_tau", "_sqrt_t")
 
     def __init__(self, f: int, modulus: int | None = None):
         if modulus is None:
@@ -252,12 +260,11 @@ class F2Field:
             raise ValueError("modulus is reducible over GF(2) (not squarefree)")
         self.f = f
         self.modulus = modulus
-        squares = self._frobenius_columns()
+        self._squares = squares = self._frobenius_columns()
         self._pivots = gf2_pivots([s ^ (1 << i) for i, s in enumerate(squares)])
         if len(self._pivots) != f - 1:
             raise ValueError("modulus is reducible over GF(2)")
-        self._tau = self._trace_vector(squares)
-        self._sqrt_t = self._root_of_t()
+        self._tau = self._sqrt_t = None  # built by the first trace() and sqrt()
 
     def _frobenius_columns(self) -> list[int]:
         """The columns S_i = t^(2i) mod m of Q, i < f: each is the one
@@ -275,13 +282,14 @@ class F2Field:
                 col ^= m
         return cols
 
-    def _trace_vector(self, squares: list[int]) -> int:
+    def _trace_vector(self) -> int:
         """tau, bit i = Tr(t^i), from x^f m'/m and checked against the
         columns of Q (step 2 of the class docstring)."""
         f = self.f
         quotient = f2_divmod(f2_derivative(self.modulus) << f, self.modulus)[0]
         tau = int(format(quotient, f"0{f}b")[::-1], 2)
-        if not tau or any(((s & tau).bit_count() ^ (tau >> i)) & 1 for i, s in enumerate(squares)):
+        if not tau or any(((s & tau).bit_count() ^ (tau >> i)) & 1
+                          for i, s in enumerate(self._squares)):
             raise ConsistencyError("trace vector is not Frobenius-invariant")
         return tau
 
@@ -323,6 +331,8 @@ class F2Field:
         2): E_a + sqrt(t) * O_a for a = E_a^2 + t O_a^2, one product."""
         if a >> self.f:
             a = f2_mod(a, self.modulus)
+        if self._sqrt_t is None:
+            self._sqrt_t = self._root_of_t()
         even, odd = _halves(a)
         return even ^ self.mul(self._sqrt_t, odd)
 
@@ -333,6 +343,8 @@ class F2Field:
         """
         if a >> self.f:
             a = f2_mod(a, self.modulus)
+        if self._tau is None:
+            self._tau = self._trace_vector()
         return (a & self._tau).bit_count() & 1
 
     def artin_schreier(self, c: int) -> int | None:

@@ -48,6 +48,9 @@ class FreyCurve(NamedTuple):
     A: CycInt
     B: CycInt
     C: CycInt
+    # A * B and A * B * C, kept for the conductor's norm and the invariants
+    AB: CycInt
+    ABC: CycInt
 
 
 class FreyInvariants(NamedTuple):
@@ -60,7 +63,8 @@ class FreyInvariants(NamedTuple):
 def frey_curve(field: RealCyclotomicField, x, y, k1: int, k2: int, k3: int) -> FreyCurve:
     """The curve for (x, y).  x and y are validated as field elements, and
     f_k_eval gets them as given, so rational x, y cost no Z[theta] product
-    there."""
+    there.  The curve keeps A * B and A * B * C, which the conductor and the
+    invariants both read, so each is multiplied once per curve."""
     xe = field.element(x)
     ye = field.element(y)
     if xe.is_zero() and ye.is_zero():
@@ -71,11 +75,13 @@ def frey_curve(field: RealCyclotomicField, x, y, k1: int, k2: int, k3: int) -> F
     c = gamma * f_k_eval(field, k3, x, y)
     if not (a + b + c).is_zero():
         raise ConsistencyError("A + B + C != 0; construction is broken")
-    return FreyCurve(field, (k1, k2, k3), xe, ye, a, b, c)
+    ab = a * b
+    return FreyCurve(field, (k1, k2, k3), xe, ye, a, b, c, ab, ab * c)
 
 
 def invariants(curve: FreyCurve) -> FreyInvariants:
-    return invariants_from_abc(curve.A, curve.B, curve.C)
+    """The invariants of a built curve, from the products it keeps."""
+    return _invariants(curve.A, curve.B, curve.C, curve.AB, curve.ABC)
 
 
 def invariants_from_abc(A: CycInt, B: CycInt, C: CycInt) -> FreyInvariants:
@@ -83,7 +89,11 @@ def invariants_from_abc(A: CycInt, B: CycInt, C: CycInt) -> FreyInvariants:
     if not (A + B + C).is_zero():
         raise ValueError("A + B + C must vanish")
     ab = A * B
-    abc = ab * C
+    return _invariants(A, B, C, ab, ab * C)
+
+
+def _invariants(A: CycInt, B: CycInt, C: CycInt, ab: CycInt, abc: CycInt) -> FreyInvariants:
+    """The invariants given ab = A * B and abc = A * B * C."""
     if abc.is_zero():
         raise DegenerateCurveError(SINGULAR_MODEL)
     s = ab + B * C + C * A
@@ -259,21 +269,22 @@ def conductor_support_outside_S(curve: FreyCurve, smoothness_bound: int = DEFAUL
     the semistable part of the conductor, for rational integers x, y with
     gcd 1.
 
-    Two routes give the norm.  One is the exact determinant of ABC.  The
-    other is the closed form: N(f_0) = (x + y)^(r-1), N(f_k) = Phi(x, y) =
-    (x^r + y^r)/(x + y) for k >= 1, and N(alpha), N(beta), N(gamma) are
-    +-powers of r; outside {2, r} the two must agree.  The closed-form
-    factors are then trial-divided up to smoothness_bound: |x + y| by odd
-    numbers, Phi only by 1 + 2rt, since every prime of Phi other than r is
-    1 mod 2r (-x/y has order r modulo it).  A cofactor surviving the bound
-    raises instead of passing silently.
+    Two routes give the norm.  One is the exact determinant of ABC, the
+    product the curve keeps (curve.ABC).  The other is the closed form:
+    N(f_0) = (x + y)^(r-1), N(f_k) = Phi(x, y) = (x^r + y^r)/(x + y) for
+    k >= 1, and N(alpha), N(beta), N(gamma) are +-powers of r; outside
+    {2, r} the two must agree.  The closed-form factors are then
+    trial-divided up to smoothness_bound: |x + y| by odd numbers, Phi only
+    by 1 + 2rt, since every prime of Phi other than r is 1 mod 2r (-x/y has
+    order r modulo it).  A cofactor surviving the bound raises instead of
+    passing silently.
 
     A singular model, N(ABC) = 0, raises DegenerateCurveError with the
     message `invariants` gives it (SINGULAR_MODEL): the CLI runs this step
     before the invariants, and the exit-64 text names the condition, not
     the step that met it."""
     field, r = curve.field, curve.field.r
-    n = abs(field.norm(curve.A * curve.B * curve.C))
+    n = abs(field.norm(curve.ABC))
     if n == 0:
         raise DegenerateCurveError(SINGULAR_MODEL)
     x, y = _rational(curve.x), _rational(curve.y)

@@ -124,6 +124,17 @@ def test_table_parsing_errors(tmp_path):
     assert table[(3, 7)].source == "some source text"
 
 
+def test_the_shipped_paths_are_the_package_resources():
+    # The package builds its data paths from __file__; importlib.resources,
+    # which it no longer imports, must name the same files.
+    from rrpfermat import classnumber
+    from rrpfermat.cli import shipped_q_list_path
+
+    package = resources.files("rrpfermat")
+    assert classnumber._SHIPPED_TABLE == str(package.joinpath("data/hplus_parity.txt"))
+    assert shipped_q_list_path() == str(package.joinpath("data/q_list.txt"))
+
+
 def test_table_digest_stable():
     shipped = resources.files("rrpfermat").joinpath("data/hplus_parity.txt").read_bytes()
     digest = load_hplus_table().sha256

@@ -123,6 +123,23 @@ def test_a_frey_process_loads_no_resource_or_path_modules():
     assert out.stdout.strip() == "[]"
 
 
+def test_no_command_loads_importlib_resources():
+    # The shipped table and the q list are found from the package's __file__.
+    code = (
+        "import contextlib, io, sys\n"
+        "from rrpfermat import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['check-quad', '--d', '2', '--r', '11', '--json'])\n"
+        "    cli.main(['scan-q', '--max-r', '30', '--expect', cli.shipped_q_list_path()])\n"
+        "print('importlib.resources' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("argv", [["check-q", "--r", "7", "--json"], ["scan-q", "--max-r", "30"]])
 def test_the_rational_commands_load_no_curve_descent_or_digest(argv):
     loaded, hashlib_loaded = _loaded_after(argv)

@@ -105,6 +105,23 @@ def test_degenerate_curve():
             assert str(exc.value) == "ABC = 0: singular model, j undefined", (r, step)
 
 
+def test_a_curve_multiplies_A_B_C_once(monkeypatch):
+    # frey_curve keeps A * B and A * B * C; the conductor's norm and the
+    # invariants read them and multiply neither again.
+    field = build_field(11)
+    curve = frey_curve(field, 3, 2, 0, 1, 2)
+    assert curve.AB == curve.A * curve.B and curve.ABC == curve.AB * curve.C
+    products = []
+    real_mul = type(curve.A).__mul__
+    monkeypatch.setattr(type(curve.A), "__mul__", lambda a, b: products.append((a, b)) or real_mul(a, b))
+    conductor_support_outside_S(curve)
+    inv = invariants(curve)
+    again = [(a, b) for a, b in products if not isinstance(b, int)
+             and ((a == curve.A and b == curve.B) or (a == curve.AB and b == curve.C))]
+    assert products and not again
+    assert inv == invariants_from_abc(curve.A, curve.B, curve.C)
+
+
 def test_invariants_from_abc_requires_sum_zero():
     f5 = build_field(5)
     with pytest.raises(ValueError):

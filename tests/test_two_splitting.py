@@ -5,10 +5,12 @@ consumer must agree with sympy's factorization of psi_r mod 2 for each prime
 DDF where 2 splits) raises ConsistencyError on any disagreement, and
 check-q then exits 70."""
 
+import json
+
 import pytest
 
 import rrpfermat.ffpoly as ffpoly
-from rrpfermat.cli import EXIT_INTERNAL, main
+from rrpfermat.cli import EXIT_FAIL, EXIT_INTERNAL, EXIT_PASS, EXIT_UNDETERMINED, main
 from rrpfermat.cycfield import build_field
 from rrpfermat.errors import ConsistencyError, NotInertError
 from rrpfermat.galoisring import GaloisRing, is_square_pi_r
@@ -114,3 +116,45 @@ def test_a_galois_ring_refuses_a_residue_field_of_another_modulus():
         GaloisRing(5, [1, 1, 0, 1], f7.residue_field_at_2())
     ring = GaloisRing(5, f7.psi, f7.residue_field_at_2())
     assert ring.residue_field is f7.residue_field_at_2()
+
+
+# -- the residue field's trace vector and sqrt(t) wait for first use ---------
+
+
+def _count_first_uses(monkeypatch) -> dict:
+    counts = {"_trace_vector": 0, "_root_of_t": 0}
+    for name in counts:
+        def counting(self, _name=name, _real=getattr(ffpoly.F2Field, name)):
+            counts[_name] += 1
+            return _real(self)
+
+        monkeypatch.setattr(ffpoly.F2Field, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("theorem, code", [(True, EXIT_FAIL), (False, EXIT_UNDETERMINED)])
+def test_check_quad_d_2_needs_neither_the_trace_vector_nor_sqrt_t(monkeypatch, capsys, theorem, code):
+    # d = 2 ramifies in the fiber: check-quad reads only the rank of GF(2^99)
+    # that two_shape() builds at r = 199.  Without --theorem the missing h+
+    # entry leaves the verdict undetermined; with it, r splits in Q(sqrt(2)).
+    argv = ["check-quad", "--d", "2", "--r", "199", "--json"] + ["--theorem"] * theorem
+    assert main(argv) == code
+    reference = capsys.readouterr().out
+    for name in ("_trace_vector", "_root_of_t"):
+        monkeypatch.setattr(ffpoly.F2Field, name, lambda self, _name=name: pytest.fail(f"{_name} ran"))
+    assert main(argv) == code
+    assert capsys.readouterr().out == reference
+    assert json.loads(reference)["verdict"]["overall"] == ("fail" if theorem else "undetermined")
+
+
+def test_check_quad_d_5_builds_the_trace_vector_once_and_no_sqrt_t(monkeypatch, capsys):
+    counts = _count_first_uses(monkeypatch)
+    assert main(["check-quad", "--d", "5", "--r", "199", "--json"]) == EXIT_UNDETERMINED
+    assert counts == {"_trace_vector": 1, "_root_of_t": 0}
+
+
+def test_check_q_builds_both_for_the_galois_ring_square_root(monkeypatch, capsys):
+    counts = _count_first_uses(monkeypatch)
+    assert main(["check-q", "--r", "199", "--json"]) == EXIT_PASS
+    assert '"pi_r_square_mod_P5": true' in capsys.readouterr().out
+    assert counts == {"_trace_vector": 1, "_root_of_t": 1}
