@@ -357,7 +357,7 @@ def cmd_frey(args) -> int:
     # refusal never prints.
     support = frey.conductor_support_outside_S(curve, args.smoothness_bound)
     inv = frey.invariants(curve)
-    cop = frey.coprimality_check(field, args.x, args.y)
+    cop = frey.coprimality_check(curve)
     elapsed = time.monotonic() - t0
     report = {
         "A": list(curve.A.coeffs),

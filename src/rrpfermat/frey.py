@@ -2,17 +2,19 @@
 
 A = alpha * f_{k1}(x, y), B = beta * f_{k2}(x, y), C = gamma * f_{k3}(x, y)
 with (alpha, beta, gamma) the telescoping coefficients from cycfield, so
-A + B + C = 0 identically.  The curve is built for arbitrary coprime inputs,
+A + B + C = 0 identically.  x and y are coprime rational integers, the
+inputs of Freitas's recipe over Q; the curve is built for every such pair,
 not only for genuine solutions of x^r + y^r = z^p: the algebraic identities
 (A + B + C = 0, the invariant formulas, pairwise coprimality of the f_k
 outside r) hold for every coprime pair, which is what can be exercised at
-desk scale.
+desk scale.  frey_curve checks x and y once, and the conductor, the
+coprimality certificate and the invariants read the curve it returns.
 
 Invariants of the model (standard b-invariant expansion of the right side
 X^3 + (B - A) X^2 - AB X):
 
     Delta = 2^4 (ABC)^2
-    c4    = 2^4 (A^2 + AB + B^2)   ( = -2^4 (AB + BC + CA) )
+    c4    = 2^4 (A^2 + AB + B^2)   ( = -2^4 (AB + BC + CA) = -2^4 (AB - C^2) )
     j     = -2^8 (AB + BC + CA)^3 / (ABC)^2
 
 stored with j as an exact numerator/denominator pair and tied together by
@@ -41,14 +43,18 @@ SINGULAR_MODEL = "ABC = 0: singular model, j undefined"
 
 
 class FreyCurve(NamedTuple):
+    """The one record of a rational Frey input: x, y as checked by
+    frey_curve, and what the later steps read of them."""
     field: RealCyclotomicField
     k: tuple[int, int, int]
-    x: CycInt
-    y: CycInt
+    x: int
+    y: int
     A: CycInt
     B: CycInt
     C: CycInt
-    # A * B and A * B * C, kept for the conductor's norm and the invariants
+    # Phi(x, y), read by the conductor and the coprimality certificate, and
+    # A * B and A * B * C, read by the conductor's norm and the invariants
+    phi: int
     AB: CycInt
     ABC: CycInt
 
@@ -60,15 +66,18 @@ class FreyInvariants(NamedTuple):
     j_den: CycInt
 
 
-def frey_curve(field: RealCyclotomicField, x, y, k1: int, k2: int, k3: int) -> FreyCurve:
-    """The curve for (x, y).  x and y are validated as field elements, and
-    f_k_eval gets them as given, so rational x, y cost no Z[theta] product
-    there.  The curve keeps A * B and A * B * C, which the conductor and the
-    invariants both read, so each is multiplied once per curve."""
-    xe = field.element(x)
-    ye = field.element(y)
-    if xe.is_zero() and ye.is_zero():
+def frey_curve(field: RealCyclotomicField, x: int, y: int, k1: int, k2: int, k3: int) -> FreyCurve:
+    """The curve for coprime rational integers x, y.  The inputs are checked
+    here and nowhere after: TypeError unless both are int, ValueError when
+    both are 0, NotCoprimeError when gcd(x, y) != 1, then the k checks of
+    alpha_beta_gamma.  The curve keeps Phi(x, y), A * B and A * B * C, so
+    each is computed once per curve."""
+    if not isinstance(x, int) or not isinstance(y, int):
+        raise TypeError("the Frey curve takes rational integers x, y")
+    if x == 0 and y == 0:
         raise ValueError("x and y cannot both be zero")
+    if math.gcd(x, y) != 1:
+        raise NotCoprimeError(f"gcd({x}, {y}) != 1")
     alpha, beta, gamma = alpha_beta_gamma(field, k1, k2, k3)
     a = alpha * f_k_eval(field, k1, x, y)
     b = beta * f_k_eval(field, k2, x, y)
@@ -76,27 +85,16 @@ def frey_curve(field: RealCyclotomicField, x, y, k1: int, k2: int, k3: int) -> F
     if not (a + b + c).is_zero():
         raise ConsistencyError("A + B + C != 0; construction is broken")
     ab = a * b
-    return FreyCurve(field, (k1, k2, k3), xe, ye, a, b, c, ab, ab * c)
+    return FreyCurve(field, (k1, k2, k3), x, y, a, b, c, _phi(x, y, field.r), ab, ab * c)
 
 
 def invariants(curve: FreyCurve) -> FreyInvariants:
-    """The invariants of a built curve, from the products it keeps."""
-    return _invariants(curve.A, curve.B, curve.C, curve.AB, curve.ABC)
-
-
-def invariants_from_abc(A: CycInt, B: CycInt, C: CycInt) -> FreyInvariants:
-    """Invariants from explicit A, B, C with A + B + C = 0."""
-    if not (A + B + C).is_zero():
-        raise ValueError("A + B + C must vanish")
-    ab = A * B
-    return _invariants(A, B, C, ab, ab * C)
-
-
-def _invariants(A: CycInt, B: CycInt, C: CycInt, ab: CycInt, abc: CycInt) -> FreyInvariants:
-    """The invariants given ab = A * B and abc = A * B * C."""
+    """The invariants of a built curve, from the products it keeps.  As
+    A + B + C = 0 (checked by frey_curve), AB + BC + CA = AB - C^2."""
+    abc = curve.ABC
     if abc.is_zero():
         raise DegenerateCurveError(SINGULAR_MODEL)
-    s = ab + B * C + C * A
+    s = curve.AB - curve.C * curve.C
     j_den = abc * abc
     delta = 16 * j_den
     c4 = -16 * s
@@ -142,8 +140,9 @@ def _orbit_representative(i: int, j: int, r: int) -> tuple[int, int]:
     return 1, min(_fold(j_over_i, r), _fold(pow(j_over_i, -1, r), r))
 
 
-def coprimality_check(field: RealCyclotomicField, x: int, y: int) -> CoprimalityReport:
-    """Certify that the f_k(x, y) are pairwise coprime outside r.
+def coprimality_check(curve: FreyCurve) -> CoprimalityReport:
+    """Certify that the f_k(x, y) of a built curve are pairwise coprime
+    outside r, for every k (not only the curve's three).
 
     For each pair i < j the norm of the ideal (f_i(x,y), f_j(x,y)) is
     computed exactly and stripped of its r-part; a leftover > 1 names an
@@ -151,14 +150,15 @@ def coprimality_check(field: RealCyclotomicField, x: int, y: int) -> Coprimality
     coprimality of element norms: conjugate factors share their norm without
     sharing any prime, so norm gcds would flag false positives.)
 
-    The residue map.  Let Phi = (x^r + y^r)/(x + y), the full value (2 and r
-    not stripped).  For k >= 1 and coprime x, y, xy is prime to Phi and
-    x^r = -y^r mod Phi, so t = (-x/y)^(k^-1 mod r) has t^r = 1 mod Phi, and
-    theta -> a_k = t + t^-1 is a ring map Z[theta] -> Z/Phi that sends f_k to
-    0 (`_residue_root`).  Before it is used, `_residue_basis` checks
-    psi_r(a_k) = 0 and x^2 + s_k(a_k) xy + y^2 = 0 mod Phi, with s_k the
-    field's theta_power_sum(k), and raises ConsistencyError otherwise.  The
-    map is onto, so its kernel has index Phi and contains (f_k), whose index
+    The residue map.  Let Phi = (x^r + y^r)/(x + y), the full value the
+    curve keeps (2 and r not stripped).  For k >= 1 and coprime x, y, xy is
+    prime to Phi and x^r = -y^r mod Phi, so t = (-x/y)^(k^-1 mod r) has
+    t^r = 1 mod Phi, and theta -> a_k = t + t^-1 is a ring map
+    Z[theta] -> Z/Phi that sends f_k to 0 (`_residue_root`).  Before it is
+    used, `_residue_basis` checks psi_r(a_k) = 0 and
+    x^2 + s_k(a_k) xy + y^2 = 0 mod Phi, with s_k the field's
+    theta_power_sum(k), and raises ConsistencyError otherwise.  The map is
+    onto, so its kernel has index Phi and contains (f_k), whose index
     is |N(f_k)| = Phi: the two ideals are equal, and the Hermite basis of
     (f_k) (Cohen, GTM 138, Sec. 2.4, upper triangular) is that of the kernel,
     in closed form: e_i + c_i e_(d-1) with c_i = -a_k^i a_k^-(d-1) mod Phi
@@ -183,14 +183,10 @@ def coprimality_check(field: RealCyclotomicField, x: int, y: int) -> Coprimality
     floor(d/2) + 1 indices per call, and residue maps only for the f_k that
     a representative names.
     """
-    if not isinstance(x, int) or not isinstance(y, int):
-        raise TypeError("desk-scale coprimality check takes rational integers")
-    if math.gcd(x, y) != 1:
-        raise NotCoprimeError(f"gcd({x}, {y}) != 1")
+    field, x, y, phi = curve.field, curve.x, curve.y, curve.phi
     r, d = field.r, field.degree
     reps = {(i, j): _orbit_representative(i, j, r)
             for i in range(d + 1) for j in range(i + 1, d + 1)}
-    phi = _phi(x, y, r)
     square = (x + y) ** 2
     named = {k for rep in reps.values() for k in rep}
     roots = {k: _residue_root(k, x, y, r, phi) for k in named if k}
@@ -266,14 +262,14 @@ def _evaluate(coeffs, a: int, m: int) -> int:
 
 def conductor_support_outside_S(curve: FreyCurve, smoothness_bound: int = DEFAULT_SMOOTHNESS_BOUND) -> tuple[int, ...]:
     """Rational primes q outside {2, r} dividing Norm(ABC): the support of
-    the semistable part of the conductor, for rational integers x, y with
-    gcd 1.
+    the semistable part of the conductor of a built curve, whose x, y
+    frey_curve checked to be coprime rational integers.
 
     Two routes give the norm.  One is the exact determinant of ABC, the
     product the curve keeps (curve.ABC).  The other is the closed form:
-    N(f_0) = (x + y)^(r-1), N(f_k) = Phi(x, y) = (x^r + y^r)/(x + y) for
-    k >= 1, and N(alpha), N(beta), N(gamma) are +-powers of r; outside
-    {2, r} the two must agree.  The closed-form factors are then
+    N(f_0) = (x + y)^(r-1), N(f_k) = Phi(x, y) = (x^r + y^r)/(x + y)
+    (curve.phi) for k >= 1, and N(alpha), N(beta), N(gamma) are +-powers of
+    r; outside {2, r} the two must agree.  The closed-form factors are then
     trial-divided up to smoothness_bound: |x + y| by odd numbers, Phi only
     by 1 + 2rt, since every prime of Phi other than r is 1 mod 2r (-x/y has
     order r modulo it).  A cofactor surviving the bound raises instead of
@@ -287,11 +283,8 @@ def conductor_support_outside_S(curve: FreyCurve, smoothness_bound: int = DEFAUL
     n = abs(field.norm(curve.ABC))
     if n == 0:
         raise DegenerateCurveError(SINGULAR_MODEL)
-    x, y = _rational(curve.x), _rational(curve.y)
-    if math.gcd(x, y) != 1:
-        raise NotCoprimeError(f"gcd({x}, {y}) != 1")
-    x_plus_y = _outside_2_r(x + y, r)
-    phi = _outside_2_r(_phi(x, y, r), r)
+    x_plus_y = _outside_2_r(curve.x + curve.y, r)
+    phi = _outside_2_r(curve.phi, r)
     e0 = r - 1 if 0 in curve.k else 0
     m = sum(1 for k in curve.k if k)
     if _outside_2_r(n, r) != x_plus_y**e0 * phi**m:
@@ -307,12 +300,6 @@ def conductor_support_outside_S(curve: FreyCurve, smoothness_bound: int = DEFAUL
             f"cofactor {cofactor} has no prime factor <= {smoothness_bound}"
         )
     return tuple(sorted(set(support)))
-
-
-def _rational(a: CycInt) -> int:
-    if any(a.coeffs[1:]):
-        raise TypeError("the closed-form conductor takes rational integers x, y")
-    return a.coeffs[0]
 
 
 def _outside_2_r(n: int, r: int) -> int:

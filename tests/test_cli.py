@@ -231,6 +231,15 @@ def test_frey_guards(capsys):
     assert code == EXIT_USAGE
 
 
+def test_frey_non_coprime_is_usage_error(capsys):
+    """The CLI's own gcd gate runs ahead of frey_curve's, so its text is the
+    one printed."""
+    code, out, err = run(capsys, "frey", "--r", "5", "--x", "6", "--y", "3", "--json")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "usage error: --x 6 --y 3: gcd must be 1\n"
+
+
 def test_frey_degenerate_is_usage_error(capsys):
     """ABC = 0 meets the conductor first; its usage error keeps the
     invariants' wording, and stdout stays empty."""
@@ -254,7 +263,7 @@ def test_frey_refuses_before_the_coprimality_certificate(monkeypatch, capsys):
     built, so a refusal does no certificate work and prints no report."""
     import rrpfermat.frey
 
-    def never(field, x, y):
+    def never(curve):
         raise AssertionError("coprimality_check ran before the conductor refused")
 
     monkeypatch.setattr(rrpfermat.frey, "coprimality_check", never)
@@ -290,6 +299,24 @@ def test_frey_refuses_before_the_invariants(monkeypatch, capsys):
     code, out, _ = run(capsys, "frey", "--r", "5", "--x", "2", "--y", "1", "--json")
     assert code == EXIT_PASS and json.loads(out)["j_den"]
     assert len(calls) == 1
+
+
+def test_a_completed_frey_op_computes_phi_once(monkeypatch, capsys):
+    """frey_curve keeps Phi(x, y); the conductor and the coprimality
+    certificate read it from the curve."""
+    import rrpfermat.frey
+
+    real = rrpfermat.frey._phi
+    calls = []
+
+    def counted(x, y, r):
+        calls.append((x, y, r))
+        return real(x, y, r)
+
+    monkeypatch.setattr(rrpfermat.frey, "_phi", counted)
+    code, out, _ = run(capsys, "frey", "--r", "7", "--x", "3", "--y", "2", "--json")
+    assert code == EXIT_PASS and json.loads(out)["coprimality_ok"]
+    assert calls == [(3, 2, 7)]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -21,7 +21,6 @@ from rrpfermat.frey import (
     coprimality_check,
     frey_curve,
     invariants,
-    invariants_from_abc,
 )
 from rrpfermat.intlinalg import row_lattice_index
 from rrpfermat.numutil import primes_upto, strip_factor
@@ -91,9 +90,6 @@ def test_invariants_against_weierstrass_oracle_random():
 
 
 def test_degenerate_curve():
-    f5 = build_field(5)
-    with pytest.raises(DegenerateCurveError):
-        invariants_from_abc(f5.one, -f5.one, f5.element(0))
     # x = 1, y = -1 sends f_0 to 0, so A = 0.  The conductor and the
     # invariants raise with one message, so the CLI's exit-64 text does not
     # depend on which of them runs first.
@@ -111,6 +107,8 @@ def test_a_curve_multiplies_A_B_C_once(monkeypatch):
     field = build_field(11)
     curve = frey_curve(field, 3, 2, 0, 1, 2)
     assert curve.AB == curve.A * curve.B and curve.ABC == curve.AB * curve.C
+    c4_o, delta_o = oracles.weierstrass_c4_delta(curve.A, curve.B)
+    s = curve.A * curve.B + curve.B * curve.C + curve.C * curve.A
     products = []
     real_mul = type(curve.A).__mul__
     monkeypatch.setattr(type(curve.A), "__mul__", lambda a, b: products.append((a, b)) or real_mul(a, b))
@@ -119,27 +117,24 @@ def test_a_curve_multiplies_A_B_C_once(monkeypatch):
     again = [(a, b) for a, b in products if not isinstance(b, int)
              and ((a == curve.A and b == curve.B) or (a == curve.AB and b == curve.C))]
     assert products and not again
-    assert inv == invariants_from_abc(curve.A, curve.B, curve.C)
+    assert inv.c4 == c4_o == -16 * s and inv.delta == delta_o
 
 
-def test_invariants_from_abc_requires_sum_zero():
-    f5 = build_field(5)
-    with pytest.raises(ValueError):
-        invariants_from_abc(f5.one, f5.one, f5.one)
+def test_frey_curve_requires_A_B_C_to_sum_to_zero(monkeypatch):
+    # The telescoping check in frey_curve is the only A + B + C = 0 guard.
+    monkeypatch.setattr(frey, "alpha_beta_gamma", lambda field, *ks: (field.one,) * 3)
+    with pytest.raises(ConsistencyError, match="A \\+ B \\+ C != 0"):
+        frey_curve(build_field(5), 2, 1, 0, 1, 2)
 
 
 def test_coprimality_examples():
     f5 = build_field(5)
-    rep = coprimality_check(f5, 2, 1)
+    rep = coprimality_check(frey_curve(f5, 2, 1, 0, 1, 2))
     assert rep.ok and all(n == 1 for _, _, n in rep.pairs)
-    rep = coprimality_check(build_field(7), 3, 2)
+    rep = coprimality_check(frey_curve(build_field(7), 3, 2, 0, 1, 2))
     assert rep.ok
-    rep = coprimality_check(f5, 1, 0)
+    rep = coprimality_check(frey_curve(f5, 1, 0, 0, 1, 2))
     assert rep.ok  # every f_k = 1: vacuous
-    with pytest.raises(NotCoprimeError):
-        coprimality_check(f5, 2, 2)
-    with pytest.raises(TypeError):
-        coprimality_check(f5, f5.one, 1)
 
 
 def test_coprimality_random_pairs():
@@ -148,7 +143,7 @@ def test_coprimality_random_pairs():
         f = build_field(r)
         for _ in range(50):
             x, y = random_coprime_pair(rng)
-            assert coprimality_check(f, x, y).ok, (r, x, y)
+            assert coprimality_check(frey_curve(f, x, y, 0, 1, 2)).ok, (r, x, y)
 
 
 def test_coprimality_pairs_match_the_all_rows_ideal_norm():
@@ -166,7 +161,8 @@ def test_coprimality_pairs_match_the_all_rows_ideal_norm():
                 (i, j, strip_factor(oracles.ideal_norm(f, [values[i], values[j]]), r))
                 for i, j in combinations(range(len(values)), 2)
             ]
-            assert list(coprimality_check(f, x, y).pairs) == expected, (r, x, y)
+            report = coprimality_check(frey_curve(f, x, y, 0, 1, 2))
+            assert list(report.pairs) == expected, (r, x, y)
 
 
 def _fold(t, r):
@@ -193,7 +189,7 @@ def test_coprimality_takes_one_lattice_index_per_galois_orbit(r, monkeypatch):
     f = build_field(r)
     for x, y in [(1, -1), (1, 0), (3, 2), ((r + 1) // 2, (r - 1) // 2)]:
         calls.clear()
-        coprimality_check(f, x, y)
+        coprimality_check(frey_curve(f, x, y, 0, 1, 2))
         assert len(calls) == f.degree // 2 + 1, (r, x, y)
 
 
@@ -255,12 +251,20 @@ def test_conductor_checks_the_norm_against_the_closed_form(monkeypatch):
         conductor_support_outside_S(cur)
 
 
-def test_conductor_takes_coprime_rational_integers():
+def test_frey_curve_takes_coprime_rational_integers():
+    # The curve gates its inputs once, in this order; the conductor and the
+    # coprimality certificate read them from the curve.
     f5 = build_field(5)
+    for x in (f5.theta, f5.one):
+        with pytest.raises(TypeError):
+            frey_curve(f5, x, 1, 0, 1, 2)
     with pytest.raises(TypeError):
-        conductor_support_outside_S(frey_curve(f5, f5.theta, 1, 0, 1, 2))
-    with pytest.raises(NotCoprimeError):
-        conductor_support_outside_S(frey_curve(f5, 6, 3, 0, 1, 2))
+        frey_curve(f5, 0, f5.theta, 0, 0, 1)
+    with pytest.raises(ValueError, match="both be zero"):
+        frey_curve(f5, 0, 0, 0, 0, 1)
+    for x, y in ((6, 3), (2, 2), (0, 2)):
+        with pytest.raises(NotCoprimeError, match=f"gcd\\({x}, {y}\\) != 1"):
+            frey_curve(f5, x, y, 0, 0, 1)
 
 
 def test_conductor_support_examples():
@@ -359,7 +363,7 @@ def test_a_wrong_residue_root_fails_the_certificate_and_exits_70(monkeypatch, ca
     real_root = frey._residue_root
     monkeypatch.setattr(frey, "_residue_root", lambda *args: real_root(*args) + 1)
     with pytest.raises(ConsistencyError, match="does not send psi_r"):
-        coprimality_check(build_field(7), 3, 2)
+        coprimality_check(frey_curve(build_field(7), 3, 2, 0, 1, 2))
     code = cli.main(["frey", "--r", "7", "--x", "3", "--y", "2", "--json"])
     captured = capsys.readouterr()
     assert code == cli.EXIT_INTERNAL
@@ -382,7 +386,7 @@ def test_a_lattice_index_that_disagrees_with_the_residue_gcd_exits_70(monkeypatc
     tripled = lambda rows, dim: 3 * row_lattice_index(rows, dim)  # noqa: E731
     monkeypatch.setattr(frey, "row_lattice_index", tripled)
     with pytest.raises(ConsistencyError, match="residue map"):
-        coprimality_check(build_field(11), 3, 2)
+        coprimality_check(frey_curve(build_field(11), 3, 2, 0, 1, 2))
     code = cli.main(["frey", "--r", "11", "--x", "3", "--y", "2"])
     captured = capsys.readouterr()
     assert code == cli.EXIT_INTERNAL
