@@ -35,10 +35,14 @@ the verdict engine (criteria), check-quad also the h+ table, and frey only
 the curve and its field, so a frey process never loads the verdict engine.
 
 frey builds the curve, then computes the conductor support, then the
-invariants, then the coprimality certificate.  An unfactored conductor
-cofactor exits 70 before the invariants or any certificate are computed, so
-a refused op prints nothing on stdout.  A singular model (ABC = 0) is a
-usage error with one message, which the conductor and the invariants share.
+invariants, then the coprimality certificate.  The conductor's trial
+division runs to min(--smoothness-bound, sqrt of the leftover), so a
+leftover prime up to the square of the bound is proved and reported.  A
+leftover whose square root exceeds the bound is an unfactored conductor
+cofactor: it exits 70 before the invariants or any certificate are
+computed, so a refused op prints nothing on stdout.  A singular model
+(ABC = 0) is a usage error with one message, which the conductor and the
+invariants share.
 """
 
 from __future__ import annotations
@@ -73,12 +77,13 @@ EXIT_IOERR = 74  # sysexits EX_IOERR
 MAX_D = 10**12
 
 # Largest --smoothness-bound accepted: the conductor support trial-divides
-# |x + y| by odd numbers and Phi(x, y) only by the 1 + 2rt, both up to the
-# bound, so at most bound/2r divisions of Phi.  On a 2-vCPU Xeon, a Phi with
-# two prime factors just above the bound took 0.15 s at r = 5 and 0.03 s at
-# r = 31 for 10^7, 1.8 s and 0.3 s for 10^8; the whole process at the frey
-# corner below (a 120-digit Phi, no factor below the bound) took 0.2-0.4 s
-# for 10^7 and 0.5-0.7 s for 10^8.
+# |x + y| by odd numbers and Phi(x, y) only by the 1 + 2rt, both up to
+# min(bound, sqrt of the leftover), so at most bound/2r divisions of Phi,
+# and a leftover below (bound + 1)^2 is proved prime on the way.  On a
+# 2-vCPU Xeon, a Phi with two prime factors just above the bound took
+# 0.15 s at r = 5 and 0.03 s at r = 31 for 10^7, 1.8 s and 0.3 s for 10^8;
+# the whole process at the frey corner below (a 120-digit Phi, no factor
+# below the bound) took 0.2-0.4 s for 10^7 and 0.5-0.7 s for 10^8.
 MAX_SMOOTHNESS_BOUND = 10**7
 
 # Largest frey --r and |--x|, |--y| accepted.  Whole process, 2-vCPU Xeon

@@ -10,6 +10,13 @@ outside r) hold for every coprime pair, which is what can be exercised at
 desk scale.  frey_curve checks x and y once, and the conductor, the
 coprimality certificate and the invariants read the curve it returns.
 
+The conductor support outside {2, r} comes from trial division of the
+closed-form factors of Norm(ABC) by their only possible prime factors, up
+to the smoothness bound or the square root of what is left, whichever comes
+first: a leftover prime below (bound + 1)^2 is proved and reported, and a
+leftover that trial division cannot prove prime is refused
+(UnfactoredCofactorError).
+
 Invariants of the model (standard b-invariant expansion of the right side
 X^3 + (B - A) X^2 - AB X):
 
@@ -270,10 +277,14 @@ def conductor_support_outside_S(curve: FreyCurve, smoothness_bound: int = DEFAUL
     N(f_0) = (x + y)^(r-1), N(f_k) = Phi(x, y) = (x^r + y^r)/(x + y)
     (curve.phi) for k >= 1, and N(alpha), N(beta), N(gamma) are +-powers of
     r; outside {2, r} the two must agree.  The closed-form factors are then
-    trial-divided up to smoothness_bound: |x + y| by odd numbers, Phi only
-    by 1 + 2rt, since every prime of Phi other than r is 1 mod 2r (-x/y has
-    order r modulo it).  A cofactor surviving the bound raises instead of
-    passing silently.
+    trial-divided (`_trial_divide`): |x + y| by odd numbers, Phi only by
+    1 + 2rt, since every prime of Phi other than r is 1 mod 2r (-x/y has
+    order r modulo it).  Each scan runs to min(smoothness_bound, sqrt of
+    what is left), so a leftover whose square root is at most the bound is
+    proved prime and joins the support, even above the bound.  A leftover
+    whose square root exceeds the bound is the unfactored cofactor, and
+    raises UnfactoredCofactorError (with the product of the leftovers, each
+    to its power in Norm(ABC)) instead of passing silently.
 
     A singular model, N(ABC) = 0, raises DegenerateCurveError with the
     message `invariants` gives it (SINGULAR_MODEL): the CLI runs this step
@@ -307,20 +318,28 @@ def _outside_2_r(n: int, r: int) -> int:
 
 
 def _trial_divide(n: int, p: int, step: int, bound: int) -> tuple[list[int], int]:
-    """Divide n > 0 by p, p + step, ... up to bound, where every prime factor
-    of n is one of these candidates.  Returns the prime factors found and
-    the part of n left, whose prime factors all exceed bound."""
+    """Factor n > 0 by the candidates p, p + step, ..., where every prime
+    factor of n is a candidate.  Each scan stops at min(bound, isqrt(n)), and
+    starts again past each factor found, on what is left.  A leftover n > 1
+    that no candidate up to isqrt(n) divides is prime, so it is reported
+    whenever isqrt(n) <= bound, even when n itself exceeds bound.  Returns
+    the prime factors found, in increasing order, and the part of n left: 1,
+    or a number whose prime factors all exceed bound and whose square root
+    does too."""
     found = []
-    while p <= bound and n > 1:
-        if p * p > n:
-            # n is prime: its factors are candidates >= p.
-            if n <= bound:
+    while n > 1:
+        root = math.isqrt(n)
+        for q in range(p, min(bound, root) + 1, step):
+            if n % q == 0:
+                break
+        else:
+            if root <= bound:
                 found.append(n)
                 n = 1
             break
-        if n % p == 0:
-            found.append(p)
-            while n % p == 0:
-                n //= p
-        p += step
+        found.append(q)
+        n //= q
+        while n % q == 0:
+            n //= q
+        p = q + step
     return found, n

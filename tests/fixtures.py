@@ -6,6 +6,8 @@ tests both compare the implementation against these frozen numbers and
 re-run the oracle live.
 """
 
+import math
+
 # Relative class numbers h_r^- for primes 5 <= r <= 60.
 H_MINUS = {
     5: 1,
@@ -38,3 +40,9 @@ FAIL_INERT = {31: [(5, 3)], 43: [(7, 3)]}
 # Quadratic examples: (d, r) -> expected overall verdict of the corollary
 # form with the shipped h+ table.
 QUAD_PASS = [(2, 5), (2, 7), (2, 11), (2, 13), (5, 7), (5, 11)]
+
+
+# The frey-desk inputs (r, x, y) of the benchmark: r <= 23, 1 <= x <= 5,
+# -5 <= y <= 5, with y != 0, x + y != 0 and gcd(x, y) = 1; 259 in all.
+FREY_DESK = [(r, x, y) for r in (5, 7, 11, 13, 17, 19, 23) for x in range(1, 6)
+             for y in range(-5, 6) if y != 0 and x + y != 0 and math.gcd(x, y) == 1]

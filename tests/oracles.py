@@ -460,24 +460,40 @@ def ideal_norm(field: RealCyclotomicField, gens: list[CycInt]) -> int:
 
 
 def conductor_support_trial_division(curve, smoothness_bound: int) -> tuple[int, ...]:
-    """Conductor support outside {2, r} from the Bareiss norm of ABC alone,
-    trial-divided by every odd number up to the bound (the conductor before
-    the closed-form factors); raises UnfactoredCofactorError as it does."""
-    n = abs(curve.field.norm(curve.A * curve.B * curve.C))
-    if n == 0:
+    """Conductor support outside {2, r} from the Bareiss norms of A, B and C
+    alone (the conductor before the closed-form factors), with sympy as the
+    primality route.  Each norm, stripped of 2 and r, is trial-divided by
+    every odd number up to the bound, or until sympy finds what is left
+    prime.  That leftover is rest^e, with e = r - 1 for the element built
+    on f_0 = (x + y)^2 and e = 1 for the others (N(f_k) = Phi for k >= 1).
+    rest joins the support exactly when sympy proves it prime and
+    isqrt(rest) is at most the bound, the conductor's contract; otherwise
+    raises UnfactoredCofactorError with the product of the leftovers, as the
+    conductor does."""
+    field, r = curve.field, curve.field.r
+    norms = [abs(field.norm(e)) for e in (curve.A, curve.B, curve.C)]
+    if 0 in norms:
         raise DegenerateCurveError("ABC = 0: singular model, j undefined")
-    n = strip_factor(strip_factor(n, 2), curve.field.r)
-    support = []
-    p = 3
-    while p <= smoothness_bound and n > 1:
-        if n % p == 0:
-            support.append(p)
-            while n % p == 0:
-                n //= p
-        p += 2
-    if n > 1:
-        raise UnfactoredCofactorError(f"cofactor {n} has no prime factor <= {smoothness_bound}")
-    return tuple(support)
+    support, cofactor = set(), 1
+    for k, n in zip(curve.k, norms):
+        n = strip_factor(strip_factor(n, 2), r)
+        p, prime = 3, sp.isprime(n)
+        while p <= smoothness_bound and n > 1 and not prime:
+            if n % p == 0:
+                support.add(p)
+                while n % p == 0:
+                    n //= p
+                prime = sp.isprime(n)
+            p += 2
+        rest, exact = sp.integer_nthroot(n, r - 1 if k == 0 else 1)
+        assert exact, (k, n)
+        if rest > 1 and math.isqrt(rest) <= smoothness_bound and sp.isprime(rest):
+            support.add(int(rest))
+        else:
+            cofactor *= n
+    if cofactor > 1:
+        raise UnfactoredCofactorError(f"cofactor {cofactor} has no prime factor <= {smoothness_bound}")
+    return tuple(sorted(support))
 
 
 # -- analytic relative class number -------------------------------------------

@@ -29,6 +29,7 @@ from rrpfermat.errors import UnfactoredCofactorError
 from rrpfermat.frey import frey_curve
 
 import oracles
+from fixtures import FREY_DESK
 
 
 def run(capsys, *argv):
@@ -252,10 +253,56 @@ def test_frey_degenerate_is_usage_error(capsys):
 
 
 def test_frey_unfactored_cofactor(capsys):
-    code, _, err = run(
-        capsys, "frey", "--r", "5", "--x", "2", "--y", "1", "--smoothness-bound", "5"
+    # Phi(3, 1) = 61 at r = 5, and isqrt(61) = 7 exceeds the bound 5.
+    code, out, err = run(
+        capsys, "frey", "--r", "5", "--x", "3", "--y", "1", "--smoothness-bound", "5"
     )
-    assert code == EXIT_INTERNAL and "cofactor" in err
+    assert code == EXIT_INTERNAL and out == ""
+    assert err == "error: cofactor 3721 has no prime factor <= 5\n"
+
+
+def test_frey_reports_a_prime_above_the_bound_once_its_square_root_is_passed(capsys):
+    """Trial division that passes the square root of the leftover has proved
+    it prime: at r = 11, Phi(1, -5) = 12207031 has no factor 1 + 22t up to
+    its isqrt, 3,493, so frey reports it although it exceeds the bound."""
+    code, out, err = run(capsys, "frey", "--r", "11", "--x", "1", "--y", "-5", "--json")
+    assert code == EXIT_PASS and err == ""
+    payload = json.loads(out)
+    assert payload["conductor_support_outside_S"] == [12207031]
+    assert payload["coprimality_ok"] is True
+    # Phi(2, 1) = 11 and x + y = 3 at r = 5: isqrt of each is at most 3.
+    code, out, err = run(capsys, "frey", "--r", "5", "--x", "2", "--y", "1",
+                         "--smoothness-bound", "3", "--json")
+    assert code == EXIT_PASS and err == ""
+    assert json.loads(out)["conductor_support_outside_S"] == [3, 11]
+
+
+def test_every_completed_frey_desk_op_reports_the_primes_of_its_norm(capsys):
+    """On the frey-desk grid (r <= 23, 1 <= x <= 5, -5 <= y <= 5) 219 ops
+    complete and each reports exactly sympy's primes of Phi * |x + y| outside
+    {2, r}; the other 40 refuse a cofactor."""
+    import sympy
+
+    completed = refused = 0
+    for r, x, y in FREY_DESK:
+        argv = ("frey", "--r", str(r), "--x", str(x), "--y", str(y), "--json")
+        code, out, err = run(capsys, *argv)
+        if code == EXIT_INTERNAL:
+            assert out == "" and err.startswith("error: cofactor "), argv
+            assert err.endswith(" has no prime factor <= 100000\n"), argv
+            refused += 1
+            continue
+        assert code == EXIT_PASS, argv
+        phi = (x**r + y**r) // (x + y)
+        want = [q for q in sympy.primefactors(phi * abs(x + y)) if q not in (2, r)]
+        assert json.loads(out)["conductor_support_outside_S"] == want, argv
+        completed += 1
+    assert (completed, refused) == (219, 40)
+
+
+# Phi(3, -4) at r = 17 leaves 17050729021 above 100000, and isqrt of it is
+# 130578: refused, as the square that two nonzero k make of it.
+REFUSAL_17_3_M4 = "error: cofactor 290727360147571618441 has no prime factor <= 100000\n"
 
 
 def test_frey_refuses_before_the_coprimality_certificate(monkeypatch, capsys):
@@ -267,9 +314,9 @@ def test_frey_refuses_before_the_coprimality_certificate(monkeypatch, capsys):
         raise AssertionError("coprimality_check ran before the conductor refused")
 
     monkeypatch.setattr(rrpfermat.frey, "coprimality_check", never)
-    code, out, err = run(capsys, "frey", "--r", "11", "--x", "1", "--y", "-5", "--json")
+    code, out, err = run(capsys, "frey", "--r", "17", "--x", "3", "--y", "-4", "--json")
     assert code == EXIT_INTERNAL
-    assert err == "error: cofactor 149011605834961 has no prime factor <= 100000\n"
+    assert err == REFUSAL_17_3_M4
     assert out == ""
 
 
@@ -284,9 +331,9 @@ def test_frey_refuses_before_the_invariants(monkeypatch, capsys):
         raise AssertionError("invariants ran before the conductor refused")
 
     monkeypatch.setattr(rrpfermat.frey, "invariants", never)
-    code, out, err = run(capsys, "frey", "--r", "11", "--x", "1", "--y", "-5", "--json")
+    code, out, err = run(capsys, "frey", "--r", "17", "--x", "3", "--y", "-4", "--json")
     assert code == EXIT_INTERNAL
-    assert err == "error: cofactor 149011605834961 has no prime factor <= 100000\n"
+    assert err == REFUSAL_17_3_M4
     assert out == ""
 
     calls = []
@@ -331,10 +378,13 @@ def test_a_completed_frey_op_computes_phi_once(monkeypatch, capsys):
 @example(23, (3, 2), 100000)
 @example(7, (1, 0), 5)
 @example(11, (1, -5), 100000)
+@example(17, (3, -4), 100000)
+@example(5, (3, 1), 5)
 def test_frey_exit_matches_the_trial_division_conductor(r, xy, bound):
-    """frey exits 70 with the oracle's message exactly when the odd trial
-    division leaves a cofactor; otherwise it reports the oracle's support and
-    a coprime family.  (x + y = 0 is the singular model, exit 64.)"""
+    """frey exits 70 with the oracle's message exactly when the oracle's odd
+    trial division leaves a cofactor that is not one prime whose isqrt is at
+    most the bound; otherwise it reports the oracle's support and a coprime
+    family.  (x + y = 0 is the singular model, exit 64.)"""
     x, y = xy
     curve = frey_curve(build_field(r), x, y, 0, 1, 2)
     try:

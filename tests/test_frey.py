@@ -1,9 +1,11 @@
 import math
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rrpfermat.cycfield import RealCyclotomicField, alpha_beta_gamma, build_field, f_k_eval
@@ -17,6 +19,7 @@ from rrpfermat import cli, frey
 from rrpfermat.frey import (
     DEFAULT_SMOOTHNESS_BOUND,
     _orbit_representative,
+    _trial_divide,
     conductor_support_outside_S,
     coprimality_check,
     frey_curve,
@@ -26,6 +29,7 @@ from rrpfermat.intlinalg import row_lattice_index
 from rrpfermat.numutil import primes_upto, strip_factor
 
 import oracles
+from fixtures import FREY_DESK
 
 SMALL_PRIMES = [r for r in primes_upto(31) if r >= 5]
 
@@ -213,14 +217,6 @@ def test_galois_automorphisms_permute_the_quadratic_factors(xy):
                 assert image == f_k_eval(f, _fold(a * k, r), x, y), (r, a, k, x, y)
 
 
-def _frey_desk_grid():
-    for r in (5, 7, 11, 13, 17, 19, 23):
-        for x in range(1, 6):
-            for y in range(-5, 6):
-                if y != 0 and x + y != 0 and math.gcd(x, y) == 1:
-                    yield r, x, y
-
-
 def _support_or_message(route, curve, bound):
     try:
         return route(curve, bound)
@@ -230,8 +226,12 @@ def _support_or_message(route, curve, bound):
 
 @pytest.mark.parametrize("ks", [(0, 1, 2), (1, 2, 3)])
 def test_conductor_matches_odd_trial_division_on_the_desk_grid(ks):
+    """The conductor and the oracle agree on every desk op and bound.  The
+    grid refuses some op at each bound, and from bound 100 on it also proves
+    primes above the bound."""
     fields = {}
-    for r, x, y in _frey_desk_grid():
+    refused, above = Counter(), Counter()
+    for r, x, y in FREY_DESK:
         f = fields.setdefault(r, build_field(r))
         if max(ks) > f.degree:
             continue
@@ -240,6 +240,15 @@ def test_conductor_matches_odd_trial_division_on_the_desk_grid(ks):
             got = _support_or_message(conductor_support_outside_S, cur, bound)
             want = _support_or_message(oracles.conductor_support_trial_division, cur, bound)
             assert got == want, (r, x, y, ks, bound)
+            if isinstance(got, str):
+                refused[bound] += 1
+            elif got and got[-1] > bound:
+                above[bound] += 1
+    assert all(refused[bound] for bound in (5, 100, DEFAULT_SMOOTHNESS_BOUND)), refused
+    assert above[100] and above[DEFAULT_SMOOTHNESS_BOUND], above
+    if ks == (0, 1, 2):
+        # frey-desk: 40 of its 259 ops refuse at the default bound.
+        assert refused[DEFAULT_SMOOTHNESS_BOUND] == 40
 
 
 def test_conductor_checks_the_norm_against_the_closed_form(monkeypatch):
@@ -273,8 +282,63 @@ def test_conductor_support_examples():
     assert conductor_support_outside_S(cur) == ()  # A, B, C are r-units
     cur = frey_curve(f5, 2, 1, 0, 1, 2)
     assert conductor_support_outside_S(cur) == (3, 11)
-    with pytest.raises(UnfactoredCofactorError):
-        conductor_support_outside_S(cur, smoothness_bound=5)
+    # Phi = 11 and x + y = 3: isqrt of each is at most 3, so both are proved
+    # prime with no candidate tried.
+    assert conductor_support_outside_S(cur, smoothness_bound=3) == (3, 11)
+    # Phi = 61 and isqrt(61) = 7 > 3: not proved prime at bound 3.
+    cur = frey_curve(f5, 3, 1, 0, 1, 2)
+    assert conductor_support_outside_S(cur) == (61,)
+    with pytest.raises(UnfactoredCofactorError, match="^cofactor 3721 has no prime factor <= 3$"):
+        conductor_support_outside_S(cur, smoothness_bound=3)
+
+
+def _least_candidate_prime(m, p, step):
+    """The least prime at least m among p, p + step, p + 2 step, ..."""
+    q = p + max(0, -((p - m) // step)) * step
+    while not sympy.isprime(q):
+        q += step
+    return q
+
+
+@st.composite
+def _trial_division_cases(draw):
+    """(n, p, step, bound) with n a product of powers of candidate primes for
+    the odd candidates of |x + y| (r = 0) or the 1 + 2rt of Phi: primes up to
+    the bound, just above it, around (bound + 1)^2 and up to 10^11, so that
+    what is left above the bound is 1, a prime on either side of
+    (bound + 1)^2, a prime power or a product of primes."""
+    r = draw(st.one_of(st.just(0), st.sampled_from([5, 7, 11, 13, 17, 19, 23, 31])))
+    p, step = (3, 2) if r == 0 else (2 * r + 1, 2 * r)
+    bound = draw(st.one_of(st.sampled_from([3, 5, 100, 10**5]), st.integers(3, 10**5)))
+    square = (bound + 1) ** 2
+    near = st.one_of(st.integers(1, bound), st.integers(bound, 2 * bound + 50))
+    far = st.one_of(st.integers(square - 4 * bound, square + 4 * bound), st.integers(1, 10**11))
+    sizes = draw(st.lists(near, max_size=3)) + draw(st.lists(far, max_size=1))
+    n = 1
+    for m in sizes:
+        n *= _least_candidate_prime(m, p, step) ** draw(st.integers(1, 3))
+    return n, p, step, bound
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_trial_division_cases())
+@example((12207031, 23, 22, 10**5))  # frey --r 11 --x 1 --y -5: proved prime
+@example((17050729021, 35, 34, 10**5))  # frey --r 17 --x 3 --y -4: refused
+@example((11, 11, 10, 3))
+@example((61, 11, 10, 3))
+@example((1, 3, 2, 3))
+def test_trial_division_matches_sympy_factorint(case):
+    """_trial_divide finds the primes of n up to the bound, and what is left
+    above the bound joins them exactly when its isqrt is at most the bound
+    (sympy then proves it prime); otherwise it is returned unfactored."""
+    n, p, step, bound = case
+    factors = sympy.factorint(n)
+    found = sorted(q for q in factors if q <= bound)
+    rest = math.prod(q**e for q, e in factors.items() if q > bound)
+    if rest > 1 and math.isqrt(rest) <= bound:
+        assert sympy.isprime(rest), case
+        found, rest = found + [rest], 1
+    assert _trial_divide(n, p, step, bound) == (found, rest), case
 
 
 def test_conductor_valuation_divisibility_shape():
@@ -312,7 +376,7 @@ def _eliminated_basis(f, k, x, y):
 
 def test_closed_form_bases_equal_the_eliminated_ones_on_the_desk_grid():
     fields = {}
-    for r, x, y in _frey_desk_grid():
+    for r, x, y in FREY_DESK:
         f = fields.setdefault(r, build_field(r))
         for k in range(f.degree + 1):
             assert _closed_form_basis(f, k, x, y) == _eliminated_basis(f, k, x, y), (r, x, y, k)
