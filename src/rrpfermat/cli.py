@@ -36,13 +36,13 @@ the curve and its field, so a frey process never loads the verdict engine.
 
 frey builds the curve, then computes the conductor support, then the
 invariants, then the coprimality certificate.  The conductor's trial
-division runs to min(--smoothness-bound, sqrt of the leftover), so a
-leftover prime up to the square of the bound is proved and reported.  A
-leftover whose square root exceeds the bound is an unfactored conductor
-cofactor: it exits 70 before the invariants or any certificate are
-computed, so a refused op prints nothing on stdout.  A singular model
-(ABC = 0) is a usage error with one message, which the conductor and the
-invariants share.
+division (numutil.trial_factor) runs to min(--smoothness-bound, sqrt of
+the leftover), so a leftover prime up to the square of the bound is proved
+and reported.  A leftover whose square root exceeds the bound is an
+unfactored conductor cofactor: it exits 70 before the invariants or any
+certificate are computed, so a refused op prints nothing on stdout.  A
+singular model (ABC = 0) is a usage error with one message, which the
+conductor and the invariants share.
 """
 
 from __future__ import annotations

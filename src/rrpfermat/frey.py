@@ -10,7 +10,8 @@ outside r) hold for every coprime pair, which is what can be exercised at
 desk scale.  frey_curve checks x and y once, and the conductor, the
 coprimality certificate and the invariants read the curve it returns.
 
-The conductor support outside {2, r} comes from trial division of the
+The conductor support outside {2, r} comes from trial division
+(numutil.trial_factor, the package's one integer factoriser) of the
 closed-form factors of Norm(ABC) by their only possible prime factors, up
 to the smoothness bound or the square root of what is left, whichever comes
 first: a leftover prime below (bound + 1)^2 is proved and reported, and a
@@ -41,7 +42,7 @@ from .errors import (
     UnfactoredCofactorError,
 )
 from .intlinalg import row_lattice_index
-from .numutil import DEFAULT_SMOOTHNESS_BOUND, strip_factor
+from .numutil import DEFAULT_SMOOTHNESS_BOUND, strip_factor, trial_factor
 
 
 # ABC = 0 (N(ABC) = 0): raised by both invariants and the conductor, so the
@@ -115,16 +116,12 @@ def invariants(curve: FreyCurve) -> FreyInvariants:
 
 
 class CoprimalityReport(NamedTuple):
-    r: int
-    x: int
-    y: int
     # (i, j, ideal norm of (f_i, f_j) with all factors of r removed)
     pairs: tuple[tuple[int, int, int], ...]
-    offending: tuple[tuple[int, int], ...]
 
     @property
     def ok(self) -> bool:
-        return not self.offending
+        return all(n == 1 for _, _, n in self.pairs)
 
 
 def _fold(t: int, r: int) -> int:
@@ -208,9 +205,7 @@ def coprimality_check(curve: FreyCurve) -> CoprimalityReport:
                 f"(f_{i}, f_{j}) at ({x}, {y}): lattice index {index}, residue map {residue}"
             )
         norms[i, j] = strip_factor(index, r)
-    pairs = tuple((i, j, norms[rep]) for (i, j), rep in reps.items())
-    offending = tuple((i, j) for i, j, outside_r in pairs if outside_r != 1)
-    return CoprimalityReport(r, x, y, pairs, offending)
+    return CoprimalityReport(tuple((i, j, norms[rep]) for (i, j), rep in reps.items()))
 
 
 def _phi(x: int, y: int, r: int) -> int:
@@ -277,8 +272,8 @@ def conductor_support_outside_S(curve: FreyCurve, smoothness_bound: int = DEFAUL
     N(f_0) = (x + y)^(r-1), N(f_k) = Phi(x, y) = (x^r + y^r)/(x + y)
     (curve.phi) for k >= 1, and N(alpha), N(beta), N(gamma) are +-powers of
     r; outside {2, r} the two must agree.  The closed-form factors are then
-    trial-divided (`_trial_divide`): |x + y| by odd numbers, Phi only by
-    1 + 2rt, since every prime of Phi other than r is 1 mod 2r (-x/y has
+    trial-divided by numutil.trial_factor: |x + y| by odd numbers, Phi only
+    by 1 + 2rt, since every prime of Phi other than r is 1 mod 2r (-x/y has
     order r modulo it).  Each scan runs to min(smoothness_bound, sqrt of
     what is left), so a leftover whose square root is at most the bound is
     proved prime and joins the support, even above the bound.  A leftover
@@ -300,10 +295,10 @@ def conductor_support_outside_S(curve: FreyCurve, smoothness_bound: int = DEFAUL
     m = sum(1 for k in curve.k if k)
     if _outside_2_r(n, r) != x_plus_y**e0 * phi**m:
         raise ConsistencyError("Norm(ABC) disagrees with |x + y|^e0 * Phi^m outside {2, r}")
-    support, rest = _trial_divide(phi, 2 * r + 1, 2 * r, smoothness_bound)
+    support, rest = trial_factor(phi, 2 * r + 1, 2 * r, smoothness_bound)
     cofactor = rest**m
     if e0:
-        found, rest = _trial_divide(x_plus_y, 3, 2, smoothness_bound)
+        found, rest = trial_factor(x_plus_y, 3, 2, smoothness_bound)
         support += found
         cofactor *= rest**e0
     if cofactor > 1:
@@ -315,31 +310,3 @@ def conductor_support_outside_S(curve: FreyCurve, smoothness_bound: int = DEFAUL
 
 def _outside_2_r(n: int, r: int) -> int:
     return strip_factor(strip_factor(n, 2), r)
-
-
-def _trial_divide(n: int, p: int, step: int, bound: int) -> tuple[list[int], int]:
-    """Factor n > 0 by the candidates p, p + step, ..., where every prime
-    factor of n is a candidate.  Each scan stops at min(bound, isqrt(n)), and
-    starts again past each factor found, on what is left.  A leftover n > 1
-    that no candidate up to isqrt(n) divides is prime, so it is reported
-    whenever isqrt(n) <= bound, even when n itself exceeds bound.  Returns
-    the prime factors found, in increasing order, and the part of n left: 1,
-    or a number whose prime factors all exceed bound and whose square root
-    does too."""
-    found = []
-    while n > 1:
-        root = math.isqrt(n)
-        for q in range(p, min(bound, root) + 1, step):
-            if n % q == 0:
-                break
-        else:
-            if root <= bound:
-                found.append(n)
-                n = 1
-            break
-        found.append(q)
-        n //= q
-        while n % q == 0:
-            n //= q
-        p = q + step
-    return found, n

@@ -1,4 +1,9 @@
-"""Small integer-arithmetic helpers used throughout the package."""
+"""Small integer-arithmetic helpers used throughout the package.
+
+trial_factor is the package's one trial-division factoriser: the Frey
+conductor, is_prime and least_primitive_root all factor through it.
+is_squarefree keeps its own scan, which stops at the cube root of what is
+left."""
 
 from __future__ import annotations
 
@@ -15,20 +20,37 @@ MAX_R = 200
 DEFAULT_SMOOTHNESS_BOUND = 100_000
 
 
+def trial_factor(n: int, start: int, step: int, bound: int) -> tuple[list[int], int]:
+    """Factor n > 0 by the candidates start, start + step, ..., where every
+    prime factor of n is a candidate.  Each scan stops at min(bound,
+    isqrt(n)), and starts again past each factor found, on what is left.  A
+    leftover n > 1 that no candidate up to isqrt(n) divides is prime, so it
+    is reported whenever isqrt(n) <= bound, even when n itself exceeds bound.
+    Returns the prime factors found, in increasing order, and the part of n
+    left: 1, or a number whose prime factors all exceed bound and whose
+    square root does too."""
+    found = []
+    while n > 1:
+        root = math.isqrt(n)
+        for q in range(start, min(bound, root) + 1, step):
+            if n % q == 0:
+                break
+        else:
+            if root <= bound:
+                found.append(n)
+                n = 1
+            break
+        found.append(q)
+        n //= q
+        while n % q == 0:
+            n //= q
+        start = q + step
+    return found, n
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; inputs here are desk scale."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """n is its own only prime factor; inputs here are desk scale."""
+    return n > 1 and trial_factor(n, 2, 1, n) == ([n], 1)
 
 
 def _check_bounded_prime(name: str, n: int, least: int) -> None:
@@ -51,15 +73,7 @@ def least_primitive_root(p: int) -> int:
     """The least g >= 2 that generates (Z/p)^* for an odd prime p <= MAX_R:
     g^((p-1)/q) is not 1 mod p for any prime q dividing p - 1."""
     _check_bounded_prime("p", p, 3)
-    n, q, quotients = p - 1, 2, []
-    while q * q <= n:
-        if n % q == 0:
-            quotients.append((p - 1) // q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        quotients.append((p - 1) // n)
+    quotients = [(p - 1) // q for q in trial_factor(p - 1, 2, 1, p)[0]]
     g = 2
     while any(pow(g, e, p) == 1 for e in quotients):
         g += 1

@@ -61,6 +61,21 @@ def test_no_module_has_an_unused_import():
         assert imported <= used, (path.name, sorted(imported - used))
 
 
+def test_only_numutil_tests_primality_or_takes_integer_square_roots():
+    # Trial division lives in numutil.trial_factor, and is_prime factors
+    # through it: a module that needs a primality test or a square-root bound
+    # on its divisors calls numutil, so no other module names is_prime or isqrt.
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "numutil.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        assert not named & {"is_prime", "isqrt"}, path.name
+
+
 def test_importing_the_cli_leaves_dataclasses_unloaded():
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     code = "import sys, rrpfermat.cli; print('dataclasses' in sys.modules)"

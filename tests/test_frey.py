@@ -4,8 +4,7 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
-import sympy
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrpfermat.cycfield import RealCyclotomicField, alpha_beta_gamma, build_field, f_k_eval
@@ -19,7 +18,6 @@ from rrpfermat import cli, frey
 from rrpfermat.frey import (
     DEFAULT_SMOOTHNESS_BOUND,
     _orbit_representative,
-    _trial_divide,
     conductor_support_outside_S,
     coprimality_check,
     frey_curve,
@@ -290,55 +288,6 @@ def test_conductor_support_examples():
     assert conductor_support_outside_S(cur) == (61,)
     with pytest.raises(UnfactoredCofactorError, match="^cofactor 3721 has no prime factor <= 3$"):
         conductor_support_outside_S(cur, smoothness_bound=3)
-
-
-def _least_candidate_prime(m, p, step):
-    """The least prime at least m among p, p + step, p + 2 step, ..."""
-    q = p + max(0, -((p - m) // step)) * step
-    while not sympy.isprime(q):
-        q += step
-    return q
-
-
-@st.composite
-def _trial_division_cases(draw):
-    """(n, p, step, bound) with n a product of powers of candidate primes for
-    the odd candidates of |x + y| (r = 0) or the 1 + 2rt of Phi: primes up to
-    the bound, just above it, around (bound + 1)^2 and up to 10^11, so that
-    what is left above the bound is 1, a prime on either side of
-    (bound + 1)^2, a prime power or a product of primes."""
-    r = draw(st.one_of(st.just(0), st.sampled_from([5, 7, 11, 13, 17, 19, 23, 31])))
-    p, step = (3, 2) if r == 0 else (2 * r + 1, 2 * r)
-    bound = draw(st.one_of(st.sampled_from([3, 5, 100, 10**5]), st.integers(3, 10**5)))
-    square = (bound + 1) ** 2
-    near = st.one_of(st.integers(1, bound), st.integers(bound, 2 * bound + 50))
-    far = st.one_of(st.integers(square - 4 * bound, square + 4 * bound), st.integers(1, 10**11))
-    sizes = draw(st.lists(near, max_size=3)) + draw(st.lists(far, max_size=1))
-    n = 1
-    for m in sizes:
-        n *= _least_candidate_prime(m, p, step) ** draw(st.integers(1, 3))
-    return n, p, step, bound
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(_trial_division_cases())
-@example((12207031, 23, 22, 10**5))  # frey --r 11 --x 1 --y -5: proved prime
-@example((17050729021, 35, 34, 10**5))  # frey --r 17 --x 3 --y -4: refused
-@example((11, 11, 10, 3))
-@example((61, 11, 10, 3))
-@example((1, 3, 2, 3))
-def test_trial_division_matches_sympy_factorint(case):
-    """_trial_divide finds the primes of n up to the bound, and what is left
-    above the bound joins them exactly when its isqrt is at most the bound
-    (sympy then proves it prime); otherwise it is returned unfactored."""
-    n, p, step, bound = case
-    factors = sympy.factorint(n)
-    found = sorted(q for q in factors if q <= bound)
-    rest = math.prod(q**e for q, e in factors.items() if q > bound)
-    if rest > 1 and math.isqrt(rest) <= bound:
-        assert sympy.isprime(rest), case
-        found, rest = found + [rest], 1
-    assert _trial_divide(n, p, step, bound) == (found, rest), case
 
 
 def test_conductor_valuation_divisibility_shape():

@@ -1,13 +1,18 @@
-"""is_squarefree trial-divides only while p^3 <= m, m the cofactor left, and
+"""trial_factor, the package's one trial-division factoriser, is checked
+against sympy.factorint on the candidate sequences of its callers, and
+is_prime, which factors through it, against sympy.isprime.
+is_squarefree trial-divides only while p^3 <= m, m the cofactor left, and
 finishes with a perfect-square test; checked against sympy.factorint.  The
 least primitive root is checked against sympy.primitive_root on its domain,
 the odd primes up to MAX_R.  The packed-slot format, Slots, is checked value
 by value: its round trips, its parity reader against ffpoly.f2_from_coeffs,
 and its width at every array-type boundary."""
 
+import math
+
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rrpfermat.cli import MAX_D
@@ -15,11 +20,13 @@ from rrpfermat.ffpoly import f2_from_coeffs
 from rrpfermat.numutil import (
     MAX_R,
     Slots,
+    is_prime,
     is_squarefree,
     least_primitive_root,
     legendre_symbol,
     order_of_two_mod_pm1,
     primes_upto,
+    trial_factor,
 )
 from rrpfermat.splitting import check_r_inert_in_quadratic
 
@@ -66,6 +73,67 @@ def test_is_squarefree_cofactors_with_at_most_two_primes():
         assert n <= MAX_D
         assert _sympy_squarefree(n) is expected, n
         assert is_squarefree(n) is expected, n
+
+
+def _least_candidate_prime(m, start, step):
+    """The least prime at least m among start, start + step, ..."""
+    q = start + max(0, -((start - m) // step)) * step
+    while not sp.isprime(q):
+        q += step
+    return q
+
+
+@st.composite
+def _trial_division_cases(draw):
+    """(n, start, step, bound) with n a product of powers of candidate primes
+    for one caller's sequence: every integer from 2 (is_prime and
+    least_primitive_root), the odd numbers from 3 (|x + y| in the Frey
+    conductor) or the 1 + 2rt of Phi; primes up to the bound, just above
+    it, around (bound + 1)^2 and up to 10^11, so that what is left above the
+    bound is 1, a prime on either side of (bound + 1)^2, a prime power or a
+    product of primes."""
+    start, step = draw(st.one_of(
+        st.sampled_from([(2, 1), (3, 2)]),
+        st.sampled_from([5, 7, 11, 13, 17, 19, 23, 31]).map(lambda r: (2 * r + 1, 2 * r)),
+    ))
+    bound = draw(st.one_of(st.sampled_from([3, 5, 100, 10**5]), st.integers(3, 10**5)))
+    square = (bound + 1) ** 2
+    near = st.one_of(st.integers(1, bound), st.integers(bound, 2 * bound + 50))
+    far = st.one_of(st.integers(square - 4 * bound, square + 4 * bound), st.integers(1, 10**11))
+    sizes = draw(st.lists(near, max_size=3)) + draw(st.lists(far, max_size=1))
+    n = 1
+    for m in sizes:
+        n *= _least_candidate_prime(m, start, step) ** draw(st.integers(1, 3))
+    return n, start, step, bound
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_trial_division_cases())
+@example((12207031, 23, 22, 10**5))  # frey --r 11 --x 1 --y -5: proved prime
+@example((17050729021, 35, 34, 10**5))  # frey --r 17 --x 3 --y -4: refused
+@example((11, 11, 10, 3))
+@example((61, 11, 10, 3))
+@example((1, 3, 2, 3))
+@example((198, 2, 1, 199))  # least_primitive_root(199)
+@example((199, 2, 1, 199))  # is_prime(199)
+@example((4, 2, 1, 4))
+def test_trial_division_matches_sympy_factorint(case):
+    """trial_factor finds the primes of n up to the bound, and what is left
+    above the bound joins them exactly when its isqrt is at most the bound
+    (sympy then proves it prime); otherwise it is returned unfactored."""
+    n, start, step, bound = case
+    factors = sp.factorint(n)
+    found = sorted(q for q in factors if q <= bound)
+    rest = math.prod(q**e for q, e in factors.items() if q > bound)
+    if rest > 1 and math.isqrt(rest) <= bound:
+        assert sp.isprime(rest), case
+        found, rest = found + [rest], 1
+    assert trial_factor(n, start, step, bound) == (found, rest), case
+
+
+def test_is_prime_matches_sympy_isprime():
+    for n in range(-5, 10**4 + 1):
+        assert is_prime(n) == sp.isprime(n), n
 
 
 def test_least_primitive_root_matches_sympy():
