@@ -35,9 +35,9 @@ class DegenerateCurveError(ValueError):
 
 class UnfactoredCofactorError(RuntimeError):
     """Trial division left a cofactor with no prime factor up to the
-    smoothness bound and a square root above it, so it is neither split nor
-    proved prime; the caller must not treat the partial factorization as
-    complete."""
+    smoothness bound and a square root above it, which Miller-Rabin did not
+    prove prime, so it is neither split nor proved prime; the caller must
+    not treat the partial factorization as complete."""
 
 
 class TableError(ValueError):

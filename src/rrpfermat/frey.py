@@ -14,9 +14,10 @@ The conductor support outside {2, r} comes from trial division
 (numutil.trial_factor, the package's one integer factoriser) of the
 closed-form factors of Norm(ABC) by their only possible prime factors, up
 to the smoothness bound or the square root of what is left, whichever comes
-first: a leftover prime below (bound + 1)^2 is proved and reported, and a
-leftover that trial division cannot prove prime is refused
-(UnfactoredCofactorError).
+first: a leftover prime below (bound + 1)^2 is proved and reported, a
+larger leftover below 3317044064679887385961981 is proved prime or composite
+by strong Miller-Rabin (checked by a strong Lucas test), and a leftover
+that is not proved prime is refused (UnfactoredCofactorError).
 
 Invariants of the model (standard b-invariant expansion of the right side
 X^3 + (B - A) X^2 - AB X):
@@ -277,9 +278,11 @@ def conductor_support_outside_S(curve: FreyCurve, smoothness_bound: int = DEFAUL
     order r modulo it).  Each scan runs to min(smoothness_bound, sqrt of
     what is left), so a leftover whose square root is at most the bound is
     proved prime and joins the support, even above the bound.  A leftover
-    whose square root exceeds the bound is the unfactored cofactor, and
-    raises UnfactoredCofactorError (with the product of the leftovers, each
-    to its power in Norm(ABC)) instead of passing silently.
+    whose square root exceeds the bound joins it when strong Miller-Rabin
+    proves it prime (below numutil._MR_LIMIT, before any scan of it).  Any
+    other leftover is the unfactored cofactor, and raises
+    UnfactoredCofactorError (with the product of the leftovers, each to its
+    power in Norm(ABC)) instead of passing silently.
 
     A singular model, N(ABC) = 0, raises DegenerateCurveError with the
     message `invariants` gives it (SINGULAR_MODEL): the CLI runs this step

@@ -1,14 +1,21 @@
 """Small integer-arithmetic helpers used throughout the package.
 
-trial_factor is the package's one trial-division factoriser: the Frey
-conductor, is_prime and least_primitive_root all factor through it.
-is_squarefree keeps its own scan, which stops at the cube root of what is
-left."""
+trial_factor is the package's one integer factoriser: the Frey conductor,
+is_prime and least_primitive_root all factor through it.  It trial-divides,
+and where the scan could not reach the square root of what is left, it first
+tries to prove that leftover prime by strong Miller-Rabin on the first 13
+prime bases, deterministic below 3317044064679887385961981 (Sorenson and
+Webster, arXiv:1509.00864).  Every such proof is checked by a strong Lucas
+test (the Lucas half of BPSW; Baillie and Wagstaff, Math. Comp. 35, 1980),
+and a disagreement raises ConsistencyError.  is_squarefree keeps its own
+scan, which stops at the cube root of what is left."""
 
 from __future__ import annotations
 
 import math
 from array import array
+
+from .errors import ConsistencyError
 
 # Largest r the package accepts (the exact h_r^- is computed up to it); every
 # range and guard on r refers to this bound.
@@ -20,18 +27,30 @@ MAX_R = 200
 DEFAULT_SMOOTHNESS_BOUND = 100_000
 
 
+# Strong Miller-Rabin on these bases proves every prime below the limit: the
+# limit is the least strong pseudoprime to all of them (psi_13).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def trial_factor(n: int, start: int, step: int, bound: int) -> tuple[list[int], int]:
     """Factor n > 0 by the candidates start, start + step, ..., where every
     prime factor of n is a candidate.  Each scan stops at min(bound,
     isqrt(n)), and starts again past each factor found, on what is left.  A
     leftover n > 1 that no candidate up to isqrt(n) divides is prime, so it
     is reported whenever isqrt(n) <= bound, even when n itself exceeds bound.
-    Returns the prime factors found, in increasing order, and the part of n
-    left: 1, or a number whose prime factors all exceed bound and whose
+    Where isqrt(n) exceeds bound, n is first offered to _proves_prime, and a
+    proven n is reported with no scan.  Returns the prime factors found, in
+    increasing order, and the part of n left: 1, or a composite, or a number
+    at least _MR_LIMIT, whose prime factors all exceed bound and whose
     square root does too."""
     found = []
     while n > 1:
         root = math.isqrt(n)
+        if root > bound and _proves_prime(n):
+            found.append(n)
+            n = 1
+            break
         for q in range(start, min(bound, root) + 1, step):
             if n % q == 0:
                 break
@@ -46,6 +65,90 @@ def trial_factor(n: int, start: int, step: int, bound: int) -> tuple[list[int], 
             n //= q
         start = q + step
     return found, n
+
+
+def _proves_prime(n: int) -> bool:
+    """True when n is proved prime: n < _MR_LIMIT and n passes strong
+    Miller-Rabin to every base in _MR_BASES.  False means composite, or not
+    proven (n >= _MR_LIMIT).  Every proof is checked by _strong_lucas, and
+    ConsistencyError is raised if it disagrees."""
+    if not 2 <= n < _MR_LIMIT:
+        return False
+    if any(n % a == 0 for a in _MR_BASES):
+        proved = n in _MR_BASES
+    else:
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        proved = all(_strong_probable_prime(n, a, d, s) for a in _MR_BASES)
+    if proved and not _strong_lucas(n):
+        raise ConsistencyError(f"{n} passes Miller-Rabin but fails the strong Lucas test")
+    return proved
+
+
+def _strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
+    """n - 1 = d * 2^s with d odd: a^d = 1, or a^(d 2^i) = -1 mod n for
+    some 0 <= i < s."""
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test with Selfridge's parameters (method
+    A): D the first of 5, -7, 9, -11, ... with Jacobi(D/n) = -1, P = 1,
+    Q = (1 - D)/4; n + 1 = d * 2^s with d odd, and n passes when U_d = 0 or
+    V_(d 2^i) = 0 mod n for some 0 <= i < s.  Lucas sequences by the binary
+    ladder on (U_k, V_k, Q^k)."""
+    if n % 2 == 0 or math.isqrt(n) ** 2 == n:
+        return n == 2
+    D = 5
+    while True:
+        g = math.gcd(D, n)
+        if 1 < g < n:
+            return False
+        if _jacobi(D, n) == -1:
+            break
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    half = (n + 1) // 2  # the inverse of 2 mod n
+    u, v, qk = 1, 1, Q % n  # k = 1: U_1 = 1, V_1 = P = 1
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v = (u + v) * half % n, (D * u + v) * half % n
+            qk = qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
 
 
 def is_prime(n: int) -> bool:

@@ -459,6 +459,20 @@ def ideal_norm(field: RealCyclotomicField, gens: list[CycInt]) -> int:
     return row_lattice_index(rows, field.degree)
 
 
+# The least strong pseudoprime to the 13 prime bases 2, ..., 41 (psi_13;
+# Sorenson and Webster, arXiv:1509.00864): below it, strong Miller-Rabin on
+# those bases is a proof of primality, which numutil.trial_factor uses.
+MILLER_RABIN_LIMIT = 3317044064679887385961981
+
+
+def proven_leftover(rest: int, bound: int) -> bool:
+    """The factoriser's contract for a leftover rest > 1 with no prime
+    factor up to the bound: it is reported as a prime exactly when sympy
+    proves it prime and either trial division to the bound reaches isqrt(rest)
+    or rest is below MILLER_RABIN_LIMIT."""
+    return sp.isprime(rest) and (math.isqrt(rest) <= bound or rest < MILLER_RABIN_LIMIT)
+
+
 def conductor_support_trial_division(curve, smoothness_bound: int) -> tuple[int, ...]:
     """Conductor support outside {2, r} from the Bareiss norms of A, B and C
     alone (the conductor before the closed-form factors), with sympy as the
@@ -466,10 +480,9 @@ def conductor_support_trial_division(curve, smoothness_bound: int) -> tuple[int,
     every odd number up to the bound, or until sympy finds what is left
     prime.  That leftover is rest^e, with e = r - 1 for the element built
     on f_0 = (x + y)^2 and e = 1 for the others (N(f_k) = Phi for k >= 1).
-    rest joins the support exactly when sympy proves it prime and
-    isqrt(rest) is at most the bound, the conductor's contract; otherwise
-    raises UnfactoredCofactorError with the product of the leftovers, as the
-    conductor does."""
+    rest joins the support exactly when proven_leftover holds, the
+    conductor's contract; otherwise raises UnfactoredCofactorError with the
+    product of the leftovers, as the conductor does."""
     field, r = curve.field, curve.field.r
     norms = [abs(field.norm(e)) for e in (curve.A, curve.B, curve.C)]
     if 0 in norms:
@@ -487,7 +500,7 @@ def conductor_support_trial_division(curve, smoothness_bound: int) -> tuple[int,
             p += 2
         rest, exact = sp.integer_nthroot(n, r - 1 if k == 0 else 1)
         assert exact, (k, n)
-        if rest > 1 and math.isqrt(rest) <= smoothness_bound and sp.isprime(rest):
+        if rest > 1 and proven_leftover(rest, smoothness_bound):
             support.add(int(rest))
         else:
             cofactor *= n

@@ -253,12 +253,13 @@ def test_frey_degenerate_is_usage_error(capsys):
 
 
 def test_frey_unfactored_cofactor(capsys):
-    # Phi(3, 1) = 61 at r = 5, and isqrt(61) = 7 exceeds the bound 5.
+    # Phi(1, -4) = 341 = 11 * 31 at r = 5: no candidate 1 + 10t up to the
+    # bound 5, isqrt(341) = 18 exceeds it, and Miller-Rabin finds it composite.
     code, out, err = run(
-        capsys, "frey", "--r", "5", "--x", "3", "--y", "1", "--smoothness-bound", "5"
+        capsys, "frey", "--r", "5", "--x", "1", "--y", "-4", "--smoothness-bound", "5"
     )
     assert code == EXIT_INTERNAL and out == ""
-    assert err == "error: cofactor 3721 has no prime factor <= 5\n"
+    assert err == "error: cofactor 116281 has no prime factor <= 5\n"
 
 
 def test_frey_reports_a_prime_above_the_bound_once_its_square_root_is_passed(capsys):
@@ -278,9 +279,9 @@ def test_frey_reports_a_prime_above_the_bound_once_its_square_root_is_passed(cap
 
 
 def test_every_completed_frey_desk_op_reports_the_primes_of_its_norm(capsys):
-    """On the frey-desk grid (r <= 23, 1 <= x <= 5, -5 <= y <= 5) 219 ops
+    """On the frey-desk grid (r <= 23, 1 <= x <= 5, -5 <= y <= 5) 249 ops
     complete and each reports exactly sympy's primes of Phi * |x + y| outside
-    {2, r}; the other 40 refuse a cofactor."""
+    {2, r}; the other 10 refuse a composite cofactor."""
     import sympy
 
     completed = refused = 0
@@ -297,12 +298,13 @@ def test_every_completed_frey_desk_op_reports_the_primes_of_its_norm(capsys):
         want = [q for q in sympy.primefactors(phi * abs(x + y)) if q not in (2, r)]
         assert json.loads(out)["conductor_support_outside_S"] == want, argv
         completed += 1
-    assert (completed, refused) == (219, 40)
+    assert (completed, refused) == (249, 10)
 
 
-# Phi(3, -4) at r = 17 leaves 17050729021 above 100000, and isqrt of it is
-# 130578: refused, as the square that two nonzero k make of it.
-REFUSAL_17_3_M4 = "error: cofactor 290727360147571618441 has no prime factor <= 100000\n"
+# Phi(1, -4) = (2^38 - 1)/3 = 174763 * 524287 at r = 19: no factor up to
+# 100000, and Miller-Rabin finds it composite: refused, as the square that two
+# nonzero k make of it.
+REFUSAL_19_1_M4 = "error: cofactor 8395318191707174178361 has no prime factor <= 100000\n"
 
 
 def test_frey_refuses_before_the_coprimality_certificate(monkeypatch, capsys):
@@ -314,9 +316,9 @@ def test_frey_refuses_before_the_coprimality_certificate(monkeypatch, capsys):
         raise AssertionError("coprimality_check ran before the conductor refused")
 
     monkeypatch.setattr(rrpfermat.frey, "coprimality_check", never)
-    code, out, err = run(capsys, "frey", "--r", "17", "--x", "3", "--y", "-4", "--json")
+    code, out, err = run(capsys, "frey", "--r", "19", "--x", "1", "--y", "-4", "--json")
     assert code == EXIT_INTERNAL
-    assert err == REFUSAL_17_3_M4
+    assert err == REFUSAL_19_1_M4
     assert out == ""
 
 
@@ -331,9 +333,9 @@ def test_frey_refuses_before_the_invariants(monkeypatch, capsys):
         raise AssertionError("invariants ran before the conductor refused")
 
     monkeypatch.setattr(rrpfermat.frey, "invariants", never)
-    code, out, err = run(capsys, "frey", "--r", "17", "--x", "3", "--y", "-4", "--json")
+    code, out, err = run(capsys, "frey", "--r", "19", "--x", "1", "--y", "-4", "--json")
     assert code == EXIT_INTERNAL
-    assert err == REFUSAL_17_3_M4
+    assert err == REFUSAL_19_1_M4
     assert out == ""
 
     calls = []
@@ -379,12 +381,14 @@ def test_a_completed_frey_op_computes_phi_once(monkeypatch, capsys):
 @example(7, (1, 0), 5)
 @example(11, (1, -5), 100000)
 @example(17, (3, -4), 100000)
+@example(19, (1, -4), 100000)
 @example(5, (3, 1), 5)
+@example(5, (1, -4), 5)
 def test_frey_exit_matches_the_trial_division_conductor(r, xy, bound):
     """frey exits 70 with the oracle's message exactly when the oracle's odd
-    trial division leaves a cofactor that is not one prime whose isqrt is at
-    most the bound; otherwise it reports the oracle's support and a coprime
-    family.  (x + y = 0 is the singular model, exit 64.)"""
+    trial division leaves a cofactor that is not one prime it proves
+    (oracles.proven_leftover); otherwise it reports the oracle's support and
+    a coprime family.  (x + y = 0 is the singular model, exit 64.)"""
     x, y = xy
     curve = frey_curve(build_field(r), x, y, 0, 1, 2)
     try:

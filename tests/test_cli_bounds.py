@@ -55,12 +55,13 @@ def test_huge_r_is_refused_before_the_primality_test(capsys, monkeypatch):
 
 
 def test_frey_smoothness_bound_3_still_refuses_the_cofactor(capsys):
-    # Phi(3, 1) = 61 at r = 5 has no factor 1 + 10t up to 3, and isqrt(61) = 7
-    # exceeds 3, so 61 is not proved prime; its square is refused.  At (2, 1)
-    # the same bound proves Phi = 11 prime (isqrt(11) = 3).
-    code = main(["frey", "--r", "5", "--x", "3", "--y", "1", "--smoothness-bound", "3"])
+    # Phi(1, -4) = 341 = 11 * 31 at r = 5 has no factor 1 + 10t up to 3, and
+    # isqrt(341) = 18 exceeds 3; Miller-Rabin finds it composite, so its square
+    # is refused.  At (2, 1) the same bound proves Phi = 11 prime
+    # (isqrt(11) = 3).
+    code = main(["frey", "--r", "5", "--x", "1", "--y", "-4", "--smoothness-bound", "3"])
     assert code == EXIT_INTERNAL
-    assert capsys.readouterr().err == "error: cofactor 3721 has no prime factor <= 3\n"
+    assert capsys.readouterr().err == "error: cofactor 116281 has no prime factor <= 3\n"
     code = main(["frey", "--r", "5", "--x", "2", "--y", "1", "--smoothness-bound", "3"])
     assert code == EXIT_PASS
     assert "conductor support outside {2, 5}: [3, 11]\n" in capsys.readouterr().out

@@ -6,8 +6,9 @@ non-integer or 31-digit; a missing, unreadable or malformed --expect or
 within a wall-clock budget, and:
 
 - the exit code is 0, 1, 2 or 64, or 70 for an unfactored Frey cofactor
-  alone (the conductor support proves no leftover whose square root
-  exceeds --smoothness-bound; ROADMAP item 5);
+  alone (a conductor leftover whose square root exceeds --smoothness-bound
+  and that Miller-Rabin does not prove prime: a composite, or a number of
+  at least 3317044064679887385961981; ROADMAP item 5);
 - nothing escapes main, so no traceback reaches stderr;
 - stderr is exactly one line on exit 64.
 

@@ -225,8 +225,8 @@ def _support_or_message(route, curve, bound):
 @pytest.mark.parametrize("ks", [(0, 1, 2), (1, 2, 3)])
 def test_conductor_matches_odd_trial_division_on_the_desk_grid(ks):
     """The conductor and the oracle agree on every desk op and bound.  The
-    grid refuses some op at each bound, and from bound 100 on it also proves
-    primes above the bound."""
+    grid refuses some op at each bound, and it also proves primes above the
+    bound at each of them."""
     fields = {}
     refused, above = Counter(), Counter()
     for r, x, y in FREY_DESK:
@@ -243,10 +243,10 @@ def test_conductor_matches_odd_trial_division_on_the_desk_grid(ks):
             elif got and got[-1] > bound:
                 above[bound] += 1
     assert all(refused[bound] for bound in (5, 100, DEFAULT_SMOOTHNESS_BOUND)), refused
-    assert above[100] and above[DEFAULT_SMOOTHNESS_BOUND], above
+    assert all(above[bound] for bound in (5, 100, DEFAULT_SMOOTHNESS_BOUND)), above
     if ks == (0, 1, 2):
-        # frey-desk: 40 of its 259 ops refuse at the default bound.
-        assert refused[DEFAULT_SMOOTHNESS_BOUND] == 40
+        # frey-desk: 10 of its 259 ops refuse at the default bound.
+        assert refused[DEFAULT_SMOOTHNESS_BOUND] == 10
 
 
 def test_conductor_checks_the_norm_against_the_closed_form(monkeypatch):
@@ -283,10 +283,15 @@ def test_conductor_support_examples():
     # Phi = 11 and x + y = 3: isqrt of each is at most 3, so both are proved
     # prime with no candidate tried.
     assert conductor_support_outside_S(cur, smoothness_bound=3) == (3, 11)
-    # Phi = 61 and isqrt(61) = 7 > 3: not proved prime at bound 3.
+    # Phi = 61 and isqrt(61) = 7 > 3: trial division cannot prove it at
+    # bound 3, and Miller-Rabin does.
     cur = frey_curve(f5, 3, 1, 0, 1, 2)
     assert conductor_support_outside_S(cur) == (61,)
-    with pytest.raises(UnfactoredCofactorError, match="^cofactor 3721 has no prime factor <= 3$"):
+    assert conductor_support_outside_S(cur, smoothness_bound=3) == (61,)
+    # Phi = 341 = 11 * 31 is composite: refused at bound 3.
+    cur = frey_curve(f5, 1, -4, 0, 1, 2)
+    assert conductor_support_outside_S(cur) == (3, 11, 31)
+    with pytest.raises(UnfactoredCofactorError, match="^cofactor 116281 has no prime factor <= 3$"):
         conductor_support_outside_S(cur, smoothness_bound=3)
 
 

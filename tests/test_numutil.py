@@ -15,11 +15,16 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rrpfermat.cli import MAX_D
+from rrpfermat.cli import EXIT_INTERNAL, MAX_D, main
+from rrpfermat.errors import ConsistencyError
 from rrpfermat.ffpoly import f2_from_coeffs
 from rrpfermat.numutil import (
     MAX_R,
+    _MR_BASES,
     Slots,
+    _proves_prime,
+    _strong_lucas,
+    _strong_probable_prime,
     is_prime,
     is_squarefree,
     least_primitive_root,
@@ -29,6 +34,8 @@ from rrpfermat.numutil import (
     trial_factor,
 )
 from rrpfermat.splitting import check_r_inert_in_quadratic
+
+from oracles import MILLER_RABIN_LIMIT, proven_leftover
 
 
 def _sympy_squarefree(n: int) -> bool:
@@ -90,8 +97,8 @@ def _trial_division_cases(draw):
     least_primitive_root), the odd numbers from 3 (|x + y| in the Frey
     conductor) or the 1 + 2rt of Phi; primes up to the bound, just above
     it, around (bound + 1)^2 and up to 10^11, so that what is left above the
-    bound is 1, a prime on either side of (bound + 1)^2, a prime power or a
-    product of primes."""
+    bound is 1, a prime on either side of (bound + 1)^2 or of
+    MILLER_RABIN_LIMIT, a prime power or a product of primes."""
     start, step = draw(st.one_of(
         st.sampled_from([(2, 1), (3, 2)]),
         st.sampled_from([5, 7, 11, 13, 17, 19, 23, 31]).map(lambda r: (2 * r + 1, 2 * r)),
@@ -99,7 +106,8 @@ def _trial_division_cases(draw):
     bound = draw(st.one_of(st.sampled_from([3, 5, 100, 10**5]), st.integers(3, 10**5)))
     square = (bound + 1) ** 2
     near = st.one_of(st.integers(1, bound), st.integers(bound, 2 * bound + 50))
-    far = st.one_of(st.integers(square - 4 * bound, square + 4 * bound), st.integers(1, 10**11))
+    far = st.one_of(st.integers(square - 4 * bound, square + 4 * bound), st.integers(1, 10**11),
+                    st.integers(MILLER_RABIN_LIMIT - 10**6, MILLER_RABIN_LIMIT + 10**6))
     sizes = draw(st.lists(near, max_size=3)) + draw(st.lists(far, max_size=1))
     n = 1
     for m in sizes:
@@ -110,7 +118,10 @@ def _trial_division_cases(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_trial_division_cases())
 @example((12207031, 23, 22, 10**5))  # frey --r 11 --x 1 --y -5: proved prime
-@example((17050729021, 35, 34, 10**5))  # frey --r 17 --x 3 --y -4: refused
+@example((17050729021, 35, 34, 10**5))  # frey --r 17 --x 3 --y -4: Miller-Rabin
+@example((91625968981, 39, 38, 10**5))  # frey --r 19 --x 1 --y -4: refused
+@example((3317044064679887385961981, 2, 1, 10**5))  # psi_13, no factor <= 10^5
+@example((3317044064679887385962123, 3, 2, 3))  # the least prime above psi_13
 @example((11, 11, 10, 3))
 @example((61, 11, 10, 3))
 @example((1, 3, 2, 3))
@@ -119,14 +130,16 @@ def _trial_division_cases(draw):
 @example((4, 2, 1, 4))
 def test_trial_division_matches_sympy_factorint(case):
     """trial_factor finds the primes of n up to the bound, and what is left
-    above the bound joins them exactly when its isqrt is at most the bound
-    (sympy then proves it prime); otherwise it is returned unfactored."""
+    above the bound joins them exactly when sympy proves it prime and its
+    isqrt is at most the bound or it is below MILLER_RABIN_LIMIT; otherwise
+    it is returned unfactored."""
     n, start, step, bound = case
     factors = sp.factorint(n)
     found = sorted(q for q in factors if q <= bound)
     rest = math.prod(q**e for q, e in factors.items() if q > bound)
-    if rest > 1 and math.isqrt(rest) <= bound:
-        assert sp.isprime(rest), case
+    if math.isqrt(rest) <= bound:
+        assert rest == 1 or sp.isprime(rest), case
+    if rest > 1 and proven_leftover(rest, bound):
         found, rest = found + [rest], 1
     assert trial_factor(n, start, step, bound) == (found, rest), case
 
@@ -134,6 +147,82 @@ def test_trial_division_matches_sympy_factorint(case):
 def test_is_prime_matches_sympy_isprime():
     for n in range(-5, 10**4 + 1):
         assert is_prime(n) == sp.isprime(n), n
+
+
+# Chernick's Carmichael numbers (6k + 1)(12k + 1)(18k + 1), for the k with
+# all three factors prime: every coprime base is a Fermat liar for them.
+_chernick = st.sampled_from([1, 6, 35, 45, 51, 55, 56, 100, 121, 195, 206, 216]).map(
+    lambda k: (6 * k + 1) * (12 * k + 1) * (18 * k + 1))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.integers(-5, MILLER_RABIN_LIMIT - 1),
+    st.integers(2, MILLER_RABIN_LIMIT - 10**4).map(sp.nextprime),
+    st.builds(lambda a, b: sp.nextprime(a) * sp.nextprime(b),
+              st.integers(2, 10**12), st.integers(2, 10**12)),
+    _chernick,
+))
+def test_proves_prime_matches_sympy_isprime_below_the_limit(n):
+    """Below MILLER_RABIN_LIMIT, _proves_prime is sympy.isprime: primes,
+    products of two primes and Carmichael numbers among the draws."""
+    assert n < MILLER_RABIN_LIMIT
+    assert _proves_prime(n) == sp.isprime(n), n
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,  # psi_4: strong pseudoprime to 2, 3, 5, 7
+    3825123056546413051,  # psi_9 = psi_10 = psi_11: to 2, ..., 31
+    318665857834031151167461,  # psi_12: to 2, ..., 37
+    3317044064679887385961981,  # psi_13: to 2, ..., 41, the limit itself
+])
+def test_strong_pseudoprimes_are_never_proved(n):
+    """The limit is psi_13 for exactly the first 13 prime bases, and each
+    psi_k is a strong pseudoprime to the first k of them."""
+    assert _MR_BASES == tuple(sp.primerange(2, 42))
+    assert not sp.isprime(n)
+    assert _proves_prime(n) is False
+
+
+@pytest.mark.parametrize("n", [
+    3317044064679887385962123,  # the least prime above the limit
+    2**89 - 1,
+    10**30 + 57,
+])
+def test_no_proof_at_or_above_the_limit(n):
+    """A prime at or above the limit passes every base, but is not proved,
+    so trial_factor returns it as the unfactored leftover."""
+    assert sp.isprime(n) and n >= MILLER_RABIN_LIMIT
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    assert all(_strong_probable_prime(n, a, d, s) for a in _MR_BASES)
+    assert _proves_prime(n) is False
+    assert trial_factor(n, 2, 1, 100) == ([], n)
+
+
+def test_strong_lucas_matches_sympy_on_odd_n():
+    """The second route agrees with sympy's strong Lucas test (Selfridge's
+    method A), pseudoprimes 5459, 5777, 10877, ... included."""
+    from sympy.ntheory.primetest import is_strong_lucas_prp
+
+    for n in range(3, 3 * 10**4, 2):
+        assert _strong_lucas(n) == is_strong_lucas_prp(n), n
+    assert _strong_lucas(5459) and not sp.isprime(5459)
+
+
+def test_a_failed_lucas_check_is_a_consistency_error(monkeypatch, capsys):
+    """A Miller-Rabin proof that the strong Lucas test rejects raises
+    ConsistencyError, and the CLI exits 70 with error: on a frey op whose
+    leftover Miller-Rabin proves."""
+    monkeypatch.setattr("rrpfermat.numutil._strong_lucas", lambda n: False)
+    with pytest.raises(ConsistencyError, match="^17050729021 passes Miller-Rabin"):
+        _proves_prime(17050729021)
+    assert _proves_prime(3215031751) is False  # psi_4 fails base 11: Lucas not run
+    code = main(["frey", "--r", "17", "--x", "3", "--y", "-4", "--json"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INTERNAL and out == ""
+    assert err.startswith("error: ") and "17050729021" in err
 
 
 def test_least_primitive_root_matches_sympy():
