@@ -216,11 +216,11 @@ def h_plus_parity(base_d: int, r: int, table: HPlusTable | None = None) -> tuple
     """Parity of h+ of the real field attached to (base_d, r), plus evidence.
 
     base_d = 0 means the rational base: the parity is that of h_r^- from the
-    Maillet determinant.  Other bases are looked up in the table (the shipped
-    one when none is given); a missing entry yields ("undetermined", ...) so
-    that no criterion can silently treat absence of data as a pass.
+    Maillet determinant, and maillet_h_minus refuses a bad r.  Other bases
+    are looked up in the table (the shipped one when none is given), after
+    check_prime_r refuses a bad r; a missing entry yields ("undetermined",
+    ...) so that no criterion can silently treat absence of data as a pass.
     """
-    check_prime_r(r)
     if base_d == 0:
         res = maillet_h_minus(r)
         return res.parity, {
@@ -228,6 +228,7 @@ def h_plus_parity(base_d: int, r: int, table: HPlusTable | None = None) -> tuple
             "h_minus": str(res.h_minus),
             "scaling_exponent": res.scaling_exponent,
         }
+    check_prime_r(r)
     if table is None:
         table = load_hplus_table()
     entry = table.get((base_d, r))

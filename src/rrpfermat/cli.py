@@ -17,8 +17,9 @@ Exit codes (scripts can branch on the tri-state):
 
 A usage error is bad input: an argument out of range (frey's --r, --x, --y
 and --smoothness-bound among them), an --expect or --hplus-table file that
-cannot be read or parsed, --hplus-table with --d 0, or a singular Frey model.
-main is the only place that maps exceptions to exit codes.
+cannot be read or parsed, --hplus-table with --d 0, a singular Frey model,
+or inputs that must be coprime and are not (NotCoprimeError).  main is the
+only place that maps exceptions to exit codes.
 
 JSON reports (--json) are deterministic: stable key order, no timestamps,
 byte-identical for identical inputs and tool version.  Wall-clock timing is
@@ -414,10 +415,10 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         _discard_stdout()
         return EXIT_IOERR
-    except (UsageError, DegenerateCurveError) as exc:
+    except (UsageError, DegenerateCurveError, NotCoprimeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (UnfactoredCofactorError, NotCoprimeError, ConsistencyError, TableError) as exc:
+    except (UnfactoredCofactorError, ConsistencyError, TableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

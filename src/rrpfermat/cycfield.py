@@ -168,7 +168,8 @@ class RealCyclotomicField:
         f = d (2 inert), residue_field_at_2() must build: its Berlekamp rank
         proves psi_r mod 2 irreducible, the same GF(2^d) that
         galoisring.is_square_pi_r then hands to its Galois ring, so one
-        Berlekamp matrix is built per field.  Where 2 splits, the
+        Berlekamp matrix is built per field, and its NotInertError (a
+        ValueError) becomes the ConsistencyError.  Where 2 splits, the
         distinct-degree shape of psi_r mod 2 must be ((f, d/f),); it is the
         splitting of 2 because disc(psi_r) is odd (a power of r), so
         Z[theta] is 2-maximal and Dedekind's criterion applies."""
@@ -197,21 +198,17 @@ class RealCyclotomicField:
 
     def residue_field_at_2(self) -> F2Field:
         """GF(2^d) = GF(2)[t]/(psi_r mod 2), the residue field of the inert
-        prime above 2, built once per field (ValueError from its Berlekamp
-        rank when psi_r mod 2 is reducible, that is when 2 is not inert)."""
+        prime above 2, built once per field.  This is the one inertness
+        check at 2: when psi_r mod 2 is reducible, that is when 2 is not
+        inert, its Berlekamp rank's ValueError is raised as NotInertError."""
         if self._residue_field is None:
             from . import ffpoly
 
-            self._residue_field = ffpoly.F2Field(self.degree, ffpoly.f2_from_coeffs(self.psi))
+            try:
+                self._residue_field = ffpoly.F2Field(self.degree, ffpoly.f2_from_coeffs(self.psi))
+            except ValueError as exc:
+                raise NotInertError(f"2 is not inert for r = {self.r}: {exc}") from exc
         return self._residue_field
-
-    def require_two_inert(self) -> None:
-        """Raise NotInertError unless 2 stays prime in Q(theta)."""
-        shape = self.two_shape()
-        if shape != ((self.degree, 1),):
-            raise NotInertError(
-                f"2 is not inert for r = {self.r}: factor shape {list(shape)}"
-            )
 
     def pi_r(self) -> "CycInt":
         """theta - 2, the uniformizer of the unique (totally ramified) prime

@@ -49,9 +49,9 @@ def norm_necessary_condition(base_d: int, r: int) -> bool:
     rule out every r = 7 mod 8 (for which pi_r can be, and for r = 7 is, an
     actual square mod P^5).  Verdicts are computed twice, by exhaustive
     enumeration of the residue system and by the closed-form congruence, and
-    any disagreement raises ConsistencyError.
+    any disagreement raises ConsistencyError.  signed_norm_of_pi_r refuses
+    an r that numutil.check_prime_r refuses.
     """
-    check_prime_r(r)
     n = signed_norm_of_pi_r(r)
     if base_d == 0:
         # The norm of a square is an odd square mod 2^5, and the odd squares

@@ -13,11 +13,12 @@ residue field comes from the Berlekamp matrix of psi mod 2, whose rank
 proves psi irreducible mod 2: for psi_r, RealCyclotomicField builds it once
 as the second route of two_shape (the first is the order of 2 in
 (Z/r)^*/{±1}) and is_square_pi_r hands that same field to the ring, which
-checks its modulus.  Its square root, trace and Artin-Schreier solver then
-cost one product, one AND and one reduction per call.  gr_sqrt works on the
-ring's packed ints throughout: it packs u once, moves between the ring and
-the residue field by byte translation (numutil.Slots.residue and lift) and
-unpacks only the root.
+checks its modulus.  That build is is_square_pi_r's one check that 2 is
+inert (NotInertError otherwise).  The residue field's square root, trace
+and Artin-Schreier solver then cost one product, one AND and one reduction
+per call.  gr_sqrt works on the ring's packed ints throughout: it packs u
+once, moves between the ring and the residue field by byte translation
+(numutil.Slots.residue and lift) and unpacks only the root.
 
 For the field Q(zeta_r + 1/zeta_r) with 2 inert, O/2^n O is GR(2^n, (r-1)/2)
 with modulus psi_r mod 2^n; this identification uses that Z[theta] is the
@@ -149,15 +150,14 @@ class GaloisRing(PackedMulMod):
         already (RealCyclotomicField.residue_field_at_2); its modulus must be
         psi mod 2 (ValueError otherwise).  Without it the ring builds one,
         whose Berlekamp rank test raises ValueError if psi is reducible
-        mod 2."""
+        mod 2.  Either way a modulus of degree 0 is refused with ValueError:
+        F2Field refuses degree 0, and no residue field has modulus 1."""
         if n < 1:
             raise ValueError("precision exponent n must be >= 1")
         psi = [c % (1 << n) for c in modulus_coeffs]
         if not psi or psi[-1] != 1:
             raise ValueError("modulus must be monic")
         f = len(psi) - 1
-        if f < 1:
-            raise ValueError("modulus must have degree >= 1")
         if residue_field is None:
             residue_field = F2Field(f, f2_from_coeffs(psi))
         elif residue_field.modulus != f2_from_coeffs(psi):
@@ -276,11 +276,11 @@ def is_square_pi_r(field: RealCyclotomicField) -> bool:
     """Whether pi_r = theta - 2 is a square in O/P^PI_R_PRECISION at the
     inert prime P above 2.
 
-    Requires 2 inert in Q(theta) (NotInertError otherwise); when 2 is not
-    inert the quotient at a single prime above 2 is not this Galois ring and
-    the caller must fall back to the norm-residue criterion instead.
+    Requires 2 inert in Q(theta): field.residue_field_at_2() raises
+    NotInertError otherwise.  When 2 is not inert the quotient at a single
+    prime above 2 is not this Galois ring and the caller must fall back to
+    the norm-residue criterion instead.
     """
-    field.require_two_inert()
     ring = GaloisRing(PI_R_PRECISION, field.psi, field.residue_field_at_2())
     u = ring.element(field.pi_r().coeffs)
     return gr_sqrt(u) is not None

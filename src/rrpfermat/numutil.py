@@ -60,9 +60,7 @@ def trial_factor(n: int, start: int, step: int, bound: int) -> tuple[list[int], 
                 n = 1
             break
         found.append(q)
-        n //= q
-        while n % q == 0:
-            n //= q
+        n = strip_factor(n, q)
         start = q + step
     return found, n
 
@@ -226,11 +224,10 @@ def is_squarefree(n: int) -> bool:
 
 
 def legendre_symbol(a: int, p: int) -> int:
-    """(a|p) in {-1, 0, 1} for an odd prime p <= MAX_R, by Euler's
-    criterion."""
+    """(a|p) in {-1, 0, 1} for an odd prime p <= MAX_R: the Jacobi symbol
+    _jacobi(a, p), which is the Legendre symbol at an odd prime."""
     _check_bounded_prime("p", p, 3)
-    ls = pow(a % p, (p - 1) // 2, p)
-    return -1 if ls == p - 1 else ls
+    return _jacobi(a, p)
 
 
 # (width in bits, array type code) of the array slots, narrowest first.

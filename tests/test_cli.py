@@ -241,6 +241,41 @@ def test_frey_non_coprime_is_usage_error(capsys):
     assert err == "usage error: --x 6 --y 3: gcd must be 1\n"
 
 
+def test_a_not_coprime_error_that_reaches_main_is_a_usage_error(monkeypatch, capsys):
+    """NotCoprimeError is a ValueError about the input, so main maps it to
+    64 like the other usage errors, not to the internal 70."""
+    import rrpfermat.frey
+    from rrpfermat.errors import NotCoprimeError
+
+    def refuse(curve, bound):
+        raise NotCoprimeError("x and y share a factor")
+
+    monkeypatch.setattr(rrpfermat.frey, "conductor_support_outside_S", refuse)
+    code, out, err = run(capsys, "frey", "--r", "5", "--x", "2", "--y", "1", "--json")
+    assert (code, out, err) == (EXIT_USAGE, "", "usage error: x and y share a factor\n")
+
+
+@pytest.mark.parametrize("argv, runs", [
+    (("check-q", "--r", "199"), 6),
+    (("check-quad", "--theorem", "--d", "5", "--r", "13"), 6),
+    (("check-quad", "--theorem", "--d", "0", "--r", "31"), 7),
+    (("check-quad", "--d", "2", "--r", "11"), 5),
+    (("frey", "--r", "5", "--x", "2", "--y", "1"), 2),
+])
+def test_the_prime_rule_runs_once_per_call_path(monkeypatch, capsys, argv, runs):
+    """No function re-checks an r that the call it makes next checks
+    identically: one run of the bound-first prime rule per public entry
+    point on the op's path."""
+    from rrpfermat import numutil
+
+    calls = []
+    real = numutil._check_bounded_prime
+    monkeypatch.setattr(numutil, "_check_bounded_prime", lambda *a: calls.append(a) or real(*a))
+    code, _, _ = run(capsys, *argv)
+    assert code in (EXIT_PASS, EXIT_FAIL)
+    assert len(calls) == runs, calls
+
+
 def test_frey_degenerate_is_usage_error(capsys):
     """ABC = 0 meets the conductor first; its usage error keeps the
     invariants' wording, and stdout stays empty."""

@@ -129,6 +129,14 @@ def test_is_square_requires_inert():
         is_square_pi_r(build_field(31))
 
 
+def test_a_modulus_of_degree_0_is_refused():
+    # psi = 1: F2Field refuses degree 0, and no residue field has modulus 1.
+    with pytest.raises(ValueError, match="degree"):
+        GaloisRing(3, [1])
+    with pytest.raises(ValueError, match="residue field"):
+        GaloisRing(3, [1], build_field(7).residue_field_at_2())
+
+
 def test_norm_compatibility_all_inert_r():
     # If pi_r is a square mod P^5 then its signed norm (-1)^((r-1)/2) r is a
     # square residue mod 32, i.e. in {1, 9, 17, 25}; empirically squareness

@@ -11,7 +11,7 @@ import pytest
 
 import rrpfermat.ffpoly as ffpoly
 from rrpfermat.cli import EXIT_FAIL, EXIT_INTERNAL, EXIT_PASS, EXIT_UNDETERMINED, main
-from rrpfermat.cycfield import build_field
+from rrpfermat.cycfield import RealCyclotomicField, build_field
 from rrpfermat.errors import ConsistencyError, NotInertError
 from rrpfermat.galoisring import GaloisRing, is_square_pi_r
 from rrpfermat.numutil import primes_upto
@@ -38,7 +38,7 @@ def test_inert_consumers_raise_exactly_when_two_splits(r):
     inert = oracles.gf2_factor_shape(field.psi) == [(field.degree, 1)]
     consumers = [
         lambda: is_square_pi_r(field),
-        field.require_two_inert,
+        field.residue_field_at_2,
     ]
     for call in consumers:
         if inert:
@@ -46,6 +46,15 @@ def test_inert_consumers_raise_exactly_when_two_splits(r):
         else:
             with pytest.raises(NotInertError):
                 call()
+
+
+def test_is_square_pi_r_reads_inertness_from_the_residue_field_alone(monkeypatch):
+    # r = 31: 2 splits into three primes of degree 5.  With two_shape out of
+    # reach, the Berlekamp rank of psi_31 mod 2 still refuses, chained.
+    monkeypatch.setattr(RealCyclotomicField, "two_shape", lambda self: pytest.fail("two_shape ran"))
+    with pytest.raises(NotInertError, match="^2 is not inert for r = 31: ") as info:
+        is_square_pi_r(build_field(31))
+    assert type(info.value.__cause__) is ValueError
 
 
 def test_one_residue_field_per_inert_r(monkeypatch):
@@ -61,7 +70,7 @@ def test_one_residue_field_per_inert_r(monkeypatch):
     monkeypatch.setattr(ffpoly, "F2Field", counting)
     monkeypatch.setattr(ffpoly, "ddf_degrees", lambda p: pytest.fail("DDF ran at an inert r"))
     field = build_field(199)
-    field.require_two_inert()
+    field.two_shape()
     is_square_pi_r(field)
     is_square_pi_r(field)
     assert len(built) == 1
