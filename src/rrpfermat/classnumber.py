@@ -7,9 +7,10 @@ certifies 2 not dividing h+.
 
 h_r^- comes from the analytic class number formula as a resultant
 (Washington, GTM 83, Thm 4.17): h_r^- = 2r prod_{chi odd} (-B_{1,chi}/2).
-Let m = (r-1)/2, g the least primitive root mod r and a_i = g^i mod r.  The
-odd characters send g to the roots zeta of x^m + 1, and with
-F = sum_{i<m} (2 a_i - r) x^i, r B_{1,chi} = F(zeta), so
+Let m = (r-1)/2, g the least primitive root mod r (the field's
+least_primitive_root) and a_i = g^i mod r.  The odd characters send g to
+the roots zeta of x^m + 1, and with F = sum_{i<m} (2 a_i - r) x^i,
+r B_{1,chi} = F(zeta), so
 
     Res(x^m + 1, F) = +-(2r)^(m-1) h_r^-.
 
@@ -49,7 +50,9 @@ Two independent routes check the result:
   det M = r^((r-3)/2) det M''; Bareiss over Z must give
   det M'' = (-1)^((r-3)/2) h_r^-.
 
-A mismatch in either is a ConsistencyError.
+A mismatch in either is a ConsistencyError.  maillet_h_minus,
+maillet_parity_rows and h_plus_parity take the RealCyclotomicField, whose
+constructor has checked r, and check it no more.
 
 For quadratic base fields no desk-scale algorithm is implemented; parity of
 h+ for the compositum is read from an attested external table shipped as
@@ -66,9 +69,10 @@ from __future__ import annotations
 import os
 from typing import NamedTuple
 
+from .cycfield import RealCyclotomicField
 from .errors import ConsistencyError, TableError
 from .intlinalg import bareiss_det, gf2_det, negacyclic_resultant
-from .numutil import Slots, check_prime_r, least_primitive_root
+from .numutil import Slots
 
 ODD = "odd"
 EVEN = "even"
@@ -95,14 +99,14 @@ class HPlusTableEntry(NamedTuple):
     source: str
 
 
-def maillet_h_minus(r: int) -> HMinusResult:
-    """Exact h_r^- for a prime 5 <= r <= MAX_R as r |Res(x^m + 1, Qbar)| /
-    ((1 + g^m) 2^(m-1)), with its parity checked against the GF(2)
-    determinant of M mod 2 and, for r <= BAREISS_CHECK_MAX_R, its signed
-    Maillet determinant against Bareiss on M'' (see the module docstring)."""
-    check_prime_r(r)
-    m = (r - 1) // 2
-    g = least_primitive_root(r)
+def maillet_h_minus(field: RealCyclotomicField) -> HMinusResult:
+    """Exact h_r^- for the field's r as r |Res(x^m + 1, Qbar)| /
+    ((1 + g^m) 2^(m-1)), g = field.least_primitive_root(), with its parity
+    checked against the GF(2) determinant of M mod 2 and, for
+    r <= BAREISS_CHECK_MAX_R, its signed Maillet determinant against Bareiss
+    on M'' (see the module docstring)."""
+    r, m = field.r, field.degree
+    g = field.least_primitive_root()
     q_bar, a = [], 1
     for _ in range(m):
         q_bar.append(2 * (g * a // r) - (g - 1))
@@ -117,7 +121,7 @@ def maillet_h_minus(r: int) -> HMinusResult:
     if h_minus < 1:
         raise ConsistencyError(f"h^- computed as {h_minus} < 1 for r = {r}")
     inverses = [pow(b, -1, r) for b in range(1, m + 1)]
-    if gf2_det(maillet_parity_rows(r, inverses)) != h_minus % 2:
+    if gf2_det(maillet_parity_rows(field, inverses)) != h_minus % 2:
         raise ConsistencyError(
             f"GF(2) determinant of the Maillet matrix for r = {r} disagrees "
             f"with the parity of h^- = {h_minus}"
@@ -141,9 +145,9 @@ def maillet_h_minus(r: int) -> HMinusResult:
     )
 
 
-def maillet_parity_rows(r: int, inverses: list[int]) -> list[int]:
+def maillet_parity_rows(field: RealCyclotomicField, inverses: list[int]) -> list[int]:
     """The rows of M mod 2 as ints, column j in bit j, with M[a][b] =
-    a * c_b mod r and inverses = [c_1, ..., c_m].
+    a * c_b mod r, r = field.r, and inverses = [c_1, ..., c_m].
 
     Row a + 1 is row a plus (c_b) mod r, so each row comes from the one
     before with whole-int operations.  Column b sits in a slot of a
@@ -151,7 +155,7 @@ def maillet_parity_rows(r: int, inverses: list[int]) -> list[int]:
     a sum of two residues stays below 2r < 2^k, and adding 2^(k-1) - r to
     every slot sets a slot's top bit exactly where the sum reached r, so
     those slots get r taken off.  Slots.residue reads each row mod 2."""
-    check_prime_r(r)
+    r = field.r
     slots = Slots(r.bit_length() + 1, len(inverses))
     top = slots.bits - 1
     step = slots.pack(inverses)
@@ -212,23 +216,25 @@ def table_digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def h_plus_parity(base_d: int, r: int, table: HPlusTable | None = None) -> tuple[str, dict]:
-    """Parity of h+ of the real field attached to (base_d, r), plus evidence.
+def h_plus_parity(
+    base_d: int, field: RealCyclotomicField, table: HPlusTable | None = None
+) -> tuple[str, dict]:
+    """Parity of h+ of the real field attached to (base_d, field.r), plus
+    evidence.
 
     base_d = 0 means the rational base: the parity is that of h_r^- from the
-    Maillet determinant, and maillet_h_minus refuses a bad r.  Other bases
-    are looked up in the table (the shipped one when none is given), after
-    check_prime_r refuses a bad r; a missing entry yields ("undetermined",
+    Maillet determinant.  Other bases are looked up in the table (the
+    shipped one when none is given); a missing entry yields ("undetermined",
     ...) so that no criterion can silently treat absence of data as a pass.
     """
+    r = field.r
     if base_d == 0:
-        res = maillet_h_minus(r)
+        res = maillet_h_minus(field)
         return res.parity, {
             "method": "maillet-h-minus",
             "h_minus": str(res.h_minus),
             "scaling_exponent": res.scaling_exponent,
         }
-    check_prime_r(r)
     if table is None:
         table = load_hplus_table()
     entry = table.get((base_d, r))

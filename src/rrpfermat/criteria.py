@@ -7,6 +7,9 @@ status and machine-readable evidence sufficient to recompute it.  The
 condition for which only a necessary criterion is computable, never turns
 into a pass.  Checks are pure functions of their inputs, so identical calls
 yield identical verdicts and range scans can run in any order.
+
+Each check takes r and builds its RealCyclotomicField once (build_field,
+which checks r); every layer below takes that field, not r.
 """
 
 from __future__ import annotations
@@ -64,8 +67,8 @@ class Verdict(NamedTuple):
         }
 
 
-def _parity_condition(base_d: int, r: int, table) -> Condition:
-    parity, evidence = classnumber.h_plus_parity(base_d, r, table)
+def _parity_condition(base_d: int, field, table) -> Condition:
+    parity, evidence = classnumber.h_plus_parity(base_d, field, table)
     if parity == classnumber.ODD:
         status = PASS
     elif parity == classnumber.EVEN:
@@ -112,7 +115,7 @@ def check_corollary_Q(r: int) -> Verdict:
         )
     )
 
-    conditions.append(_parity_condition(0, r, None))
+    conditions.append(_parity_condition(0, field, None))
 
     diagnostics = {}
     if report.inert:
@@ -126,8 +129,9 @@ def check_corollary_quad(d: int, r: int, table=None) -> Verdict:
     a unique prime above 2 in the compositum, and odd h+ (table-attested).
     The Legendre-symbol inertness of r in Q(sqrt(d)) is recorded as a
     diagnostic; it is not one of the gates."""
+    field = build_field(r)
     # split_2_in_Kplus refuses a d that is not a squarefree integer > 1.
-    report = splitting.split_2_in_Kplus(d, build_field(r))
+    report = splitting.split_2_in_Kplus(d, field)
     conditions = []
 
     conditions.append(
@@ -145,9 +149,9 @@ def check_corollary_quad(d: int, r: int, table=None) -> Verdict:
         )
     )
     conditions.append(_unique_prime_above_2(report))
-    conditions.append(_parity_condition(d, r, table))
+    conditions.append(_parity_condition(d, field, table))
 
-    inert = splitting.check_r_inert_in_quadratic(d, r)
+    inert = splitting.check_r_inert_in_quadratic(d, field)
     diagnostics = {"r_inert_in_K": "r divides d" if inert is None else inert}
     if inert is False:
         diagnostics["r_inert_note"] = (
@@ -170,7 +174,7 @@ def _condition_iv(base_d: int, field, report) -> Condition:
     from . import descent  # only the literal four-hypothesis form reaches it
 
     try:
-        survives = descent.norm_necessary_condition(base_d, field.r)
+        survives = descent.norm_necessary_condition(base_d, field)
     except ValueError as exc:
         return Condition(
             name, UNDETERMINED, {"method": "norm-residue", "unavailable": str(exc)}
@@ -201,7 +205,7 @@ def check_four_hypotheses(base_d: int, r: int, table=None) -> Verdict:
     else:
         # split_2_in_Kplus refuses a base_d that is not a squarefree integer > 1.
         report = splitting.split_2_in_Kplus(base_d, field)
-        inert = splitting.check_r_inert_in_quadratic(base_d, r)
+        inert = splitting.check_r_inert_in_quadratic(base_d, field)
         if inert is None:
             r_inert = Condition("r inert in K", FAIL, {"reason": "r divides d"})
         else:
@@ -213,7 +217,7 @@ def check_four_hypotheses(base_d: int, r: int, table=None) -> Verdict:
     conditions = (
         r_inert,
         _unique_prime_above_2(report),
-        _parity_condition(base_d, r, table),
+        _parity_condition(base_d, field, table),
         _condition_iv(base_d, field, report),
     )
     return Verdict("four-hypotheses", base_d, r, conditions, {})

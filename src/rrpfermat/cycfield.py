@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 
 from .errors import ConsistencyError, NotInertError
 from .intlinalg import bareiss_det
-from .numutil import check_prime_r, order_of_two_mod_pm1
+from .numutil import check_prime_r, trial_factor
 
 if TYPE_CHECKING:
     from .ffpoly import F2Field
@@ -75,7 +75,9 @@ def polymulmod(a, b, modulus) -> tuple[int, ...]:
 
 
 class RealCyclotomicField:
-    """The field Q(theta) for a fixed odd prime r >= 5.
+    """The field Q(theta) for a fixed odd prime r >= 5.  It is the one type
+    that carries a checked r: its constructor runs numutil.check_prime_r, and
+    every function that takes the field reads field.r without checking it.
 
     Attributes:
         r: the prime.
@@ -155,8 +157,9 @@ class RealCyclotomicField:
 
     def two_shape(self) -> tuple[tuple[int, int], ...]:
         """The splitting of 2 in Q(theta) as sorted (residue degree, count)
-        pairs: ((f, d/f),) with f the order of 2 in (Z/r)^*/{±1}
-        (numutil.order_of_two_mod_pm1).  Memoized per field.
+        pairs: ((f, d/f),) with f the order of 2 in (Z/r)^*/{±1}, the least
+        f >= 1 with 2^f = ±1 mod r, found by stepping 2^f mod r (at most d
+        multiplications).  Memoized per field.
 
         Why: 2 is unramified in Q(zeta_r), and its Frobenius in
         Gal(Q(zeta_r)/Q) = (Z/r)^* is 2 itself.  Q(theta) is the fixed field
@@ -176,7 +179,10 @@ class RealCyclotomicField:
         if self._two_shape is None:
             from . import ffpoly  # GF(2) code, which a frey process never runs
 
-            f = order_of_two_mod_pm1(self.r)
+            r, x, f = self.r, 2, 1
+            while x != 1 and x != r - 1:
+                x = 2 * x % r
+                f += 1
             shape = ((f, self.degree // f),)
             if f == self.degree:
                 try:
@@ -209,6 +215,16 @@ class RealCyclotomicField:
             except ValueError as exc:
                 raise NotInertError(f"2 is not inert for r = {self.r}: {exc}") from exc
         return self._residue_field
+
+    def least_primitive_root(self) -> int:
+        """The least g >= 2 that generates (Z/r)^* = Gal(Q(zeta_r)/Q): g^((r-1)/q)
+        is not 1 mod r for any prime q dividing r - 1."""
+        r = self.r
+        quotients = [(r - 1) // q for q in trial_factor(r - 1, 2, 1, r)[0]]
+        g = 2
+        while any(pow(g, e, r) == 1 for e in quotients):
+            g += 1
+        return g
 
     def pi_r(self) -> "CycInt":
         """theta - 2, the uniformizer of the unique (totally ramified) prime

@@ -12,13 +12,14 @@ is inert in the base) or (Z/16)^2 (d = 2, 3 mod 4, where 2 ramifies in the
 base), with the same signed right-hand side.  Both the exhaustive
 enumeration and the closed-form congruence are evaluated and must agree;
 disagreement is an internal hard error.  The moduli 32 and 16 are the
-levels at which the two base-field cases are actually decided.
+levels at which the two base-field cases are actually decided.  Both
+functions take the RealCyclotomicField, whose constructor has checked r.
 """
 
 from __future__ import annotations
 
+from .cycfield import RealCyclotomicField
 from .errors import ConsistencyError, NotCoprimeError
-from .numutil import check_prime_r
 from .splitting import check_quadratic_d
 
 
@@ -28,18 +29,17 @@ def _brute_force_system(modulus: int, check) -> bool:
     )
 
 
-def signed_norm_of_pi_r(r: int) -> int:
+def signed_norm_of_pi_r(field: RealCyclotomicField) -> int:
     """Norm of pi_r = theta - 2 down to the base field's rationals:
     (-1)^((r-1)/2) * r.  Each of the (r-1)/2 conjugates theta_i - 2 is a
     negative real, so the sign alternates with the parity of the degree.
     The relative norm from K+ to a quadratic base K equals the absolute one
     from Q+ to Q whenever sqrt(d) is not in Q+ (always, under r not
     dividing d)."""
-    check_prime_r(r)
-    return r if ((r - 1) // 2) % 2 == 0 else -r
+    return field.r if field.degree % 2 == 0 else -field.r
 
 
-def norm_necessary_condition(base_d: int, r: int) -> bool:
+def norm_necessary_condition(base_d: int, field: RealCyclotomicField) -> bool:
     """Whether the norm-residue necessary condition for pi_r to be a square
     mod P^(4e+1) survives.
 
@@ -49,10 +49,9 @@ def norm_necessary_condition(base_d: int, r: int) -> bool:
     rule out every r = 7 mod 8 (for which pi_r can be, and for r = 7 is, an
     actual square mod P^5).  Verdicts are computed twice, by exhaustive
     enumeration of the residue system and by the closed-form congruence, and
-    any disagreement raises ConsistencyError.  signed_norm_of_pi_r refuses
-    an r that numutil.check_prime_r refuses.
+    any disagreement raises ConsistencyError.
     """
-    n = signed_norm_of_pi_r(r)
+    r, n = field.r, signed_norm_of_pi_r(field)
     if base_d == 0:
         # The norm of a square is an odd square mod 2^5, and the odd squares
         # mod 32 are exactly {1, 9, 17, 25}, the residues = 1 mod 8.

@@ -8,16 +8,16 @@ unobstructed.  That yields an exact decision procedure for congruences
 u = v^2 mod P^n once n >= 3.  The mod-8 obstruction is read in the residue
 field GF(2^f), the ring's `residue_field`, an ffpoly.F2Field whose elements
 are bit-packed ints, and the only inverse taken is that of the residue root,
-one extended Euclid in GF(2^f) (F2Field.inverse) per square root.  The
-residue field comes from the Berlekamp matrix of psi mod 2, whose rank
-proves psi irreducible mod 2: for psi_r, RealCyclotomicField builds it once
-as the second route of two_shape (the first is the order of 2 in
-(Z/r)^*/{±1}) and is_square_pi_r hands that same field to the ring, which
+one extended Euclid in GF(2^f) (F2Field.inverse) per square root.  The ring
+is given its residue field, built from the Berlekamp matrix of psi mod 2,
+whose rank proves psi irreducible mod 2: for psi_r, RealCyclotomicField
+builds it once as the second route of two_shape (the first is the order of 2
+in (Z/r)^*/{±1}) and is_square_pi_r hands that same field to the ring, which
 checks its modulus.  That build is is_square_pi_r's one check that 2 is
-inert (NotInertError otherwise).  The residue field's square root, trace
-and Artin-Schreier solver then cost one product, one AND and one reduction
-per call.  gr_sqrt works on the ring's packed ints throughout: it packs u
-once, moves between the ring and the residue field by byte translation
+inert (NotInertError otherwise).  The residue field's square root, trace and
+Artin-Schreier solver then cost one product, one AND and one reduction per
+call.  gr_sqrt works on the ring's packed ints throughout: it packs u once,
+moves between the ring and the residue field by byte translation
 (numutil.Slots.residue and lift) and unpacks only the root.
 
 For the field Q(zeta_r + 1/zeta_r) with 2 inert, O/2^n O is GR(2^n, (r-1)/2)
@@ -145,22 +145,18 @@ class GaloisRing(PackedMulMod):
 
     mul_coeffs = PackedMulMod.mul
 
-    def __init__(self, n: int, modulus_coeffs, residue_field: F2Field | None = None) -> None:
-        """residue_field: GF(2)[t]/(psi mod 2) when the caller has built it
-        already (RealCyclotomicField.residue_field_at_2); its modulus must be
-        psi mod 2 (ValueError otherwise).  Without it the ring builds one,
-        whose Berlekamp rank test raises ValueError if psi is reducible
-        mod 2.  Either way a modulus of degree 0 is refused with ValueError:
-        F2Field refuses degree 0, and no residue field has modulus 1."""
+    def __init__(self, n: int, modulus_coeffs, residue_field: F2Field) -> None:
+        """residue_field: GF(2)[t]/(psi mod 2), built by the caller
+        (RealCyclotomicField.residue_field_at_2 for psi_r), whose Berlekamp
+        rank proved psi irreducible mod 2.  Its modulus must be psi mod 2
+        (ValueError otherwise), so a modulus of degree 0 is refused too: no
+        residue field has modulus 1."""
         if n < 1:
             raise ValueError("precision exponent n must be >= 1")
         psi = [c % (1 << n) for c in modulus_coeffs]
         if not psi or psi[-1] != 1:
             raise ValueError("modulus must be monic")
-        f = len(psi) - 1
-        if residue_field is None:
-            residue_field = F2Field(f, f2_from_coeffs(psi))
-        elif residue_field.modulus != f2_from_coeffs(psi):
+        if residue_field.modulus != f2_from_coeffs(psi):
             raise ValueError("the residue field's modulus is not psi mod 2")
         self.residue_field = residue_field
         self.n = n

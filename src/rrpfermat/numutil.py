@@ -1,14 +1,18 @@
 """Small integer-arithmetic helpers used throughout the package.
 
+check_prime_r is the one rule for the exponent r.  Only the field
+(cycfield.RealCyclotomicField) and the CLI run it: every function below the
+verdict engine takes a field, whose r has been checked.
+
 trial_factor is the package's one integer factoriser: the Frey conductor,
-is_prime and least_primitive_root all factor through it.  It trial-divides,
-and where the scan could not reach the square root of what is left, it first
-tries to prove that leftover prime by strong Miller-Rabin on the first 13
-prime bases, deterministic below 3317044064679887385961981 (Sorenson and
-Webster, arXiv:1509.00864).  Every such proof is checked by a strong Lucas
-test (the Lucas half of BPSW; Baillie and Wagstaff, Math. Comp. 35, 1980),
-and a disagreement raises ConsistencyError.  is_squarefree keeps its own
-scan, which stops at the cube root of what is left."""
+is_prime and the field's least primitive root all factor through it.  It
+trial-divides, and where the scan could not reach the square root of what is
+left, it first tries to prove that leftover prime by strong Miller-Rabin on
+the first 13 prime bases, deterministic below 3317044064679887385961981
+(Sorenson and Webster, arXiv:1509.00864).  Every such proof is checked by a
+strong Lucas test (the Lucas half of BPSW; Baillie and Wagstaff, Math. Comp.
+35, 1980), and a disagreement raises ConsistencyError.  is_squarefree keeps
+its own scan, which stops at the cube root of what is left."""
 
 from __future__ import annotations
 
@@ -154,43 +158,14 @@ def is_prime(n: int) -> bool:
     return n > 1 and trial_factor(n, 2, 1, n) == ([n], 1)
 
 
-def _check_bounded_prime(name: str, n: int, least: int) -> None:
-    """The one rule for a prime parameter: n a prime with least <= n <=
-    MAX_R (ValueError naming the parameter otherwise).  The bound comes
-    first: the primality test trial-divides up to sqrt(n)."""
-    if n > MAX_R:
-        raise ValueError(f"{name} = {n} exceeds MAX_R = {MAX_R}")
-    if n < least or not is_prime(n):
-        kind = "an odd prime" if least == 3 else f"a prime >= {least}"
-        raise ValueError(f"{name} = {n} must be {kind}")
-
-
 def check_prime_r(r: int) -> None:
-    """The rule for the exponent r: a prime with 5 <= r <= MAX_R."""
-    _check_bounded_prime("r", r, 5)
-
-
-def least_primitive_root(p: int) -> int:
-    """The least g >= 2 that generates (Z/p)^* for an odd prime p <= MAX_R:
-    g^((p-1)/q) is not 1 mod p for any prime q dividing p - 1."""
-    _check_bounded_prime("p", p, 3)
-    quotients = [(p - 1) // q for q in trial_factor(p - 1, 2, 1, p)[0]]
-    g = 2
-    while any(pow(g, e, p) == 1 for e in quotients):
-        g += 1
-    return g
-
-
-def order_of_two_mod_pm1(r: int) -> int:
-    """The order of 2 in (Z/r)^*/{±1} for an odd prime r <= MAX_R: the least
-    f >= 1 with 2^f = ±1 mod r, found by stepping 2^f mod r, at most
-    (r - 1)/2 multiplications."""
-    _check_bounded_prime("r", r, 3)
-    x, f = 2, 1
-    while x != 1 and x != r - 1:
-        x = 2 * x % r
-        f += 1
-    return f
+    """The one rule for the exponent r: a prime with 5 <= r <= MAX_R
+    (ValueError otherwise).  The bound comes first: the primality test
+    trial-divides up to sqrt(r)."""
+    if r > MAX_R:
+        raise ValueError(f"r = {r} exceeds MAX_R = {MAX_R}")
+    if r < 5 or not is_prime(r):
+        raise ValueError(f"r = {r} must be a prime >= 5")
 
 
 def primes_upto(n: int) -> list[int]:
@@ -221,13 +196,6 @@ def is_squarefree(n: int) -> bool:
         p += 1 if p == 2 else 2
     s = math.isqrt(m)
     return m == 1 or s * s != m
-
-
-def legendre_symbol(a: int, p: int) -> int:
-    """(a|p) in {-1, 0, 1} for an odd prime p <= MAX_R: the Jacobi symbol
-    _jacobi(a, p), which is the Legendre symbol at an odd prime."""
-    _check_bounded_prime("p", p, 3)
-    return _jacobi(a, p)
 
 
 # (width in bits, array type code) of the array slots, narrowest first.

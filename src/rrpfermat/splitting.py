@@ -20,16 +20,19 @@ The tower rule computes the splitting in the degree-(r-1) etale algebra
 Q(sqrt(d)) (x) Q+.  That coincides with the field K+ whenever sqrt(d) is not
 already in Q+, i.e. except for d = r = 1 mod 4, a case every criterion below
 excludes through r not dividing d.
+
+Each function here that needs r takes the RealCyclotomicField, whose
+constructor has checked r; none takes an int r or checks it again.
 """
 
 from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .cycfield import RealCyclotomicField, build_field
+from .cycfield import RealCyclotomicField
 from .errors import ConsistencyError
 from .ffpoly import F2Field
-from .numutil import is_squarefree, legendre_symbol
+from .numutil import is_squarefree
 
 
 class _SplittingFields(NamedTuple):
@@ -72,21 +75,16 @@ class SplittingReport(_SplittingFields):
         }
 
 
-def _as_field(r) -> RealCyclotomicField:
-    return r if isinstance(r, RealCyclotomicField) else build_field(r)
-
-
-def split_2_in_Qplus(r) -> SplittingReport:
+def split_2_in_Qplus(field: RealCyclotomicField) -> SplittingReport:
     """Decomposition of 2 in Q(theta_r): unramified, (r-1)/(2f) primes of
     residue degree f, the order of 2 in (Z/r)^*/{±1}, read off the field's
     memoized two_shape(), which checks it against the Berlekamp rank of
     psi_r mod 2 where 2 is inert and against its distinct-degree shape
     where 2 splits."""
-    fld = _as_field(r)
     primes = []
-    for deg, count in fld.two_shape():
+    for deg, count in field.two_shape():
         primes.extend([(1, deg)] * count)
-    return SplittingReport(2, fld.degree, tuple(sorted(primes)))
+    return SplittingReport(2, field.degree, tuple(sorted(primes)))
 
 
 def check_quadratic_d(d: int):
@@ -136,7 +134,7 @@ def _quadratic_fiber(
     return ((1, 2 * f),)
 
 
-def split_2_in_Kplus(d: int, r) -> SplittingReport:
+def split_2_in_Kplus(d: int, field: RealCyclotomicField) -> SplittingReport:
     """Decomposition of 2 in K+ = Q(sqrt(d), theta_r) by the local tower
     rule: base step in Q+ (unramified, residue degree f per prime), then the
     quadratic fiber over each of those primes.  Every prime above 2 in the
@@ -147,31 +145,29 @@ def split_2_in_Kplus(d: int, r) -> SplittingReport:
     (f = (r-1)/2; two_shape() has built and rank-checked it already), and
     F2Field(f), built only if the fiber asks for it, where 2 splits."""
     check_quadratic_d(d)
-    fld = _as_field(r)
-    base = split_2_in_Qplus(fld)
+    base = split_2_in_Qplus(field)
     f = base.primes[0][1]
-    residue_field = fld.residue_field_at_2 if f == fld.degree else lambda: F2Field(f)
+    residue_field = field.residue_field_at_2 if f == field.degree else lambda: F2Field(f)
     primes = _quadratic_fiber(d, f, residue_field) * len(base.primes)
-    return SplittingReport(2, 2 * fld.degree, tuple(sorted(primes)))
+    return SplittingReport(2, 2 * field.degree, tuple(sorted(primes)))
 
 
-def split_r_in_Qplus(r) -> SplittingReport:
+def split_r_in_Qplus(field: RealCyclotomicField) -> SplittingReport:
     """r is totally ramified in Q(theta_r) with uniformizer pi_r = theta - 2;
     cross-checked here through |Norm(pi_r)| = |psi_r(2)| = r."""
-    fld = _as_field(r)
     norm_pi = 0
     # psi_r(2) evaluated by Horner equals +-Norm(theta - 2).
-    for c in reversed(fld.psi):
+    for c in reversed(field.psi):
         norm_pi = norm_pi * 2 + c
-    if abs(norm_pi) != fld.r:
-        raise ConsistencyError(f"|psi_r(2)| = {abs(norm_pi)} != r = {fld.r}")
-    return SplittingReport(fld.r, fld.degree, ((fld.degree, 1),))
+    if abs(norm_pi) != field.r:
+        raise ConsistencyError(f"|psi_r(2)| = {abs(norm_pi)} != r = {field.r}")
+    return SplittingReport(field.r, field.degree, ((field.degree, 1),))
 
 
-def check_r_inert_in_quadratic(d: int, r: int) -> bool | None:
-    """Whether r stays prime in Q(sqrt(d)): true exactly when d is a
-    quadratic non-residue mod r, and None when r divides d (the symbol 0:
-    r ramifies).  legendre_symbol refuses an r that is not an odd prime
-    <= MAX_R with ValueError, testing the bound before primality."""
-    symbol = legendre_symbol(d, r)
-    return None if symbol == 0 else symbol == -1
+def check_r_inert_in_quadratic(d: int, field: RealCyclotomicField) -> bool | None:
+    """Whether r = field.r stays prime in Q(sqrt(d)): true exactly when d is
+    a quadratic non-residue mod r, and None when r divides d (r ramifies).
+    Euler's criterion decides it: d^((r-1)/2) mod r is 0, 1 or r - 1."""
+    r = field.r
+    symbol = pow(d, (r - 1) // 2, r)
+    return None if symbol == 0 else symbol == r - 1

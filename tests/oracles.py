@@ -25,12 +25,22 @@ from rrpfermat.errors import (
     PrecisionError,
     UnfactoredCofactorError,
 )
-from rrpfermat.ffpoly import X, f2_from_coeffs, f2_gcd, f2_mod, f2_mulmod
+from rrpfermat.ffpoly import X, F2Field, f2_from_coeffs, f2_gcd, f2_mod, f2_mulmod
+from rrpfermat.galoisring import GaloisRing
 from rrpfermat.intlinalg import _echelon, row_lattice_index
 from rrpfermat.numutil import strip_factor
 
 _x = sp.symbols("x")
 _y = sp.symbols("y")
+
+
+def galois_ring(n: int, modulus_coeffs) -> GaloisRing:
+    """GR(2^n, f) on a monic modulus of degree f, with the residue field
+    GF(2)[t]/(psi mod 2) that GaloisRing requires built here (F2Field raises
+    ValueError when psi is reducible mod 2).  For psi_r the field's own
+    residue_field_at_2() is the one to pass."""
+    f = len(modulus_coeffs) - 1
+    return GaloisRing(n, modulus_coeffs, F2Field(f, f2_from_coeffs(modulus_coeffs)))
 
 
 # -- plain integer polynomial helpers (low coefficient first) ----------------

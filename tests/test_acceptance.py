@@ -22,7 +22,7 @@ from rrpfermat.cycfield import alpha_beta_gamma, build_field
 from rrpfermat.descent import norm_necessary_condition
 from rrpfermat.ffpoly import ddf_degrees, least_irreducible
 from rrpfermat.frey import frey_curve, invariants
-from rrpfermat.galoisring import GaloisRing, gr_sqrt
+from rrpfermat.galoisring import gr_sqrt
 from rrpfermat.numutil import primes_upto
 
 import oracles
@@ -56,7 +56,7 @@ def test_criterion_2_named_exclusions():
         ok &= v.condition("h+ parity").status == FAIL
         ok &= v.condition("r mod 8").status == PASS
         ok &= v.condition("2 inert in Q+").status == PASS
-        res = maillet_h_minus(r)
+        res = maillet_h_minus(build_field(r))
         ok &= res.parity == EVEN and res.h_minus == oracles.h_minus_analytic(r)
     for r, shape in FAIL_INERT.items():
         v = check_corollary_Q(r)
@@ -92,7 +92,7 @@ def test_criterion_4_galois_ring_soundness():
     mismatches = 0
     for n, f in ((3, 1), (4, 1), (5, 1), (3, 2), (5, 2), (3, 3)):
         m = least_irreducible(f)
-        ring = GaloisRing(n, [(m >> i) & 1 for i in range(f + 1)])
+        ring = oracles.galois_ring(n, [(m >> i) & 1 for i in range(f + 1)])
         squares = oracles.gr_square_set(ring)
         for u in oracles.gr_units(ring):
             root = gr_sqrt(u)
@@ -100,7 +100,7 @@ def test_criterion_4_galois_ring_soundness():
                 mismatches += 1
             if root is not None and root * root != u:
                 mismatches += 1
-    ring32 = GaloisRing(5, [1, 1])
+    ring32 = oracles.galois_ring(5, [1, 1])
     odd_squares = sorted(
         u for u in range(1, 32, 2) if gr_sqrt(ring32.element(u)) is not None
     )
@@ -116,14 +116,14 @@ def test_criterion_5_class_number_engine():
     for r in primes_upto(150):
         if r < 5:
             continue
-        res = maillet_h_minus(r)  # raises if the GF(2) parity disagrees
+        res = maillet_h_minus(build_field(r))  # raises if the GF(2) parity disagrees
         ok &= abs(res.determinant) == r**res.scaling_exponent * res.h_minus
     for r, expected in H_MINUS.items():
-        ok &= maillet_h_minus(r).h_minus == expected
+        ok &= maillet_h_minus(build_field(r)).h_minus == expected
     ok &= H_MINUS[23] == 3 and H_MINUS[29] == 8
     ok &= all(H_MINUS[r] == 1 for r in (5, 7, 11, 13, 17, 19))
     for r in Q_LIST:
-        ok &= maillet_h_minus(r).parity == ODD
+        ok &= maillet_h_minus(build_field(r)).parity == ODD
     elapsed = time.monotonic() - t0
     _report(5, ok and elapsed < 30.0,
             "exact r^((r-3)/2) division for all r <= 150; h- fixtures r <= 60; "
@@ -195,7 +195,7 @@ def test_criterion_7_descent_mechanics():
         for r in primes_upto(150):
             if r < 5 or d % r == 0 or d % 8 == 1:
                 continue
-            norm_necessary_condition(d, r)  # raises on brute/closed mismatch
+            norm_necessary_condition(d, build_field(r))  # raises on brute/closed mismatch
     _report(7, ok, "pi_r + 4 square identity for all r <= 150; residue "
             "systems agree with closed forms on the full (d, r) grid",
             time.monotonic() - t0)

@@ -13,6 +13,8 @@ from rrpfermat.classnumber import (
     maillet_parity_rows,
     table_digest,
 )
+from rrpfermat.criteria import check_four_hypotheses
+from rrpfermat.cycfield import build_field
 from rrpfermat.errors import TableError
 from rrpfermat.numutil import MAX_R, primes_upto
 
@@ -21,28 +23,19 @@ from fixtures import H_MINUS, Q_LIST
 
 
 def test_maillet_small_values():
-    res = maillet_h_minus(5)
+    res = maillet_h_minus(build_field(5))
     assert res.h_minus == 1 and res.determinant in (5, -5)
     assert res.scaling_exponent == 1
-    res = maillet_h_minus(7)
+    res = maillet_h_minus(build_field(7))
     assert res.h_minus == 1 and abs(res.determinant) == 49
 
 
 def test_maillet_guards():
+    # maillet_h_minus takes a field: the rational-base verdict that reaches
+    # it refuses a bad r where it builds the field.
     for bad in (3, 4, 9, 211, 1000):
         with pytest.raises(ValueError):
-            maillet_h_minus(bad)
-
-
-def test_maillet_checks_the_bound_before_primality(monkeypatch):
-    # A huge r is refused by the bound alone, before any trial division.
-    def no_primality_test(_):
-        raise AssertionError("primality tested before the MAX_R bound")
-
-    monkeypatch.setattr("rrpfermat.numutil.is_prime", no_primality_test)
-    r = 10**30 + 57
-    with pytest.raises(ValueError, match=f"r = {r} exceeds MAX_R = 200"):
-        maillet_h_minus(r)
+            check_four_hypotheses(0, bad)
 
 
 def test_packed_parity_rows_match_the_maillet_matrix():
@@ -51,13 +44,13 @@ def test_packed_parity_rows_match_the_maillet_matrix():
     for r in primes:
         m = (r - 1) // 2
         inverses = [pow(b, -1, r) for b in range(1, m + 1)]
-        rows = maillet_parity_rows(r, inverses)
+        rows = maillet_parity_rows(build_field(r), inverses)
         assert rows == oracles.packed_mod2(oracles.maillet_matrix(r)), r
 
 
 def test_maillet_matches_frozen_fixtures():
     for r, expected in H_MINUS.items():
-        res = maillet_h_minus(r)
+        res = maillet_h_minus(build_field(r))
         assert res.h_minus == expected, r
         assert res.parity == (ODD if expected % 2 else EVEN)
 
@@ -75,24 +68,24 @@ def test_exact_scaling_divides_for_all_r():
     for r in primes_upto(150):
         if r < 5:
             continue
-        res = maillet_h_minus(r)
+        res = maillet_h_minus(build_field(r))
         assert abs(res.determinant) == r**res.scaling_exponent * res.h_minus, r
 
 
 def test_parity_odd_on_the_passing_list():
     for r in Q_LIST:
-        assert maillet_h_minus(r).parity == ODD, r
+        assert maillet_h_minus(build_field(r)).parity == ODD, r
 
 
 def test_h29_even():
-    res = maillet_h_minus(29)
+    res = maillet_h_minus(build_field(29))
     assert res.h_minus == 8 and res.parity == EVEN
 
 
 def test_h_plus_parity_rational_base():
-    parity, ev = h_plus_parity(0, 37)
+    parity, ev = h_plus_parity(0, build_field(37))
     assert parity == ODD and ev["method"] == "maillet-h-minus"
-    parity, _ = h_plus_parity(0, 29)
+    parity, _ = h_plus_parity(0, build_field(29))
     assert parity == EVEN
 
 
@@ -100,9 +93,9 @@ def test_h_plus_parity_table_paths():
     table = load_hplus_table()
     assert table[(2, 5)].parity == ODD
     assert {(2, 5), (2, 7), (2, 11), (2, 13), (5, 7), (5, 11)} == set(table)
-    parity, ev = h_plus_parity(2, 5, table)
+    parity, ev = h_plus_parity(2, build_field(5), table)
     assert parity == ODD and "source" in ev
-    parity, ev = h_plus_parity(7, 11, table)
+    parity, ev = h_plus_parity(7, build_field(11), table)
     assert parity == UNDETERMINED and ev["missing_entry"] == "d=7 r=11"
 
 

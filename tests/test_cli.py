@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rrpfermat import classnumber, criteria
+from rrpfermat import classnumber, criteria, numutil
 from rrpfermat.cli import (
     EXIT_FAIL,
     EXIT_INTERNAL,
@@ -24,7 +24,6 @@ from rrpfermat.cli import (
     shipped_q_list_path,
 )
 from rrpfermat.cycfield import build_field
-from rrpfermat.descent import norm_necessary_condition
 from rrpfermat.errors import UnfactoredCofactorError
 from rrpfermat.frey import frey_curve
 
@@ -157,13 +156,13 @@ def test_check_quad_rational_base_reads_no_table(tmp_path, monkeypatch, capsys):
 
 def test_r_rule_is_shared(capsys):
     # One rule for "r is a prime >= 5": the CLI keeps its message, and the
-    # library callers raise the same ValueError.
+    # library entry points raise the same ValueError where they build the field.
     for r in (-7, 0, 1, 2, 3, 4, 9, 15):
         code, out, err = run(capsys, "check-q", "--r", str(r))
         assert code == EXIT_USAGE and out == ""
         assert err == f"usage error: --r {r}: must be a prime >= 5\n"
-        for call in (build_field, classnumber.maillet_h_minus,
-                     lambda r: norm_necessary_condition(2, r)):
+        for call in (build_field, criteria.check_corollary_Q,
+                     lambda r: criteria.check_four_hypotheses(2, r)):
             with pytest.raises(ValueError, match=f"^r = {r} must be a prime >= 5$"):
                 call(r)
 
@@ -256,21 +255,21 @@ def test_a_not_coprime_error_that_reaches_main_is_a_usage_error(monkeypatch, cap
 
 
 @pytest.mark.parametrize("argv, runs", [
-    (("check-q", "--r", "199"), 6),
-    (("check-quad", "--theorem", "--d", "5", "--r", "13"), 6),
-    (("check-quad", "--theorem", "--d", "0", "--r", "31"), 7),
-    (("check-quad", "--d", "2", "--r", "11"), 5),
+    (("check-q", "--r", "199"), 2),
+    (("check-quad", "--theorem", "--d", "5", "--r", "13"), 2),
+    (("check-quad", "--theorem", "--d", "0", "--r", "31"), 2),
+    (("check-quad", "--d", "2", "--r", "11"), 2),
     (("frey", "--r", "5", "--x", "2", "--y", "1"), 2),
+    (("scan-q", "--max-r", "31"), 9),
 ])
 def test_the_prime_rule_runs_once_per_call_path(monkeypatch, capsys, argv, runs):
-    """No function re-checks an r that the call it makes next checks
-    identically: one run of the bound-first prime rule per public entry
-    point on the op's path."""
-    from rrpfermat import numutil
-
+    """The prime rule runs in the CLI's usage check and in the field's
+    constructor, and in no function that takes the field: two runs per op,
+    and on scan-q, which takes no --r, one per prime 5 <= r <= 31.  Only
+    the rule calls numutil.is_prime, so its calls count the rule's runs."""
     calls = []
-    real = numutil._check_bounded_prime
-    monkeypatch.setattr(numutil, "_check_bounded_prime", lambda *a: calls.append(a) or real(*a))
+    real = numutil.is_prime
+    monkeypatch.setattr(numutil, "is_prime", lambda n: calls.append(n) or real(n))
     code, _, _ = run(capsys, *argv)
     assert code in (EXIT_PASS, EXIT_FAIL)
     assert len(calls) == runs, calls

@@ -1,14 +1,14 @@
 import random
 
 import pytest
+import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rrpfermat.criteria import check_corollary_quad, check_four_hypotheses
 from rrpfermat.cycfield import alpha_beta_gamma, build_field, f_k_eval
-from rrpfermat.descent import norm_necessary_condition
 from rrpfermat.galoisring import GaloisRing
 from rrpfermat.numutil import MAX_R, primes_upto
-from rrpfermat.splitting import split_2_in_Kplus
 
 import oracles
 
@@ -23,11 +23,12 @@ def test_build_field_rejects_bad_r():
 
 @pytest.mark.parametrize(
     "call",
-    [build_field, lambda r: norm_necessary_condition(0, r), lambda r: split_2_in_Kplus(2, r)],
-    ids=["build_field", "norm_necessary_condition", "split_2_in_Kplus"],
+    [build_field, lambda r: check_four_hypotheses(0, r), lambda r: check_corollary_quad(2, r)],
+    ids=["build_field", "check_four_hypotheses", "check_corollary_quad"],
 )
 def test_r_bound_checked_before_primality(monkeypatch, call):
-    # A huge r is refused by the bound alone, before any trial division.
+    # A huge r is refused by the bound alone, before any trial division: the
+    # field refuses it for every verdict that builds one.
     def no_primality_test(_):
         raise AssertionError("primality tested before the MAX_R bound")
 
@@ -35,6 +36,11 @@ def test_r_bound_checked_before_primality(monkeypatch, call):
     r = 10**30 + 57
     with pytest.raises(ValueError, match=f"r = {r} exceeds MAX_R = {MAX_R}"):
         call(r)
+
+
+@pytest.mark.parametrize("r", [r for r in primes_upto(MAX_R) if r >= 5])
+def test_least_primitive_root_matches_sympy(r):
+    assert build_field(r).least_primitive_root() == sp.primitive_root(r)
 
 
 def test_minimal_polynomial_small_cases():
@@ -300,7 +306,8 @@ def _ring_and_values(draw):
     coefficients, so that equal pairs turn up."""
     r = draw(st.sampled_from([5, 11, 13]))
     n = draw(st.sampled_from([0, 1, 3, 5]))
-    ring = GaloisRing(n, build_field(r).psi) if n else build_field(r)
+    field = build_field(r)
+    ring = GaloisRing(n, field.psi, field.residue_field_at_2()) if n else field
     ints = st.integers(0, ring.m - 1) if n else st.integers(-3, 3)
     coeffs = st.lists(st.integers(-1, 1), min_size=1, max_size=ring.degree)
     value = st.one_of(ints, ints.map(ring.element), coeffs.map(ring.element))
@@ -308,7 +315,7 @@ def _ring_and_values(draw):
 
 
 _Q5 = build_field(5)
-_GR5 = GaloisRing(5, _Q5.psi)
+_GR5 = GaloisRing(5, _Q5.psi, _Q5.residue_field_at_2())
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

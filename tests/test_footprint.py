@@ -61,19 +61,33 @@ def test_no_module_has_an_unused_import():
         assert imported <= used, (path.name, sorted(imported - used))
 
 
+def _named(path: Path) -> set[str]:
+    """Every name a module reads, every attribute it takes and every name it
+    imports from another module."""
+    tree = ast.parse(path.read_text(), str(path))
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    return named
+
+
 def test_only_numutil_tests_primality_or_takes_integer_square_roots():
     # Trial division lives in numutil.trial_factor, and is_prime factors
     # through it: a module that needs a primality test or a square-root bound
     # on its divisors calls numutil, so no other module names is_prime or isqrt.
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "numutil.py":
-            continue
-        tree = ast.parse(path.read_text(), str(path))
-        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-                  for alias in node.names}
-        assert not named & {"is_prime", "isqrt"}, path.name
+        if path.name != "numutil.py":
+            assert not _named(path) & {"is_prime", "isqrt"}, path.name
+
+
+def test_only_the_field_and_the_cli_run_the_prime_rule():
+    # A checked r is a RealCyclotomicField: its constructor runs
+    # numutil.check_prime_r, the CLI runs it for its usage message, and every
+    # other function takes the field, so no other module names the rule.
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name not in ("numutil.py", "cycfield.py", "cli.py"):
+            assert "check_prime_r" not in _named(path), path.name
 
 
 def test_importing_the_cli_leaves_dataclasses_unloaded():

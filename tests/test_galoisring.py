@@ -21,16 +21,17 @@ EXHAUSTIVE_SIZES = [(3, 1), (4, 1), (5, 1), (3, 2), (5, 2), (3, 3)]
 def make_ring(n: int, f: int) -> GaloisRing:
     m = least_irreducible(f)
     coeffs = [(m >> i) & 1 for i in range(f + 1)]
-    return GaloisRing(n, coeffs)
+    return oracles.galois_ring(n, coeffs)
 
 
 def test_ring_construction_guards():
-    with pytest.raises(ValueError):
-        GaloisRing(0, [1, 1])
-    with pytest.raises(ValueError):
-        GaloisRing(3, [1, 2])  # not monic mod 8
-    with pytest.raises(ValueError):
-        GaloisRing(3, [1, 0, 1])  # x^2+1 = (x+1)^2 reducible mod 2
+    gf2 = F2Field(1, 0b11)  # GF(2)[t]/(t + 1)
+    with pytest.raises(ValueError, match="precision"):
+        GaloisRing(0, [1, 1], gf2)
+    with pytest.raises(ValueError, match="monic"):
+        GaloisRing(3, [1, 2], gf2)  # not monic mod 8
+    with pytest.raises(ValueError, match="reducible"):
+        oracles.galois_ring(3, [1, 0, 1])  # x^2+1 = (x+1)^2 reducible mod 2
 
 
 def test_gr_sqrt_guards():
@@ -110,7 +111,7 @@ def test_is_square_pi_r_small():
 
 def test_pi_7_square_root_verifies():
     field = build_field(7)
-    ring = GaloisRing(5, field.psi)
+    ring = GaloisRing(5, field.psi, field.residue_field_at_2())
     u = ring.element(list(field.pi_r().coeffs))
     root = gr_sqrt(u)
     assert root is not None and root * root == u
@@ -118,7 +119,7 @@ def test_pi_7_square_root_verifies():
 
 def test_square_of_pi_r_is_square():
     field = build_field(5)
-    ring = GaloisRing(5, field.psi)
+    ring = GaloisRing(5, field.psi, field.residue_field_at_2())
     u = ring.element(list((field.pi_r() * field.pi_r()).coeffs))
     root = gr_sqrt(u)
     assert root is not None and root * root == u
@@ -130,11 +131,11 @@ def test_is_square_requires_inert():
 
 
 def test_a_modulus_of_degree_0_is_refused():
-    # psi = 1: F2Field refuses degree 0, and no residue field has modulus 1.
-    with pytest.raises(ValueError, match="degree"):
-        GaloisRing(3, [1])
+    # psi = 1: no residue field has modulus 1, and F2Field refuses degree 0.
     with pytest.raises(ValueError, match="residue field"):
         GaloisRing(3, [1], build_field(7).residue_field_at_2())
+    with pytest.raises(ValueError, match="degree"):
+        oracles.galois_ring(3, [1])
 
 
 def test_norm_compatibility_all_inert_r():
@@ -143,13 +144,13 @@ def test_norm_compatibility_all_inert_r():
     # among inert r happens exactly for r = 7 mod 8.
     from rrpfermat.descent import signed_norm_of_pi_r
 
-    for r in primes_upto(150):
-        if r < 5 or not split_2_in_Qplus(r).inert:
-            continue
+    for r in primes_upto(150)[2:]:
         field = build_field(r)
+        if not split_2_in_Qplus(field).inert:
+            continue
         sq = is_square_pi_r(field)
         if sq:
-            assert signed_norm_of_pi_r(r) % 32 in (1, 9, 17, 25), r
+            assert signed_norm_of_pi_r(field) % 32 in (1, 9, 17, 25), r
         assert sq == (r % 8 == 7), r
 
 
@@ -180,7 +181,7 @@ def ring_and_units(draw):
     f = draw(st.integers(1, 6))
     low = draw(st.sampled_from(IRREDUCIBLE_MOD_2[f]))
     lifts = draw(st.lists(st.integers(0, (1 << (n - 1)) - 1), min_size=f, max_size=f))
-    ring = GaloisRing(n, [((low >> i) & 1) + 2 * c for i, c in enumerate(lifts)] + [1])
+    ring = oracles.galois_ring(n, [((low >> i) & 1) + 2 * c for i, c in enumerate(lifts)] + [1])
 
     def unit():
         coeffs = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=f, max_size=f))
@@ -220,7 +221,7 @@ def wide_ring_and_unit(draw):
         _LEAST_IRREDUCIBLE[f] = least_irreducible(f)
     low = _LEAST_IRREDUCIBLE[f]
     lifts = draw(st.lists(st.integers(0, (1 << (n - 1)) - 1), min_size=f, max_size=f))
-    ring = GaloisRing(n, [((low >> i) & 1) + 2 * c for i, c in enumerate(lifts)] + [1])
+    ring = oracles.galois_ring(n, [((low >> i) & 1) + 2 * c for i, c in enumerate(lifts)] + [1])
     coeffs = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=f, max_size=f))
     coeffs[draw(st.integers(0, f - 1))] |= 1
     u = ring.element(coeffs)
@@ -260,7 +261,7 @@ def test_packed_gr_sqrt_reaches_every_stage():
         assert (root is None) == (name != "root"), name
 
 
-INERT_R = [r for r in primes_upto(61) if r >= 5 and split_2_in_Qplus(r).inert]
+INERT_R = [r for r in primes_upto(61) if r >= 5 and split_2_in_Qplus(build_field(r)).inert]
 
 
 @st.composite
@@ -268,7 +269,7 @@ def ring_and_cycints(draw):
     """An inert r <= 61, GR(2^n, (r-1)/2) for 3 <= n <= 8 with modulus psi_r,
     two random elements of Z[theta], an int and a small exponent."""
     field = build_field(draw(st.sampled_from(INERT_R)))
-    ring = GaloisRing(draw(st.integers(3, 8)), field.psi)
+    ring = GaloisRing(draw(st.integers(3, 8)), field.psi, field.residue_field_at_2())
     vector = st.lists(st.integers(-10**6, 10**6), min_size=field.degree, max_size=field.degree)
     a, b = field.element(draw(vector)), field.element(draw(vector))
     return ring, a, b, draw(st.integers(-10**6, 10**6)), draw(st.integers(0, 5))
@@ -299,9 +300,10 @@ def test_reduction_mod_2n_commutes_with_cycint_arithmetic(case):
 
 def test_galois_ring_elements_do_not_mix():
     field = build_field(5)
-    ring = GaloisRing(5, field.psi)
+    ring = GaloisRing(5, field.psi, field.residue_field_at_2())
     u = ring.element([1, 2])
-    for stranger in (field.element([1, 2]), GaloisRing(4, field.psi).element([1, 2])):
+    stranger_ring = GaloisRing(4, field.psi, field.residue_field_at_2())
+    for stranger in (field.element([1, 2]), stranger_ring.element([1, 2])):
         for op in (operator.add, operator.sub, operator.mul):
             with pytest.raises(ValueError, match="mixed fields"):
                 op(u, stranger)

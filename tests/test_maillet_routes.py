@@ -10,6 +10,7 @@ import pytest
 import rrpfermat.classnumber as classnumber
 from rrpfermat.classnumber import maillet_h_minus
 from rrpfermat.cli import EXIT_INTERNAL, main
+from rrpfermat.cycfield import build_field
 from rrpfermat.errors import ConsistencyError
 from rrpfermat.intlinalg import bareiss_det, gf2_det, negacyclic_resultant
 from rrpfermat.numutil import primes_upto
@@ -22,7 +23,7 @@ PRIMES = [r for r in primes_upto(199) if r >= 5]
 @pytest.mark.parametrize("r", PRIMES)
 def test_reduced_determinant_equals_full_maillet_determinant(r):
     full = oracles.maillet_matrix(r)
-    res = maillet_h_minus(r)
+    res = maillet_h_minus(build_field(r))
     assert res.determinant == bareiss_det(full)
     assert gf2_det(oracles.packed_mod2(full)) == res.h_minus % 2
 
@@ -37,7 +38,7 @@ def test_negacyclic_resultant_equals_the_subresultant_on_qbar(r):
 def test_gf2_disagreement_raises_and_exits_70(monkeypatch, capsys):
     monkeypatch.setattr(classnumber, "gf2_det", lambda rows: 1 - gf2_det(rows))
     with pytest.raises(ConsistencyError, match="GF\\(2\\)"):
-        maillet_h_minus(29)
+        maillet_h_minus(build_field(29))
     code = main(["check-q", "--r", "29"])
     captured = capsys.readouterr()
     assert code == EXIT_INTERNAL
@@ -49,7 +50,7 @@ def test_wrong_resultant_raises_and_exits_70(monkeypatch, capsys):
     # parity of h^- = 8; the Bareiss check of the signed value catches it.
     monkeypatch.setattr(classnumber, "negacyclic_resultant", lambda q: 3 * negacyclic_resultant(q))
     with pytest.raises(ConsistencyError, match="Bareiss"):
-        maillet_h_minus(29)
+        maillet_h_minus(build_field(29))
     code = main(["check-q", "--r", "29"])
     captured = capsys.readouterr()
     assert code == EXIT_INTERNAL
@@ -66,13 +67,13 @@ def test_inexact_quotient_raises_past_the_bareiss_range(monkeypatch):
 
     monkeypatch.setattr(classnumber, "negacyclic_resultant", off_by_one)
     with pytest.raises(ConsistencyError, match="not divisible"):
-        maillet_h_minus(199)
+        maillet_h_minus(build_field(199))
 
 
 def test_bareiss_disagreement_raises(monkeypatch):
     monkeypatch.setattr(classnumber, "bareiss_det", lambda rows: -bareiss_det(rows))
     with pytest.raises(ConsistencyError, match="Bareiss"):
-        maillet_h_minus(29)
+        maillet_h_minus(build_field(29))
 
 
 def test_bareiss_checks_only_up_to_its_bound(monkeypatch):
@@ -84,8 +85,8 @@ def test_bareiss_checks_only_up_to_its_bound(monkeypatch):
 
     monkeypatch.setattr(classnumber, "bareiss_det", counted)
     for r in PRIMES:
-        maillet_h_minus(r)
+        maillet_h_minus(build_field(r))
     assert len(calls) == 16 and max(calls) == 30
     calls.clear()
-    assert maillet_h_minus(199).h_minus == 18844055286602530802019847012721555487
+    assert maillet_h_minus(build_field(199)).h_minus == 18844055286602530802019847012721555487
     assert calls == []

@@ -3,10 +3,9 @@ against sympy.factorint on the candidate sequences of its callers, and
 is_prime, which factors through it, against sympy.isprime.
 is_squarefree trial-divides only while p^3 <= m, m the cofactor left, and
 finishes with a perfect-square test; checked against sympy.factorint.  The
-least primitive root is checked against sympy.primitive_root on its domain,
-the odd primes up to MAX_R.  The packed-slot format, Slots, is checked value
-by value: its round trips, its parity reader against ffpoly.f2_from_coeffs,
-and its width at every array-type boundary."""
+packed-slot format, Slots, is checked value by value: its round trips, its
+parity reader against ffpoly.f2_from_coeffs, and its width at every
+array-type boundary."""
 
 import math
 
@@ -19,7 +18,6 @@ from rrpfermat.cli import EXIT_INTERNAL, MAX_D, main
 from rrpfermat.errors import ConsistencyError
 from rrpfermat.ffpoly import f2_from_coeffs
 from rrpfermat.numutil import (
-    MAX_R,
     _MR_BASES,
     Slots,
     _proves_prime,
@@ -27,13 +25,9 @@ from rrpfermat.numutil import (
     _strong_probable_prime,
     is_prime,
     is_squarefree,
-    least_primitive_root,
-    legendre_symbol,
-    order_of_two_mod_pm1,
     primes_upto,
     trial_factor,
 )
-from rrpfermat.splitting import check_r_inert_in_quadratic
 
 from oracles import MILLER_RABIN_LIMIT, proven_leftover
 
@@ -93,9 +87,9 @@ def _least_candidate_prime(m, start, step):
 @st.composite
 def _trial_division_cases(draw):
     """(n, start, step, bound) with n a product of powers of candidate primes
-    for one caller's sequence: every integer from 2 (is_prime and
-    least_primitive_root), the odd numbers from 3 (|x + y| in the Frey
-    conductor) or the 1 + 2rt of Phi; primes up to the bound, just above
+    for one caller's sequence: every integer from 2 (is_prime and the
+    field's least_primitive_root), the odd numbers from 3 (|x + y| in the
+    Frey conductor) or the 1 + 2rt of Phi; primes up to the bound, just above
     it, around (bound + 1)^2 and up to 10^11, so that what is left above the
     bound is 1, a prime on either side of (bound + 1)^2 or of
     MILLER_RABIN_LIMIT, a prime power or a product of primes."""
@@ -125,7 +119,7 @@ def _trial_division_cases(draw):
 @example((11, 11, 10, 3))
 @example((61, 11, 10, 3))
 @example((1, 3, 2, 3))
-@example((198, 2, 1, 199))  # least_primitive_root(199)
+@example((198, 2, 1, 199))  # build_field(199).least_primitive_root()
 @example((199, 2, 1, 199))  # is_prime(199)
 @example((4, 2, 1, 4))
 def test_trial_division_matches_sympy_factorint(case):
@@ -223,62 +217,6 @@ def test_a_failed_lucas_check_is_a_consistency_error(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert code == EXIT_INTERNAL and out == ""
     assert err.startswith("error: ") and "17050729021" in err
-
-
-def test_least_primitive_root_matches_sympy():
-    for p in primes_upto(MAX_R)[1:]:
-        assert least_primitive_root(p) == sp.primitive_root(p), p
-    for bad in (2, 9, 1, MAX_R + 1):
-        with pytest.raises(ValueError):
-            least_primitive_root(bad)
-
-
-def test_order_of_two_mod_pm1_against_sympy_n_order():
-    # The order of 2 mod ±1 is the order of 2 mod r, halved when that order
-    # is even (then -1 is a power of 2 in the cyclic group (Z/r)^*).
-    for r in primes_upto(MAX_R)[1:]:
-        o = sp.n_order(2, r)
-        assert order_of_two_mod_pm1(r) == (o // 2 if o % 2 == 0 else o), r
-    for bad in (2, 9, 1, MAX_R + 1):
-        with pytest.raises(ValueError):
-            order_of_two_mod_pm1(bad)
-
-
-def test_order_of_two_bound_checked_before_primality(monkeypatch):
-    def no_primality_test(_):
-        raise AssertionError("primality tested before the MAX_R bound")
-
-    monkeypatch.setattr("rrpfermat.numutil.is_prime", no_primality_test)
-    r = 10**30 + 57
-    with pytest.raises(ValueError, match=f"r = {r} exceeds MAX_R = {MAX_R}"):
-        order_of_two_mod_pm1(r)
-
-
-@pytest.mark.parametrize("call", [
-    lambda r: legendre_symbol(2, r),
-    lambda r: check_r_inert_in_quadratic(2, r),
-    least_primitive_root,
-])
-def test_legendre_bound_checked_before_primality(monkeypatch, call):
-    # A huge r is refused by the bound alone, before any trial division.
-    def no_primality_test(_):
-        raise AssertionError("primality tested before the MAX_R bound")
-
-    monkeypatch.setattr("rrpfermat.numutil.is_prime", no_primality_test)
-    r = 10**30 + 57
-    with pytest.raises(ValueError, match=f"p = {r} exceeds MAX_R = {MAX_R}"):
-        call(r)
-
-
-def test_legendre_symbol_against_squares():
-    for p in primes_upto(MAX_R)[1:]:
-        squares = {x * x % p for x in range(1, p)}
-        for a in range(-p, 2 * p):
-            expected = 0 if a % p == 0 else (1 if a % p in squares else -1)
-            assert legendre_symbol(a, p) == expected, (a, p)
-    for bad in (2, 9, 1, 0, -7, MAX_R + 1):
-        with pytest.raises(ValueError):
-            legendre_symbol(1, bad)
 
 
 @st.composite

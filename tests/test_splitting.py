@@ -18,6 +18,8 @@ from rrpfermat.splitting import (
 
 import oracles
 
+PRIMES = [r for r in primes_upto(199) if r >= 5]
+
 
 def test_report_invariant_enforced():
     with pytest.raises(ValueError):
@@ -31,11 +33,11 @@ def test_report_invariant_enforced():
 
 
 def test_split_2_in_Qplus_examples():
-    rep = split_2_in_Qplus(5)
+    rep = split_2_in_Qplus(build_field(5))
     assert rep.primes == ((1, 2),) and rep.inert
-    rep = split_2_in_Qplus(7)
+    rep = split_2_in_Qplus(build_field(7))
     assert rep.primes == ((1, 3),) and rep.inert
-    rep = split_2_in_Qplus(31)
+    rep = split_2_in_Qplus(build_field(31))
     assert rep.primes == ((1, 5), (1, 5), (1, 5)) and not rep.inert and not rep.unique
 
 
@@ -43,7 +45,7 @@ def test_split_2_in_Qplus_residue_degree_oracle():
     for r in primes_upto(150):
         if r < 5:
             continue
-        rep = split_2_in_Qplus(r)
+        rep = split_2_in_Qplus(build_field(r))
         f = rep.primes[0][1]
         assert all(e == 1 for e, _ in rep.primes), r
         assert all(fi == f for _, fi in rep.primes), r
@@ -64,11 +66,11 @@ def test_split_2_in_quadratic_table():
 
 
 def test_split_2_in_Kplus_examples():
-    rep = split_2_in_Kplus(2, 5)
+    rep = split_2_in_Kplus(2, build_field(5))
     assert rep.primes == ((2, 2),) and rep.unique
-    rep = split_2_in_Kplus(5, 7)
+    rep = split_2_in_Kplus(5, build_field(7))
     assert rep.primes == ((1, 6),) and rep.unique and rep.inert
-    rep = split_2_in_Kplus(5, 5)
+    rep = split_2_in_Kplus(5, build_field(5))
     assert rep.primes == ((1, 2), (1, 2)) and not rep.unique
 
 
@@ -76,8 +78,9 @@ def test_split_2_in_Kplus_degree_and_consistency():
     for d in (2, 3, 5, 6, 7, 10, 11, 13, 17):
         quad = split_2_in_quadratic(d)
         for r in (5, 7, 11, 13):
-            base = split_2_in_Qplus(r)
-            rep = split_2_in_Kplus(d, r)
+            field = build_field(r)
+            base = split_2_in_Qplus(field)
+            rep = split_2_in_Kplus(d, field)
             assert rep.field_degree == r - 1
             assert sum(e * f for e, f in rep.primes) == r - 1
             # If 2 already splits in the quadratic field or in Q+, the
@@ -94,7 +97,7 @@ def test_split_2_in_Kplus_against_global_oracle():
             expected = oracles.quad_tower_splitting(d, r)
             if expected is None:
                 continue  # no Dedekind certificate for this generator
-            got = sorted(split_2_in_Kplus(d, r).primes)
+            got = sorted(split_2_in_Kplus(d, build_field(r)).primes)
             assert got == expected, (d, r, got, expected)
             checked += 1
             shapes.add(tuple(expected))
@@ -106,32 +109,33 @@ def test_split_2_in_Kplus_against_global_oracle():
 
 
 def test_split_r_in_Qplus():
-    rep = split_r_in_Qplus(5)
+    rep = split_r_in_Qplus(build_field(5))
     assert rep.rational_prime == 5 and rep.primes == ((2, 1),) and rep.unique
-    rep = split_r_in_Qplus(7)
+    rep = split_r_in_Qplus(build_field(7))
     assert rep.primes == ((3, 1),)
     for r in [x for x in primes_upto(60) if x >= 5]:
-        rep = split_r_in_Qplus(r)
+        rep = split_r_in_Qplus(build_field(r))
         assert rep.primes == (((r - 1) // 2, 1),)
         assert sum(e * f for e, f in rep.primes) == (r - 1) // 2
 
 
 def test_check_r_inert_in_quadratic():
-    assert check_r_inert_in_quadratic(2, 5) is True  # (2|5) = -1
-    assert check_r_inert_in_quadratic(2, 7) is False  # 2 = 3^2 mod 7
-    assert check_r_inert_in_quadratic(5, 7) is True  # squares mod 7: {1,2,4}
-    assert check_r_inert_in_quadratic(5, 5) is None  # r | d: r ramifies
-    assert check_r_inert_in_quadratic(14, 7) is None
+    assert check_r_inert_in_quadratic(2, build_field(5)) is True  # (2|5) = -1
+    assert check_r_inert_in_quadratic(2, build_field(7)) is False  # 2 = 3^2 mod 7
+    assert check_r_inert_in_quadratic(5, build_field(7)) is True  # squares mod 7: {1,2,4}
+    assert check_r_inert_in_quadratic(5, build_field(5)) is None  # r | d: r ramifies
+    assert check_r_inert_in_quadratic(14, build_field(7)) is None
 
 
-def test_check_r_inert_matches_legendre_oracle():
-    # Exhaustive square tables as the independent route.
-    for r in (5, 7, 11, 13):
-        squares = {(x * x) % r for x in range(1, r)}
-        for d in range(2, 40):
-            if d % r == 0:
-                continue
-            assert check_r_inert_in_quadratic(d, r) == (d % r not in squares), (d, r)
+@pytest.mark.parametrize("r", PRIMES)
+def test_check_r_inert_matches_legendre_oracle(r):
+    # Exhaustive square tables as the independent route of Euler's
+    # criterion, for every a in -r..2r: None on the multiples of r.
+    field = build_field(r)
+    squares = {x * x % r for x in range(1, r)}
+    for a in range(-r, 2 * r):
+        expected = None if a % r == 0 else a % r not in squares
+        assert check_r_inert_in_quadratic(a, field) == expected, (a, r)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 17])
@@ -146,7 +150,7 @@ def test_the_quadratic_fiber_is_computed_once_per_op(monkeypatch, d):
         return real_fiber(d, f, residue_field)
 
     monkeypatch.setattr(splitting, "_quadratic_fiber", counting)
-    rep = split_2_in_Kplus(d, 31)
+    rep = split_2_in_Kplus(d, build_field(31))
     assert calls == [5]
     assert rep.primes == tuple(sorted(real_fiber(d, 5, lambda: F2Field(5)) * 3))
 
@@ -181,16 +185,16 @@ def test_a_split_r_builds_its_fiber_field_only_for_d_1_mod_4(monkeypatch):
     real_f2field = splitting.F2Field
     monkeypatch.setattr(splitting, "F2Field", lambda f: built.append(f) or real_f2field(f))
     for d in (2, 3, 6, 7):
-        assert split_2_in_Kplus(d, 31).primes == ((2, 5),) * 3
+        assert split_2_in_Kplus(d, build_field(31)).primes == ((2, 5),) * 3
     assert built == []
-    assert split_2_in_Kplus(5, 31).primes == ((1, 10),) * 3
+    assert split_2_in_Kplus(5, build_field(31)).primes == ((1, 10),) * 3
     assert built == [5]
 
 
 _D_1_MOD_4 = [d for d in range(5, 60, 4) if is_squarefree(d)]
 
 
-@pytest.mark.parametrize("r", [r for r in primes_upto(199) if r >= 5])
+@pytest.mark.parametrize("r", PRIMES)
 def test_the_fiber_equals_the_least_irreducible_route_and_c_f_mod_2(r):
     field = build_field(r)
     (_, f), *_ = split_2_in_Qplus(field).primes

@@ -29,6 +29,8 @@ def test_two_shape_matches_sympy_factorization(r):
     assert list(field.two_shape()) == shape
     assert field.two_shape() is field.two_shape()  # memoized
     (f, count), = shape
+    # f is the order of 2 in (Z/r)^*/{±1}: sympy's order of 2 mod r, halved when even.
+    assert f == oracles.two_residue_degree(r)
     assert split_2_in_Qplus(field).primes == ((1, f),) * count
 
 
