@@ -8,7 +8,7 @@ modules themselves (`from rrpfermat.criteria import check_corollary_Q`,
 `from rrpfermat.cycfield import build_field`), and each CLI subcommand loads
 only the modules it runs.  The modules are:
 
-    numutil      the prime rule for r, the MAX_R bound, factoring, small helpers
+    numutil      the rules for r and d, with their bounds, factoring, small helpers
     intlinalg    exact integer and GF(2) linear algebra, resultants
     cycfield     exact arithmetic in Q(zeta_r + 1/zeta_r)
     ffpoly       GF(2)[x] and GF(2^f), distinct-degree factorization

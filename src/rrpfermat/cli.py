@@ -66,7 +66,7 @@ from .errors import (
     TableError,
     UnfactoredCofactorError,
 )
-from .numutil import DEFAULT_SMOOTHNESS_BOUND, MAX_R, check_prime_r
+from .numutil import DEFAULT_SMOOTHNESS_BOUND, MAX_D, MAX_R, check_prime_r, check_quadratic_d
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -74,10 +74,6 @@ EXIT_UNDETERMINED = 2
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
 EXIT_IOERR = 74  # sysexits EX_IOERR
-
-# Largest --d accepted: squarefreeness is decided by trial division up to
-# about d^(1/3) (numutil.is_squarefree), 10^4 divisions at this bound.
-MAX_D = 10**12
 
 # Largest --smoothness-bound accepted: the conductor support trial-divides
 # |x + y| by odd numbers and Phi(x, y) only by the 1 + 2rt, both up to
@@ -302,11 +298,8 @@ def shipped_q_list_path() -> str:
 
 def cmd_check_quad(args) -> int:
     from . import classnumber, criteria
-    from .splitting import check_quadratic_d
 
     _require_prime_r(args.r)
-    if args.d > MAX_D:
-        raise UsageError(f"--d {args.d}: desk-scale guard is d <= {MAX_D}")
     if args.d == 0:
         # The rational-base parity comes from the Maillet determinant: no table.
         if not args.theorem:
@@ -316,8 +309,10 @@ def cmd_check_quad(args) -> int:
         table = extra = None
     else:
         try:
-            check_quadratic_d(args.d)
-        except ValueError:
+            check_quadratic_d(args.d)  # tests the bound first; its message says which refused
+        except ValueError as exc:
+            if "exceeds MAX_D" in str(exc):
+                raise UsageError(f"--d {args.d}: desk-scale guard is d <= {MAX_D}")
             raise UsageError(f"--d {args.d}: must be a squarefree integer > 1 (or 0 with --theorem)")
         table = (_load_input("--hplus-table", args.hplus_table, classnumber.load_hplus_table)
                  if args.hplus_table is not None else classnumber.load_hplus_table())

@@ -8,8 +8,8 @@ condition for which only a necessary criterion is computable, never turns
 into a pass.  Checks are pure functions of their inputs, so identical calls
 yield identical verdicts and range scans can run in any order.
 
-Each check takes r and builds its RealCyclotomicField once (build_field,
-which checks r); every layer below takes that field, not r.
+Each check builds its field once (build_field, which checks r) and checks d
+once (numutil.check_quadratic_d); every layer below takes the two.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from . import classnumber, galoisring, splitting
 from .cycfield import build_field
-from .numutil import MAX_R, primes_upto
+from .numutil import MAX_R, check_quadratic_d, primes_upto
 
 PASS = "pass"
 FAIL = "fail"
@@ -130,7 +130,7 @@ def check_corollary_quad(d: int, r: int, table=None) -> Verdict:
     The Legendre-symbol inertness of r in Q(sqrt(d)) is recorded as a
     diagnostic; it is not one of the gates."""
     field = build_field(r)
-    # split_2_in_Kplus refuses a d that is not a squarefree integer > 1.
+    check_quadratic_d(d)
     report = splitting.split_2_in_Kplus(d, field)
     conditions = []
 
@@ -203,7 +203,7 @@ def check_four_hypotheses(base_d: int, r: int, table=None) -> Verdict:
         r_inert = Condition("r inert in K", PASS, {"base": "Q", "note": "trivial for K = Q"})
         report = splitting.split_2_in_Qplus(field)
     else:
-        # split_2_in_Kplus refuses a base_d that is not a squarefree integer > 1.
+        check_quadratic_d(base_d)
         report = splitting.split_2_in_Kplus(base_d, field)
         inert = splitting.check_r_inert_in_quadratic(base_d, field)
         if inert is None:

@@ -28,8 +28,8 @@ Barrett reduction).
 
 Everything is immutable after construction and every operation is a pure
 function, so values can be shared freely across threads.  Memoized field
-data (power sums, the splitting shape of 2, the residue field at 2) is a
-function of r alone, so a racing first computation stores an equal value.
+data (power sums, the residue field at 2) is a function of r alone, so a
+racing first computation stores an equal value.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class RealCyclotomicField:
         m: 0, the coefficient ring of its elements is Z.
     """
 
-    __slots__ = ("r", "degree", "psi", "_power_sums", "_two_shape", "_residue_field")
+    __slots__ = ("r", "degree", "psi", "_power_sums", "_residue_field")
     m = 0
 
     def __init__(self, r: int):
@@ -97,7 +97,6 @@ class RealCyclotomicField:
         self.psi = self._minimal_polynomial(self.degree)
         # zeta^k + zeta^-k in the theta basis, grown on demand (append-only).
         self._power_sums: list[CycInt] = []
-        self._two_shape: tuple[tuple[int, int], ...] | None = None
         self._residue_field: F2Field | None = None
 
     @staticmethod
@@ -159,7 +158,7 @@ class RealCyclotomicField:
         """The splitting of 2 in Q(theta) as sorted (residue degree, count)
         pairs: ((f, d/f),) with f the order of 2 in (Z/r)^*/{±1}, the least
         f >= 1 with 2^f = ±1 mod r, found by stepping 2^f mod r (at most d
-        multiplications).  Memoized per field.
+        multiplications).
 
         Why: 2 is unramified in Q(zeta_r), and its Frobenius in
         Gal(Q(zeta_r)/Q) = (Z/r)^* is 2 itself.  Q(theta) is the fixed field
@@ -176,31 +175,29 @@ class RealCyclotomicField:
         distinct-degree shape of psi_r mod 2 must be ((f, d/f),); it is the
         splitting of 2 because disc(psi_r) is odd (a power of r), so
         Z[theta] is 2-maximal and Dedekind's criterion applies."""
-        if self._two_shape is None:
-            from . import ffpoly  # GF(2) code, which a frey process never runs
+        from . import ffpoly  # GF(2) code, which a frey process never runs
 
-            r, x, f = self.r, 2, 1
-            while x != 1 and x != r - 1:
-                x = 2 * x % r
-                f += 1
-            shape = ((f, self.degree // f),)
-            if f == self.degree:
-                try:
-                    self.residue_field_at_2()
-                except ValueError as exc:
-                    raise ConsistencyError(
-                        f"r = {self.r}: 2 has order {f} = (r-1)/2 in (Z/r)^*/{{±1}}, "
-                        f"but the Berlekamp rank of psi_r mod 2 disagrees ({exc})"
-                    ) from exc
-            else:
-                ddf = tuple(ffpoly.ddf_degrees(ffpoly.f2_from_coeffs(self.psi)))
-                if ddf != shape:
-                    raise ConsistencyError(
-                        f"r = {self.r}: the order of 2 gives the shape {list(shape)}, "
-                        f"the DDF of psi_r mod 2 {list(ddf)}"
-                    )
-            self._two_shape = shape
-        return self._two_shape
+        r, x, f = self.r, 2, 1
+        while x != 1 and x != r - 1:
+            x = 2 * x % r
+            f += 1
+        shape = ((f, self.degree // f),)
+        if f == self.degree:
+            try:
+                self.residue_field_at_2()
+            except ValueError as exc:
+                raise ConsistencyError(
+                    f"r = {self.r}: 2 has order {f} = (r-1)/2 in (Z/r)^*/{{±1}}, "
+                    f"but the Berlekamp rank of psi_r mod 2 disagrees ({exc})"
+                ) from exc
+        else:
+            ddf = tuple(ffpoly.ddf_degrees(ffpoly.f2_from_coeffs(self.psi)))
+            if ddf != shape:
+                raise ConsistencyError(
+                    f"r = {self.r}: the order of 2 gives the shape {list(shape)}, "
+                    f"the DDF of psi_r mod 2 {list(ddf)}"
+                )
+        return shape
 
     def residue_field_at_2(self) -> F2Field:
         """GF(2^d) = GF(2)[t]/(psi_r mod 2), the residue field of the inert

@@ -13,14 +13,14 @@ base), with the same signed right-hand side.  Both the exhaustive
 enumeration and the closed-form congruence are evaluated and must agree;
 disagreement is an internal hard error.  The moduli 32 and 16 are the
 levels at which the two base-field cases are actually decided.  Both
-functions take the RealCyclotomicField, whose constructor has checked r.
+functions take the RealCyclotomicField, whose constructor has checked r,
+and a base_d of 0 or one that criteria has checked.
 """
 
 from __future__ import annotations
 
 from .cycfield import RealCyclotomicField
 from .errors import ConsistencyError, NotCoprimeError
-from .splitting import check_quadratic_d
 
 
 def _brute_force_system(modulus: int, check) -> bool:
@@ -60,7 +60,6 @@ def norm_necessary_condition(base_d: int, field: RealCyclotomicField) -> bool:
         if brute != closed:
             raise ConsistencyError("mod-32 square set disagrees with n mod 8")
         return brute
-    check_quadratic_d(base_d)
     if base_d % r == 0:
         raise NotCoprimeError(f"r = {r} divides d = {base_d}")
     d = base_d

@@ -1,8 +1,9 @@
 """Small integer-arithmetic helpers used throughout the package.
 
-check_prime_r is the one rule for the exponent r.  Only the field
-(cycfield.RealCyclotomicField) and the CLI run it: every function below the
-verdict engine takes a field, whose r has been checked.
+check_prime_r and check_quadratic_d are the one rules for the exponent r
+and a quadratic base d, each testing its bound first.  Only the field
+(cycfield.RealCyclotomicField) and the CLI run the r rule, only the verdict
+engine and the CLI the d rule: every function below takes checked values.
 
 trial_factor is the package's one integer factoriser: the Frey conductor,
 is_prime and the field's least primitive root all factor through it.  It
@@ -24,6 +25,10 @@ from .errors import ConsistencyError
 # Largest r the package accepts (the exact h_r^- is computed up to it); every
 # range and guard on r refers to this bound.
 MAX_R = 200
+
+# Largest quadratic base d accepted: squarefreeness is decided by trial
+# division up to about d^(1/3) (is_squarefree), 10^4 divisions at this bound.
+MAX_D = 10**12
 
 # Default bound up to which frey.conductor_support_outside_S trial-divides
 # the closed-form factors of Norm(ABC), and the CLI's --smoothness-bound
@@ -166,6 +171,15 @@ def check_prime_r(r: int) -> None:
         raise ValueError(f"r = {r} exceeds MAX_R = {MAX_R}")
     if r < 5 or not is_prime(r):
         raise ValueError(f"r = {r} must be a prime >= 5")
+
+
+def check_quadratic_d(d: int) -> None:
+    """The one rule for a real quadratic base Q(sqrt(d)): a squarefree
+    integer 1 < d <= MAX_D, the bound tested first (ValueError otherwise)."""
+    if d > MAX_D:
+        raise ValueError(f"d = {d} exceeds MAX_D = {MAX_D}")
+    if d <= 1 or not is_squarefree(d):
+        raise ValueError(f"d = {d} must be a squarefree integer > 1")
 
 
 def primes_upto(n: int) -> list[int]:

@@ -22,7 +22,9 @@ already in Q+, i.e. except for d = r = 1 mod 4, a case every criterion below
 excludes through r not dividing d.
 
 Each function here that needs r takes the RealCyclotomicField, whose
-constructor has checked r; none takes an int r or checks it again.
+constructor has checked r; none takes an int r or checks it again.  Each d
+is one that criteria has checked, except in split_2_in_quadratic, which no
+verdict reaches and which runs numutil.check_quadratic_d itself.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Callable, NamedTuple
 from .cycfield import RealCyclotomicField
 from .errors import ConsistencyError
 from .ffpoly import F2Field
-from .numutil import is_squarefree
+from .numutil import check_quadratic_d
 
 
 class _SplittingFields(NamedTuple):
@@ -78,20 +80,13 @@ class SplittingReport(_SplittingFields):
 def split_2_in_Qplus(field: RealCyclotomicField) -> SplittingReport:
     """Decomposition of 2 in Q(theta_r): unramified, (r-1)/(2f) primes of
     residue degree f, the order of 2 in (Z/r)^*/{±1}, read off the field's
-    memoized two_shape(), which checks it against the Berlekamp rank of
+    two_shape(), which checks it against the Berlekamp rank of
     psi_r mod 2 where 2 is inert and against its distinct-degree shape
     where 2 splits."""
     primes = []
     for deg, count in field.two_shape():
         primes.extend([(1, deg)] * count)
     return SplittingReport(2, field.degree, tuple(sorted(primes)))
-
-
-def check_quadratic_d(d: int):
-    """The one rule for a real quadratic base Q(sqrt(d)): d must be a
-    squarefree integer > 1 (ValueError otherwise)."""
-    if d <= 1 or not is_squarefree(d):
-        raise ValueError(f"d = {d} must be a squarefree integer > 1")
 
 
 def split_2_in_quadratic(d: int) -> SplittingReport:
@@ -144,7 +139,6 @@ def split_2_in_Kplus(d: int, field: RealCyclotomicField) -> SplittingReport:
     The fiber's GF(2^f) is the field's residue_field_at_2() where 2 is inert
     (f = (r-1)/2; two_shape() has built and rank-checked it already), and
     F2Field(f), built only if the fiber asks for it, where 2 splits."""
-    check_quadratic_d(d)
     base = split_2_in_Qplus(field)
     f = base.primes[0][1]
     residue_field = field.residue_field_at_2 if f == field.degree else lambda: F2Field(f)

@@ -275,6 +275,32 @@ def test_the_prime_rule_runs_once_per_call_path(monkeypatch, capsys, argv, runs)
     assert len(calls) == runs, calls
 
 
+@pytest.mark.parametrize("argv, runs, moduli", [
+    (("--d", "5", "--r", "13"), 2, []),
+    (("--theorem", "--d", "5", "--r", "13"), 2, [32]),
+    (("--theorem", "--d", "3", "--r", "7"), 2, [16]),
+    (("--theorem", "--d", "0", "--r", "31"), 0, []),
+])
+def test_the_d_rule_runs_twice_per_check_quad_op(monkeypatch, capsys, argv, runs, moduli):
+    """The d rule runs in the CLI's usage check and once in criteria, and
+    in no layer below: not in splitting, and not in descent, whose residue
+    system (mod 32 for d = 5 mod 8, mod 16 for d = 2, 3 mod 4) each
+    --theorem op with d != 0 reaches.  Only the rule calls
+    numutil.is_squarefree, so its calls count the rule's runs."""
+    import rrpfermat.descent
+
+    calls, reached = [], []
+    real = numutil.is_squarefree
+    monkeypatch.setattr(numutil, "is_squarefree", lambda n: calls.append(n) or real(n))
+    real_system = rrpfermat.descent._brute_force_system
+    monkeypatch.setattr(rrpfermat.descent, "_brute_force_system",
+                        lambda modulus, check: reached.append(modulus) or real_system(modulus, check))
+    code, _, err = run(capsys, "check-quad", *argv)
+    assert code in (EXIT_PASS, EXIT_FAIL, EXIT_UNDETERMINED) and err == ""
+    assert len(calls) == runs, calls
+    assert reached == moduli
+
+
 def test_frey_degenerate_is_usage_error(capsys):
     """ABC = 0 meets the conductor first; its usage error keeps the
     invariants' wording, and stdout stays empty."""

@@ -68,10 +68,11 @@ def test_norm_necessary_condition_guards():
         norm_necessary_condition(5, build_field(5))
     with pytest.raises(ValueError):
         norm_necessary_condition(17, build_field(5))  # d = 1 mod 8: no unique prime
-    with pytest.raises(ValueError):
-        norm_necessary_condition(12, build_field(5))  # not squarefree
-    with pytest.raises(ValueError, match="squarefree integer > 1"):
-        norm_necessary_condition(1, build_field(5))  # refused by the d rule, not as 1 mod 8
+    # norm_necessary_condition takes a checked base_d: its only caller
+    # refuses a d that is not a squarefree integer > 1, even 1 = 1 mod 8.
+    for d in (12, 1):
+        with pytest.raises(ValueError, match="squarefree integer > 1"):
+            check_four_hypotheses(d, 5)
     with pytest.raises(ValueError):
         check_four_hypotheses(0, 9)  # its only caller refuses r where it builds the field
 

@@ -81,6 +81,15 @@ def test_only_numutil_tests_primality_or_takes_integer_square_roots():
             assert not _named(path) & {"is_prime", "isqrt"}, path.name
 
 
+def test_only_numutil_tests_squarefreeness():
+    # numutil.check_quadratic_d is the one caller of is_squarefree: the
+    # verdict engine and the CLI run the rule, and every layer below takes
+    # a checked d, so no other module names the test.
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "numutil.py":
+            assert "is_squarefree" not in _named(path), path.name
+
+
 def test_only_the_field_and_the_cli_run_the_prime_rule():
     # A checked r is a RealCyclotomicField: its constructor runs
     # numutil.check_prime_r, the CLI runs it for its usage message, and every

@@ -5,7 +5,12 @@ ValueError in well under a second, without reaching the primality test
 inspect.signature, so a new entry point cannot miss the bound.  Below the
 verdict engine every function takes a RealCyclotomicField, whose
 constructor applies the bound, so the exact set of functions with an r is
-small and named here."""
+small and named here.
+
+A quadratic base d has the same contract: the entry points that check d
+refuse a huge d before the squarefree test (trial division to d^(1/3)),
+and every function below them takes a checked d, so it returns or raises
+in well under a second without a squarefree test."""
 
 import importlib
 import inspect
@@ -15,6 +20,7 @@ import time
 import pytest
 
 import rrpfermat
+from rrpfermat.cycfield import build_field
 
 HUGE = 10**30 + 57
 
@@ -36,10 +42,10 @@ def _modules():
             yield importlib.import_module(f"rrpfermat.{info.name}")
 
 
-def _entry_points():
+def _entry_points(names=("r", "p")):
     """(name, callable, parameter) for every public function, and every
     public class that is not a record, defined in rrpfermat with a parameter
-    named r or p."""
+    of one of the given names."""
     found = []
     for module in _modules():
         short = module.__name__.split(".", 1)[1]
@@ -52,7 +58,7 @@ def _entry_points():
                 params = inspect.signature(obj).parameters
             except ValueError:  # a class with a built-in constructor (a dict subclass)
                 continue
-            for param in ("r", "p"):
+            for param in names:
                 if param in params:
                     found.append((f"{short}.{name}", obj, param))
     return found
@@ -92,4 +98,56 @@ def test_a_huge_prime_parameter_is_refused_before_the_primality_test(monkeypatch
     t0 = time.monotonic()
     with pytest.raises(ValueError, match=f"{HUGE} exceeds MAX_R"):
         fn(**kwargs)
+    assert time.monotonic() - t0 < 1.0
+
+
+D_ENTRY_POINTS = _entry_points(("d", "base_d"))
+
+# The entry points that run numutil.check_quadratic_d; every other function
+# with a d takes a checked one.
+CHECKS_D = {
+    "criteria.check_corollary_quad",
+    "criteria.check_four_hypotheses",
+    "numutil.check_quadratic_d",
+    "splitting.split_2_in_quadratic",
+}
+
+# Values for the other required parameters of the functions with a d.
+D_OTHER_ARGS = {"r": 13, "field": build_field(13)}
+
+
+def test_the_search_finds_the_known_functions_of_d():
+    names = {name for name, _, _ in D_ENTRY_POINTS}
+    assert names == CHECKS_D | {
+        "classnumber.h_plus_parity",
+        "descent.norm_necessary_condition",
+        "splitting.check_r_inert_in_quadratic",
+        "splitting.split_2_in_Kplus",
+    }
+
+
+@pytest.mark.parametrize("name, fn, param", D_ENTRY_POINTS, ids=[entry[0] for entry in D_ENTRY_POINTS])
+def test_a_huge_d_is_refused_or_taken_without_the_squarefree_test(monkeypatch, name, fn, param):
+    def no_squarefree_test(n):
+        raise AssertionError(f"{name}: is_squarefree({n}) ran")
+
+    for module in _modules():
+        if hasattr(module, "is_squarefree"):
+            monkeypatch.setattr(module, "is_squarefree", no_squarefree_test)
+    kwargs = {}
+    for pname, spec in inspect.signature(fn).parameters.items():
+        if pname == param:
+            kwargs[pname] = HUGE
+        elif spec.default is inspect.Parameter.empty:
+            assert pname in D_OTHER_ARGS, f"{name}: add a value for {pname} to D_OTHER_ARGS"
+            kwargs[pname] = D_OTHER_ARGS[pname]
+    t0 = time.monotonic()
+    if name in CHECKS_D:
+        with pytest.raises(ValueError, match=f"{HUGE} exceeds MAX_D"):
+            fn(**kwargs)
+    else:
+        try:
+            fn(**kwargs)
+        except ValueError:
+            pass
     assert time.monotonic() - t0 < 1.0
