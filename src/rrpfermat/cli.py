@@ -43,16 +43,15 @@ and reported; a larger leftover is first offered to strong Miller-Rabin,
 which proves any prime below 3317044064679887385961981 (checked by a strong
 Lucas test).  A leftover that neither step proves prime is an unfactored
 conductor cofactor: it exits 70 before the invariants or any certificate
-are computed, so a refused op prints nothing on stdout.  A
-singular model (ABC = 0) is a usage error with one message, which the
-conductor and the invariants share.
+are computed, so a refused op prints nothing on stdout.  frey_curve is the
+one check of x and y: a pair that is not coprime, and a singular model
+(ABC = 0), are usage errors that it raises before any later step runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -341,8 +340,6 @@ def cmd_frey(args) -> int:
     for name, value in (("x", args.x), ("y", args.y)):
         if abs(value) > MAX_FREY_XY:
             raise UsageError(f"--{name} {value}: desk-scale guard is |{name}| <= {MAX_FREY_XY}")
-    if math.gcd(args.x, args.y) != 1:
-        raise UsageError(f"--x {args.x} --y {args.y}: gcd must be 1")
     try:
         k1, k2, k3 = (int(tok) for tok in args.k.split(","))
     except ValueError:
@@ -354,6 +351,8 @@ def cmd_frey(args) -> int:
     t0 = time.monotonic()
     try:
         curve = frey.frey_curve(field, args.x, args.y, k1, k2, k3)
+    except NotCoprimeError:
+        raise UsageError(f"--x {args.x} --y {args.y}: gcd must be 1")
     except ValueError as exc:
         raise UsageError(str(exc))
     # The conductor is the only step that refuses a valid input (exit 70), so

@@ -7,8 +7,9 @@ inputs of Freitas's recipe over Q; the curve is built for every such pair,
 not only for genuine solutions of x^r + y^r = z^p: the algebraic identities
 (A + B + C = 0, the invariant formulas, pairwise coprimality of the f_k
 outside r) hold for every coprime pair, which is what can be exercised at
-desk scale.  frey_curve checks x and y once, and the conductor, the
-coprimality certificate and the invariants read the curve it returns.
+desk scale.  frey_curve checks (x, y) and ABC once: a FreyCurve is a
+coprime, nonsingular curve, and the conductor, the coprimality certificate
+and the invariants read it and check neither again.
 
 The conductor support outside {2, r} comes from trial division
 (numutil.trial_factor, the package's one integer factoriser) of the
@@ -26,8 +27,9 @@ X^3 + (B - A) X^2 - AB X):
     c4    = 2^4 (A^2 + AB + B^2)   ( = -2^4 (AB + BC + CA) = -2^4 (AB - C^2) )
     j     = -2^8 (AB + BC + CA)^3 / (ABC)^2
 
-stored with j as an exact numerator/denominator pair and tied together by
-the cross-multiplied identity c4^3 * j_den = j_num * Delta.
+stored with j as an exact numerator/denominator pair.  c4 and Delta are
+each checked against a second route, the model's a-invariants a2 = B - A
+and a4 = -AB: c4 = 16 (a2^2 - 3 a4) and Delta = 16 a4^2 (a2^2 - 4 a4).
 """
 
 from __future__ import annotations
@@ -46,14 +48,10 @@ from .intlinalg import row_lattice_index
 from .numutil import DEFAULT_SMOOTHNESS_BOUND, strip_factor, trial_factor
 
 
-# ABC = 0 (N(ABC) = 0): raised by both invariants and the conductor, so the
-# CLI prints the same usage error whichever of them meets it first.
-SINGULAR_MODEL = "ABC = 0: singular model, j undefined"
-
-
 class FreyCurve(NamedTuple):
-    """The one record of a rational Frey input: x, y as checked by
-    frey_curve, and what the later steps read of them."""
+    """The one record of a rational Frey input: a coprime pair x, y whose
+    model is nonsingular (ABC != 0), as checked by frey_curve, and what the
+    later steps read of them."""
     field: RealCyclotomicField
     k: tuple[int, int, int]
     x: int
@@ -77,14 +75,13 @@ class FreyInvariants(NamedTuple):
 
 def frey_curve(field: RealCyclotomicField, x: int, y: int, k1: int, k2: int, k3: int) -> FreyCurve:
     """The curve for coprime rational integers x, y.  The inputs are checked
-    here and nowhere after: TypeError unless both are int, ValueError when
-    both are 0, NotCoprimeError when gcd(x, y) != 1, then the k checks of
-    alpha_beta_gamma.  The curve keeps Phi(x, y), A * B and A * B * C, so
+    here and nowhere after: TypeError unless both are int, NotCoprimeError
+    when gcd(x, y) != 1 (the pair 0, 0 among them), then the k checks of
+    alpha_beta_gamma, and DegenerateCurveError when ABC = 0 (x + y = 0 with
+    0 among the k).  The curve keeps Phi(x, y), A * B and A * B * C, so
     each is computed once per curve."""
     if not isinstance(x, int) or not isinstance(y, int):
         raise TypeError("the Frey curve takes rational integers x, y")
-    if x == 0 and y == 0:
-        raise ValueError("x and y cannot both be zero")
     if math.gcd(x, y) != 1:
         raise NotCoprimeError(f"gcd({x}, {y}) != 1")
     alpha, beta, gamma = alpha_beta_gamma(field, k1, k2, k3)
@@ -94,23 +91,26 @@ def frey_curve(field: RealCyclotomicField, x: int, y: int, k1: int, k2: int, k3:
     if not (a + b + c).is_zero():
         raise ConsistencyError("A + B + C != 0; construction is broken")
     ab = a * b
-    return FreyCurve(field, (k1, k2, k3), x, y, a, b, c, _phi(x, y, field.r), ab, ab * c)
+    abc = ab * c
+    if abc.is_zero():
+        raise DegenerateCurveError("ABC = 0: singular model, j undefined")
+    return FreyCurve(field, (k1, k2, k3), x, y, a, b, c, _phi(x, y, field.r), ab, abc)
 
 
 def invariants(curve: FreyCurve) -> FreyInvariants:
     """The invariants of a built curve, from the products it keeps.  As
-    A + B + C = 0 (checked by frey_curve), AB + BC + CA = AB - C^2."""
-    abc = curve.ABC
-    if abc.is_zero():
-        raise DegenerateCurveError(SINGULAR_MODEL)
+    A + B + C = 0 (checked by frey_curve), AB + BC + CA = AB - C^2.  The
+    a-invariants a2 = B - A, a4 = -AB give c4 and Delta a second time, and
+    a disagreement raises ConsistencyError."""
     s = curve.AB - curve.C * curve.C
-    j_den = abc * abc
-    delta = 16 * j_den
-    c4 = -16 * s
-    j_num = -256 * s * s * s
-    if not (c4 * c4 * c4 * j_den == j_num * delta):
-        raise ConsistencyError("c4^3 != j * Delta; invariant computation broken")
-    return FreyInvariants(delta=delta, c4=c4, j_num=j_num, j_den=j_den)
+    j_den = curve.ABC * curve.ABC
+    a2, a4 = curve.B - curve.A, -curve.AB
+    a2_squared = a2 * a2
+    if -s != a2_squared - 3 * a4:
+        raise ConsistencyError("c4 disagrees with 16 (a2^2 - 3 a4)")
+    if j_den != a4 * a4 * (a2_squared - 4 * a4):
+        raise ConsistencyError("Delta disagrees with 16 a4^2 (a2^2 - 4 a4)")
+    return FreyInvariants(delta=16 * j_den, c4=-16 * s, j_num=-256 * s * s * s, j_den=j_den)
 
 
 # -- coprimality of the quadratic factors ------------------------------------
@@ -284,14 +284,10 @@ def conductor_support_outside_S(curve: FreyCurve, smoothness_bound: int = DEFAUL
     UnfactoredCofactorError (with the product of the leftovers, each to its
     power in Norm(ABC)) instead of passing silently.
 
-    A singular model, N(ABC) = 0, raises DegenerateCurveError with the
-    message `invariants` gives it (SINGULAR_MODEL): the CLI runs this step
-    before the invariants, and the exit-64 text names the condition, not
-    the step that met it."""
+    The curve is nonsingular (frey_curve refuses ABC = 0), so Norm(ABC) is
+    not 0."""
     field, r = curve.field, curve.field.r
-    n = abs(field.norm(curve.ABC))
-    if n == 0:
-        raise DegenerateCurveError(SINGULAR_MODEL)
+    n = field.norm(curve.ABC)
     x_plus_y = _outside_2_r(curve.x + curve.y, r)
     phi = _outside_2_r(curve.phi, r)
     e0 = r - 1 if 0 in curve.k else 0

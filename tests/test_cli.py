@@ -232,8 +232,8 @@ def test_frey_guards(capsys):
 
 
 def test_frey_non_coprime_is_usage_error(capsys):
-    """The CLI's own gcd gate runs ahead of frey_curve's, so its text is the
-    one printed."""
+    """frey_curve is the one gcd check; the CLI turns its NotCoprimeError
+    into a usage error that names both flags."""
     code, out, err = run(capsys, "frey", "--r", "5", "--x", "6", "--y", "3", "--json")
     assert code == EXIT_USAGE
     assert out == ""
@@ -302,14 +302,26 @@ def test_the_d_rule_runs_twice_per_check_quad_op(monkeypatch, capsys, argv, runs
 
 
 def test_frey_degenerate_is_usage_error(capsys):
-    """ABC = 0 meets the conductor first; its usage error keeps the
-    invariants' wording, and stdout stays empty."""
+    """ABC = 0 is refused by frey_curve, before any later step runs, and
+    stdout stays empty."""
     for argv in (("--r", "5", "--x", "1", "--y", "-1"),
                  ("--r", "7", "--x", "1", "--y", "-1", "--k", "0,1,2", "--json")):
         code, out, err = run(capsys, "frey", *argv)
         assert code == EXIT_USAGE, argv
         assert err == "usage error: ABC = 0: singular model, j undefined\n"
         assert out == ""
+
+
+def test_frey_with_x_plus_y_zero_and_no_f0_is_a_curve(capsys):
+    """x + y = 0 makes f_0 zero, but with --k 1,2,3 f_0 is not on the curve:
+    the model is nonsingular and the op reports it."""
+    code, out, err = run(capsys, "frey", "--r", "7", "--x", "1", "--y", "-1",
+                         "--k", "1,2,3", "--json")
+    assert (code, err) == (EXIT_PASS, "")
+    report = json.loads(out)
+    assert report["A_plus_B_plus_C"] == [0, 0, 0]
+    assert report["j_den"] != [0, 0, 0]
+    assert report["coprimality_ok"] and report["conductor_support_outside_S"] == []
 
 
 def test_frey_unfactored_cofactor(capsys):

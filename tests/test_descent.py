@@ -1,9 +1,10 @@
 import pytest
 
+from rrpfermat import descent
 from rrpfermat.criteria import check_four_hypotheses
 from rrpfermat.cycfield import build_field
 from rrpfermat.descent import norm_necessary_condition, signed_norm_of_pi_r
-from rrpfermat.errors import NotCoprimeError
+from rrpfermat.errors import ConsistencyError, NotCoprimeError
 from rrpfermat.galoisring import is_square_pi_r
 from rrpfermat.numutil import primes_upto
 from rrpfermat.splitting import split_2_in_Qplus
@@ -85,6 +86,16 @@ def test_residue_system_agreement_grid():
             if r < 5 or d % r == 0 or d % 8 == 1:
                 continue
             norm_necessary_condition(d, build_field(r))
+
+
+def test_an_enumeration_that_disagrees_with_the_closed_form_is_refused(monkeypatch):
+    # Inverting the enumeration breaks the residue-system route once, for
+    # d = 5 mod 8 (mod 32) and for d = 2, 3 mod 4 (mod 16).
+    real = descent._brute_force_system
+    monkeypatch.setattr(descent, "_brute_force_system", lambda modulus, check: not real(modulus, check))
+    for d in (5, 2, 3):
+        with pytest.raises(ConsistencyError, match=f"^residue system \\(d={d}, r=13\\)"):
+            norm_necessary_condition(d, build_field(13))
 
 
 def test_soundness_link_square_implies_norm_survives():

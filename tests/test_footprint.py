@@ -99,6 +99,40 @@ def test_only_the_field_and_the_cli_run_the_prime_rule():
             assert "check_prime_r" not in _named(path), path.name
 
 
+def _raises(path: Path, name: str) -> list[str]:
+    """The function (or class) around each `raise name` or `raise name(...)`
+    in a module, one entry per raise."""
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == name:
+                    found.append(getattr(top, "name", "<module>"))
+    return found
+
+
+# Each `raise ConsistencyError` is a place where two routes meet or a
+# post-condition is checked; a new cross-check lands with its row here.
+CONSISTENCY_CHECKS = {"classnumber": 4, "cycfield": 2, "descent": 2, "ffpoly": 5,
+                      "frey": 6, "galoisring": 4, "numutil": 1, "splitting": 2}
+
+
+def test_every_consistency_check_is_in_the_ledger():
+    counts = {path.stem: len(_raises(path, "ConsistencyError"))
+              for path in sorted(PACKAGE.glob("*.py"))}
+    assert {m: n for m, n in counts.items() if n} == CONSISTENCY_CHECKS
+
+
+def test_frey_curve_is_the_one_check_of_a_frey_input():
+    # frey_curve refuses a pair that is not coprime and a singular model,
+    # once each; the CLI maps the refusal and runs no gcd of its own.
+    assert "gcd" not in _named(PACKAGE / "cli.py")
+    assert _raises(PACKAGE / "frey.py", "NotCoprimeError") == ["frey_curve"]
+    assert _raises(PACKAGE / "frey.py", "DegenerateCurveError") == ["frey_curve"]
+
+
 def test_importing_the_cli_leaves_dataclasses_unloaded():
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     code = "import sys, rrpfermat.cli; print('dataclasses' in sys.modules)"

@@ -79,8 +79,6 @@ def test_invariants_against_weierstrass_oracle_random():
             x, y = random_coprime_pair(rng)
             ks = rng.sample(idx, 3)
             cur = frey_curve(f, x, y, *ks)
-            if (cur.A * cur.B * cur.C).is_zero():
-                continue
             inv = invariants(cur)
             c4_o, delta_o = oracles.weierstrass_c4_delta(cur.A, cur.B)
             assert inv.c4 == c4_o, (r, x, y, ks)
@@ -92,15 +90,31 @@ def test_invariants_against_weierstrass_oracle_random():
 
 
 def test_degenerate_curve():
-    # x = 1, y = -1 sends f_0 to 0, so A = 0.  The conductor and the
-    # invariants raise with one message, so the CLI's exit-64 text does not
-    # depend on which of them runs first.
+    # x = 1, y = -1 sends f_0 to 0, so A = 0: frey_curve refuses the
+    # singular model, and no later step is handed it.
     for r in (5, 7):
-        cur = frey_curve(build_field(r), 1, -1, 0, 1, 2)
-        for step in (conductor_support_outside_S, invariants):
-            with pytest.raises(DegenerateCurveError) as exc:
-                step(cur)
-            assert str(exc.value) == "ABC = 0: singular model, j undefined", (r, step)
+        with pytest.raises(DegenerateCurveError) as exc:
+            frey_curve(build_field(r), 1, -1, 0, 1, 2)
+        assert str(exc.value) == "ABC = 0: singular model, j undefined", r
+
+
+def test_each_invariant_is_checked_against_the_a_invariants(capsys, monkeypatch):
+    # c4 and Delta each meet a second route from a2 = B - A and a4 = -AB:
+    # a wrong C breaks the c4 route, a wrong ABC the Delta route.
+    curve = frey_curve(build_field(7), 3, 2, 0, 1, 2)
+    invariants(curve)
+    with pytest.raises(ConsistencyError, match="^c4 disagrees"):
+        invariants(curve._replace(C=curve.C + 1))
+    with pytest.raises(ConsistencyError, match="^Delta disagrees"):
+        invariants(curve._replace(ABC=curve.ABC + 1))
+    # The conductor reads neither C nor A, B: the CLI meets the broken c4
+    # route in the invariants, and exits 70.
+    real = frey.frey_curve
+    monkeypatch.setattr(frey, "frey_curve", lambda *args: (c := real(*args))._replace(C=c.C + 1))
+    code = cli.main(["frey", "--r", "7", "--x", "3", "--y", "2", "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (cli.EXIT_INTERNAL, "")
+    assert captured.err == "error: c4 disagrees with 16 (a2^2 - 3 a4)\n"
 
 
 def test_a_curve_multiplies_A_B_C_once(monkeypatch):
@@ -139,21 +153,37 @@ def test_coprimality_examples():
     assert rep.ok  # every f_k = 1: vacuous
 
 
+def _certify(f, x, y):
+    """The coprimality report for (x, y), or None where the pair builds no
+    curve.  x + y = 0 sends f_0 to 0, so every curve with 0 among its k is
+    singular: at r >= 7 the pair is built with k = 1, 2, 3 (the report
+    covers every f_k, f_0 among them), and at r = 5, where every k triple
+    holds 0, frey_curve's refusal is asserted."""
+    if x + y:
+        return coprimality_check(frey_curve(f, x, y, 0, 1, 2))
+    if f.degree < 3:
+        with pytest.raises(DegenerateCurveError, match="^ABC = 0"):
+            frey_curve(f, x, y, 0, 1, 2)
+        return None
+    return coprimality_check(frey_curve(f, x, y, 1, 2, 3))
+
+
 def test_coprimality_random_pairs():
     rng = random.Random(4321)
     for r in (5, 7, 11, 13):
         f = build_field(r)
         for _ in range(50):
             x, y = random_coprime_pair(rng)
-            assert coprimality_check(frey_curve(f, x, y, 0, 1, 2)).ok, (r, x, y)
+            report = _certify(f, x, y)
+            assert report is None or report.ok, (r, x, y)
 
 
 def test_coprimality_pairs_match_the_all_rows_ideal_norm():
     rng = random.Random(2024)
     for r in (5, 7, 11, 13, 17, 19, 23):
         f = build_field(r)
-        # (1, -1) makes f_0 zero, which then adds no rows; (1, 0) makes every
-        # f_k a unit; ((r + 1)/2, (r - 1)/2) has r | x + y, so every f_k lies
+        # (1, -1) makes f_0 zero, which then adds no rows (and builds no curve
+        # at r = 5); (1, 0) makes every f_k a unit; ((r + 1)/2, (r - 1)/2) has r | x + y, so every f_k lies
         # in the prime above r.
         cases = [(1, -1), (1, 0), (2, 1), (3, -2), ((r + 1) // 2, (r - 1) // 2)]
         cases += [random_coprime_pair(rng) for _ in range(6)]
@@ -163,8 +193,8 @@ def test_coprimality_pairs_match_the_all_rows_ideal_norm():
                 (i, j, strip_factor(oracles.ideal_norm(f, [values[i], values[j]]), r))
                 for i, j in combinations(range(len(values)), 2)
             ]
-            report = coprimality_check(frey_curve(f, x, y, 0, 1, 2))
-            assert list(report.pairs) == expected, (r, x, y)
+            report = _certify(f, x, y)
+            assert report is None or list(report.pairs) == expected, (r, x, y)
 
 
 def _fold(t, r):
@@ -191,8 +221,8 @@ def test_coprimality_takes_one_lattice_index_per_galois_orbit(r, monkeypatch):
     f = build_field(r)
     for x, y in [(1, -1), (1, 0), (3, 2), ((r + 1) // 2, (r - 1) // 2)]:
         calls.clear()
-        coprimality_check(frey_curve(f, x, y, 0, 1, 2))
-        assert len(calls) == f.degree // 2 + 1, (r, x, y)
+        report = _certify(f, x, y)
+        assert len(calls) == (f.degree // 2 + 1 if report else 0), (r, x, y)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -259,19 +289,20 @@ def test_conductor_checks_the_norm_against_the_closed_form(monkeypatch):
 
 
 def test_frey_curve_takes_coprime_rational_integers():
-    # The curve gates its inputs once, in this order; the conductor and the
-    # coprimality certificate read them from the curve.
+    # The curve gates its inputs once, in this order: types, gcd (which
+    # refuses 0, 0 too), the k, the singular model; the conductor, the
+    # invariants and the coprimality certificate read them from the curve.
     f5 = build_field(5)
     for x in (f5.theta, f5.one):
         with pytest.raises(TypeError):
             frey_curve(f5, x, 1, 0, 1, 2)
     with pytest.raises(TypeError):
         frey_curve(f5, 0, f5.theta, 0, 0, 1)
-    with pytest.raises(ValueError, match="both be zero"):
-        frey_curve(f5, 0, 0, 0, 0, 1)
-    for x, y in ((6, 3), (2, 2), (0, 2)):
+    for x, y in ((6, 3), (2, 2), (0, 2), (0, 0)):
         with pytest.raises(NotCoprimeError, match=f"gcd\\({x}, {y}\\) != 1"):
             frey_curve(f5, x, y, 0, 0, 1)
+    with pytest.raises(ValueError, match="must be distinct"):
+        frey_curve(f5, 1, -1, 0, 0, 1)
 
 
 def test_conductor_support_examples():
