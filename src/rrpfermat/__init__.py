@@ -14,7 +14,7 @@ only the modules it runs.  The modules are:
     ffpoly       GF(2)[x] and GF(2^f), distinct-degree factorization
     galoisring   GR(2^n, f) and the exact 2-adic unit square root
     splitting    decomposition of 2 and r in Q+ and in Q(sqrt(d), theta)
-    classnumber  Maillet-determinant h^- parity, external h+ table
+    classnumber  exact h^- with its Maillet-matrix checks, external h+ table
     frey         the curve Y^2 = X(X-A)(X+B), invariants, coprimality, conductor
     descent      norm-residue obstructions to pi_r being a square
     criteria     tri-state verdict engine and range scans

@@ -50,18 +50,19 @@ Two independent routes check the result:
   det M = r^((r-3)/2) det M''; Bareiss over Z must give
   det M'' = (-1)^((r-3)/2) h_r^-.
 
-A mismatch in either is a ConsistencyError.  maillet_h_minus,
-maillet_parity_rows and h_plus_parity take the RealCyclotomicField, whose
-constructor has checked r, and check it no more.
+A mismatch in either is a ConsistencyError.  maillet_h_minus and
+maillet_parity_rows take the RealCyclotomicField, whose constructor has
+checked r, and check it no more.  maillet_h_minus returns the integer
+h_r^-; the verdict engine (criteria) reads its parity.
 
 For quadratic base fields no desk-scale algorithm is implemented; parity of
 h+ for the compositum is read from an attested external table shipped as
-data (see data/hplus_parity.txt), and a missing entry is reported as
-undetermined rather than assumed.  load_hplus_table reads a table file once
-and records the SHA-256 of exactly the bytes it parsed.  The shipped table's
-path is built from this module's __file__ (_SHIPPED_TABLE), as the
-package's data lies on disk beside it; no importlib.resources lookup runs
-per load.
+data (see data/hplus_parity.txt).  criteria looks up the (d, r) entry itself
+and reports a missing one as undetermined rather than assumed.
+load_hplus_table reads a table file once and records the SHA-256 of exactly
+the bytes it parsed.  The shipped table's path is built from this module's
+__file__ (_SHIPPED_TABLE), as the package's data lies on disk beside it; no
+importlib.resources lookup runs per load.
 """
 
 from __future__ import annotations
@@ -76,20 +77,11 @@ from .numutil import Slots
 
 ODD = "odd"
 EVEN = "even"
-UNDETERMINED = "undetermined"
 
 # Largest r whose signed value is checked by Bareiss on the 30x30 M'' (about
 # 1 ms); past it Bareiss grows as m^3 (51 ms at r = 199) and the parity check
 # alone guards the result.
 BAREISS_CHECK_MAX_R = 61
-
-
-class HMinusResult(NamedTuple):
-    r: int
-    h_minus: int
-    parity: str
-    determinant: int
-    scaling_exponent: int
 
 
 class HPlusTableEntry(NamedTuple):
@@ -99,7 +91,7 @@ class HPlusTableEntry(NamedTuple):
     source: str
 
 
-def maillet_h_minus(field: RealCyclotomicField) -> HMinusResult:
+def maillet_h_minus(field: RealCyclotomicField) -> int:
     """Exact h_r^- for the field's r as r |Res(x^m + 1, Qbar)| /
     ((1 + g^m) 2^(m-1)), g = field.least_primitive_root(), with its parity
     checked against the GF(2) determinant of M mod 2 and, for
@@ -126,8 +118,8 @@ def maillet_h_minus(field: RealCyclotomicField) -> HMinusResult:
             f"GF(2) determinant of the Maillet matrix for r = {r} disagrees "
             f"with the parity of h^- = {h_minus}"
         )
-    exponent = (r - 3) // 2
     if r <= BAREISS_CHECK_MAX_R:
+        exponent = (r - 3) // 2
         reduced = [inverses]
         reduced += [[-(a * c // r) for c in inverses] for a in range(2, m + 1)]
         det_reduced = bareiss_det(reduced)
@@ -136,13 +128,7 @@ def maillet_h_minus(field: RealCyclotomicField) -> HMinusResult:
                 f"Bareiss gives det M'' = {det_reduced} for r = {r}, not "
                 f"(-1)^{exponent} * h^- with h^- = {h_minus}"
             )
-    return HMinusResult(
-        r=r,
-        h_minus=h_minus,
-        parity=ODD if h_minus % 2 else EVEN,
-        determinant=(-r) ** exponent * h_minus,
-        scaling_exponent=exponent,
-    )
+    return h_minus
 
 
 def maillet_parity_rows(field: RealCyclotomicField, inverses: list[int]) -> list[int]:
@@ -214,33 +200,3 @@ def table_digest(data: bytes) -> str:
     import hashlib  # only a table load hashes; the other commands never load it
 
     return hashlib.sha256(data).hexdigest()
-
-
-def h_plus_parity(
-    base_d: int, field: RealCyclotomicField, table: HPlusTable | None = None
-) -> tuple[str, dict]:
-    """Parity of h+ of the real field attached to (base_d, field.r), plus
-    evidence.
-
-    base_d = 0 means the rational base: the parity is that of h_r^- from the
-    Maillet determinant.  Other bases are looked up in the table (the
-    shipped one when none is given); a missing entry yields ("undetermined",
-    ...) so that no criterion can silently treat absence of data as a pass.
-    """
-    r = field.r
-    if base_d == 0:
-        res = maillet_h_minus(field)
-        return res.parity, {
-            "method": "maillet-h-minus",
-            "h_minus": str(res.h_minus),
-            "scaling_exponent": res.scaling_exponent,
-        }
-    if table is None:
-        table = load_hplus_table()
-    entry = table.get((base_d, r))
-    if entry is None:
-        return UNDETERMINED, {
-            "method": "external-table",
-            "missing_entry": f"d={base_d} r={r}",
-        }
-    return entry.parity, {"method": "external-table", "source": entry.source}

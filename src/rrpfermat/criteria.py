@@ -10,6 +10,10 @@ yield identical verdicts and range scans can run in any order.
 
 Each check builds its field once (build_field, which checks r) and checks d
 once (numutil.check_quadratic_d); every layer below takes the two.
+
+The h+ parity condition is built here from the code that decides it: over
+Q from the integer classnumber.maillet_h_minus returns, over Q(sqrt(d))
+from the (d, r) entry of the h+ table (classnumber.load_hplus_table).
 """
 
 from __future__ import annotations
@@ -67,17 +71,27 @@ class Verdict(NamedTuple):
         }
 
 
-def _parity_condition(base_d: int, field, table) -> Condition:
-    parity, evidence = classnumber.h_plus_parity(base_d, field, table)
-    if parity == classnumber.ODD:
-        status = PASS
-    elif parity == classnumber.EVEN:
-        status = FAIL
-    else:
-        status = UNDETERMINED
-    evidence = dict(evidence)
-    evidence["parity"] = parity
-    return Condition("h+ parity", status, evidence)
+def _maillet_parity(field) -> Condition:
+    """(iii) over Q: h+ is odd when h_r^- is (see classnumber)."""
+    h_minus = classnumber.maillet_h_minus(field)
+    parity = classnumber.ODD if h_minus % 2 else classnumber.EVEN
+    return Condition("h+ parity", PASS if h_minus % 2 else FAIL, {
+        "method": "maillet-h-minus", "h_minus": str(h_minus),
+        "scaling_exponent": field.degree - 1, "parity": parity})
+
+
+def _table_parity(d: int, field, table) -> Condition:
+    """(iii) over Q(sqrt(d)): the (d, r) entry of the h+ table, the shipped
+    one when none is given; a missing entry is undetermined, never a pass."""
+    if table is None:
+        table = classnumber.load_hplus_table()
+    entry = table.get((d, field.r))
+    if entry is None:
+        return Condition("h+ parity", UNDETERMINED, {
+            "method": "external-table", "missing_entry": f"d={d} r={field.r}",
+            "parity": UNDETERMINED})
+    return Condition("h+ parity", PASS if entry.parity == classnumber.ODD else FAIL, {
+        "method": "external-table", "source": entry.source, "parity": entry.parity})
 
 
 def _unique_prime_above_2(report) -> Condition:
@@ -115,7 +129,7 @@ def check_corollary_Q(r: int) -> Verdict:
         )
     )
 
-    conditions.append(_parity_condition(0, field, None))
+    conditions.append(_maillet_parity(field))
 
     diagnostics = {}
     if report.inert:
@@ -149,7 +163,7 @@ def check_corollary_quad(d: int, r: int, table=None) -> Verdict:
         )
     )
     conditions.append(_unique_prime_above_2(report))
-    conditions.append(_parity_condition(d, field, table))
+    conditions.append(_table_parity(d, field, table))
 
     inert = splitting.check_r_inert_in_quadratic(d, field)
     diagnostics = {"r_inert_in_K": "r divides d" if inert is None else inert}
@@ -202,6 +216,7 @@ def check_four_hypotheses(base_d: int, r: int, table=None) -> Verdict:
     if base_d == 0:
         r_inert = Condition("r inert in K", PASS, {"base": "Q", "note": "trivial for K = Q"})
         report = splitting.split_2_in_Qplus(field)
+        parity = _maillet_parity(field)
     else:
         check_quadratic_d(base_d)
         report = splitting.split_2_in_Kplus(base_d, field)
@@ -214,12 +229,9 @@ def check_four_hypotheses(base_d: int, r: int, table=None) -> Verdict:
                 PASS if inert else FAIL,
                 {"legendre_d_mod_r": -1 if inert else 1},
             )
-    conditions = (
-        r_inert,
-        _unique_prime_above_2(report),
-        _parity_condition(base_d, field, table),
-        _condition_iv(base_d, field, report),
-    )
+        parity = _table_parity(base_d, field, table)
+    conditions = (r_inert, _unique_prime_above_2(report), parity,
+                  _condition_iv(base_d, field, report))
     return Verdict("four-hypotheses", base_d, r, conditions, {})
 
 

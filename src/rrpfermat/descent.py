@@ -9,12 +9,14 @@ the obstruction vanishes; indeed pi_7 really is a square mod P^5, verified
 exhaustively.  Base Q: n must be an odd square mod 32, i.e. n = 1 mod 8.
 Base Q(sqrt(d)): a two-equation system over (Z/32)^2 (d = 5 mod 8, where 2
 is inert in the base) or (Z/16)^2 (d = 2, 3 mod 4, where 2 ramifies in the
-base), with the same signed right-hand side.  Both the exhaustive
-enumeration and the closed-form congruence are evaluated and must agree;
-disagreement is an internal hard error.  The moduli 32 and 16 are the
-levels at which the two base-field cases are actually decided.  Both
-functions take the RealCyclotomicField, whose constructor has checked r,
-and a base_d of 0 or one that criteria has checked.
+base), with the same signed right-hand side.  For all three systems the
+exhaustive enumeration (the one enumerator _brute_force_system) and the
+closed-form congruence are evaluated and must agree; disagreement is an
+internal hard error.  The moduli 32 and 16 are the levels at which the two
+base-field cases are actually decided.  Both functions take the
+RealCyclotomicField, whose constructor has checked r, and a base_d of 0 or
+one that criteria has checked; d = 1 mod 8 (2 splits in the base) and a d
+divisible by 4 are refused with ValueError.
 """
 
 from __future__ import annotations
@@ -52,18 +54,20 @@ def norm_necessary_condition(base_d: int, field: RealCyclotomicField) -> bool:
     any disagreement raises ConsistencyError.
     """
     r, n = field.r, signed_norm_of_pi_r(field)
-    if base_d == 0:
-        # The norm of a square is an odd square mod 2^5, and the odd squares
-        # mod 32 are exactly {1, 9, 17, 25}, the residues = 1 mod 8.
-        brute = any((v * v - n) % 32 == 0 for v in range(32))
-        closed = n % 8 == 1
-        if brute != closed:
-            raise ConsistencyError("mod-32 square set disagrees with n mod 8")
-        return brute
-    if base_d % r == 0:
-        raise NotCoprimeError(f"r = {r} divides d = {base_d}")
     d = base_d
-    if d % 8 == 5:
+    if d == 0:
+        # The norm of a square is an odd square mod 2^5, and the odd squares
+        # mod 32 are exactly {1, 9, 17, 25}, the residues = 1 mod 8; v = a
+        # is a rational integer, so b stays 0.
+        brute = _brute_force_system(32, lambda a, b: b == 0 and (a * a - n) % 32 == 0)
+        closed = n % 8 == 1
+    elif d % r == 0:
+        raise NotCoprimeError(f"r = {r} divides d = {d}")
+    elif d % 8 == 1:
+        raise ValueError(
+            f"d = {d} = 1 mod 8: 2 splits in the base field, no unique prime"
+        )
+    elif d % 8 == 5:
         # 2 inert in the base; v = a + b(1+sqrt(d))/2, norms taken mod 32.
         half = (d - 1) // 4
         brute = _brute_force_system(
@@ -81,9 +85,7 @@ def norm_necessary_condition(base_d: int, field: RealCyclotomicField) -> bool:
         )
         closed = n % 8 == 1 or n % 8 == d % 8
     else:
-        raise ValueError(
-            f"d = {d} = 1 mod 8: 2 splits in the base field, no unique prime"
-        )
+        raise ValueError(f"d = {d} is divisible by 4: not a squarefree base")
     if brute != closed:
         raise ConsistencyError(
             f"residue system (d={d}, r={r}): enumeration {brute} vs closed form {closed}"

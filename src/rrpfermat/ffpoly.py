@@ -155,6 +155,7 @@ def least_irreducible(f: int) -> int:
     for cand in range(1 << f, 1 << (f + 1)):
         if _ben_or_irreducible(cand):
             return cand
+    # Guards an invariant (GF(2) has irreducibles of every degree), not a second route.
     raise ConsistencyError("unreachable: irreducibles exist in every degree")
 
 

@@ -258,7 +258,7 @@ def gr_sqrt(u: GaloisRingElem) -> GaloisRingElem | None:
     # s = lift(root) mod 2 throughout, so root_inv inverts every residue of s.
     for k in range(3, ring.n):
         rem = ring.div_pow2(ring.sub(packed_u, ring.mul_packed(s, s)), k)
-        if rem is None:
+        if rem is None:  # guards the Hensel invariant s^2 = u mod 2^k, not a second route
             raise ConsistencyError("u - s^2 is not divisible by 2^k")
         t = fld.mul(ring.residue(rem), root_inv)
         s = ring.add(s, ring.lift(t) << (k - 1))

@@ -6,14 +6,12 @@ import pytest
 from rrpfermat.classnumber import (
     EVEN,
     ODD,
-    UNDETERMINED,
-    h_plus_parity,
     load_hplus_table,
     maillet_h_minus,
     maillet_parity_rows,
     table_digest,
 )
-from rrpfermat.criteria import check_four_hypotheses
+from rrpfermat.criteria import FAIL, PASS, UNDETERMINED, check_corollary_quad, check_four_hypotheses
 from rrpfermat.cycfield import build_field
 from rrpfermat.errors import TableError
 from rrpfermat.numutil import MAX_R, primes_upto
@@ -23,11 +21,8 @@ from fixtures import H_MINUS, Q_LIST
 
 
 def test_maillet_small_values():
-    res = maillet_h_minus(build_field(5))
-    assert res.h_minus == 1 and res.determinant in (5, -5)
-    assert res.scaling_exponent == 1
-    res = maillet_h_minus(build_field(7))
-    assert res.h_minus == 1 and abs(res.determinant) == 49
+    assert maillet_h_minus(build_field(5)) == 1
+    assert maillet_h_minus(build_field(7)) == 1
 
 
 def test_maillet_guards():
@@ -50,9 +45,7 @@ def test_packed_parity_rows_match_the_maillet_matrix():
 
 def test_maillet_matches_frozen_fixtures():
     for r, expected in H_MINUS.items():
-        res = maillet_h_minus(build_field(r))
-        assert res.h_minus == expected, r
-        assert res.parity == (ODD if expected % 2 else EVEN)
+        assert maillet_h_minus(build_field(r)) == expected, r
 
 
 def test_analytic_oracle_matches_fixtures_live():
@@ -62,41 +55,35 @@ def test_analytic_oracle_matches_fixtures_live():
         assert oracles.h_minus_analytic(r) == H_MINUS[r], r
 
 
-def test_exact_scaling_divides_for_all_r():
-    # The Maillet determinant is r^((r-3)/2) * h^- up to sign for every prime
-    # r <= 150; the scaling holds by construction of the r-reduced matrix.
-    for r in primes_upto(150):
-        if r < 5:
-            continue
-        res = maillet_h_minus(build_field(r))
-        assert abs(res.determinant) == r**res.scaling_exponent * res.h_minus, r
-
-
 def test_parity_odd_on_the_passing_list():
     for r in Q_LIST:
-        assert maillet_h_minus(build_field(r)).parity == ODD, r
+        assert maillet_h_minus(build_field(r)) % 2 == 1, r
 
 
 def test_h29_even():
-    res = maillet_h_minus(build_field(29))
-    assert res.h_minus == 8 and res.parity == EVEN
+    assert maillet_h_minus(build_field(29)) == 8
 
 
 def test_h_plus_parity_rational_base():
-    parity, ev = h_plus_parity(0, build_field(37))
-    assert parity == ODD and ev["method"] == "maillet-h-minus"
-    parity, _ = h_plus_parity(0, build_field(29))
-    assert parity == EVEN
+    cond = check_four_hypotheses(0, 37).condition("h+ parity")
+    assert cond.status == PASS and cond.evidence["parity"] == ODD
+    assert cond.evidence["method"] == "maillet-h-minus"
+    assert list(cond.evidence) == ["method", "h_minus", "scaling_exponent", "parity"]
+    cond = check_four_hypotheses(0, 29).condition("h+ parity")
+    assert cond.status == FAIL and cond.evidence["parity"] == EVEN
+    assert cond.evidence["h_minus"] == "8" and cond.evidence["scaling_exponent"] == 13
 
 
 def test_h_plus_parity_table_paths():
     table = load_hplus_table()
     assert table[(2, 5)].parity == ODD
     assert {(2, 5), (2, 7), (2, 11), (2, 13), (5, 7), (5, 11)} == set(table)
-    parity, ev = h_plus_parity(2, build_field(5), table)
-    assert parity == ODD and "source" in ev
-    parity, ev = h_plus_parity(7, build_field(11), table)
-    assert parity == UNDETERMINED and ev["missing_entry"] == "d=7 r=11"
+    cond = check_corollary_quad(2, 5, table).condition("h+ parity")
+    assert cond.status == PASS and cond.evidence["parity"] == ODD
+    assert list(cond.evidence) == ["method", "source", "parity"]
+    cond = check_corollary_quad(7, 11, table).condition("h+ parity")
+    assert cond.status == UNDETERMINED and cond.evidence == {
+        "method": "external-table", "missing_entry": "d=7 r=11", "parity": "undetermined"}
 
 
 def test_table_parsing_errors(tmp_path):

@@ -279,13 +279,13 @@ def test_the_prime_rule_runs_once_per_call_path(monkeypatch, capsys, argv, runs)
     (("--d", "5", "--r", "13"), 2, []),
     (("--theorem", "--d", "5", "--r", "13"), 2, [32]),
     (("--theorem", "--d", "3", "--r", "7"), 2, [16]),
-    (("--theorem", "--d", "0", "--r", "31"), 0, []),
+    (("--theorem", "--d", "0", "--r", "31"), 0, [32]),
 ])
 def test_the_d_rule_runs_twice_per_check_quad_op(monkeypatch, capsys, argv, runs, moduli):
     """The d rule runs in the CLI's usage check and once in criteria, and
     in no layer below: not in splitting, and not in descent, whose residue
-    system (mod 32 for d = 5 mod 8, mod 16 for d = 2, 3 mod 4) each
-    --theorem op with d != 0 reaches.  Only the rule calls
+    system (mod 32 for d = 5 mod 8 and for d = 0 where 2 is not inert, mod
+    16 for d = 2, 3 mod 4) each such --theorem op reaches.  Only the rule calls
     numutil.is_squarefree, so its calls count the rule's runs."""
     import rrpfermat.descent
 

@@ -67,8 +67,13 @@ def test_norm_necessary_condition_quadratic_examples():
 def test_norm_necessary_condition_guards():
     with pytest.raises(NotCoprimeError):
         norm_necessary_condition(5, build_field(5))
-    with pytest.raises(ValueError):
-        norm_necessary_condition(17, build_field(5))  # d = 1 mod 8: no unique prime
+    with pytest.raises(ValueError, match="^d = 17 = 1 mod 8: 2 splits in the base field, no unique prime$"):
+        norm_necessary_condition(17, build_field(5))
+    # 2 splits in Q(sqrt(d)) only for d = 1 mod 8; a d divisible by 4 is no
+    # checked base, and the refusal says so.
+    for d in (12, 4):
+        with pytest.raises(ValueError, match=f"^d = {d} is divisible by 4: not a squarefree base$"):
+            norm_necessary_condition(d, build_field(5))
     # norm_necessary_condition takes a checked base_d: its only caller
     # refuses a d that is not a squarefree integer > 1, even 1 = 1 mod 8.
     for d in (12, 1):
@@ -89,11 +94,11 @@ def test_residue_system_agreement_grid():
 
 
 def test_an_enumeration_that_disagrees_with_the_closed_form_is_refused(monkeypatch):
-    # Inverting the enumeration breaks the residue-system route once, for
-    # d = 5 mod 8 (mod 32) and for d = 2, 3 mod 4 (mod 16).
+    # Inverting the one enumerator breaks the residue-system route of every
+    # base once: Q (mod 32), d = 5 mod 8 (mod 32) and d = 2, 3 mod 4 (mod 16).
     real = descent._brute_force_system
     monkeypatch.setattr(descent, "_brute_force_system", lambda modulus, check: not real(modulus, check))
-    for d in (5, 2, 3):
+    for d in (0, 5, 2, 3):
         with pytest.raises(ConsistencyError, match=f"^residue system \\(d={d}, r=13\\)"):
             norm_necessary_condition(d, build_field(13))
 

@@ -119,7 +119,6 @@ D_OTHER_ARGS = {"r": 13, "field": build_field(13)}
 def test_the_search_finds_the_known_functions_of_d():
     names = {name for name, _, _ in D_ENTRY_POINTS}
     assert names == CHECKS_D | {
-        "classnumber.h_plus_parity",
         "descent.norm_necessary_condition",
         "splitting.check_r_inert_in_quadratic",
         "splitting.split_2_in_Kplus",

@@ -1,9 +1,9 @@
 """The routes to h_r^-: the resultant of x^m + 1 and Qbar with the closed-form
 sign (the implementation) against Bareiss on the full Maillet matrix (the
 oracle), the GF(2) parity check that maillet_h_minus runs on every call, and
-the Bareiss check of the signed value that it runs for r <= 61.  The
-resultant by packed conjugates equals the subresultant reference on the
-real Qbar at every prime."""
+the Bareiss check of the signed value that it runs for r <= 61, and its
+post-condition h^- >= 1.  The resultant by packed conjugates equals the
+subresultant reference on the real Qbar at every prime."""
 
 import pytest
 
@@ -22,10 +22,12 @@ PRIMES = [r for r in primes_upto(199) if r >= 5]
 
 @pytest.mark.parametrize("r", PRIMES)
 def test_reduced_determinant_equals_full_maillet_determinant(r):
+    # The Carlitz-Olson sign: det M = (-r)^((r-3)/2) * h^-, with M the full
+    # Maillet matrix of the oracle.
     full = oracles.maillet_matrix(r)
-    res = maillet_h_minus(build_field(r))
-    assert res.determinant == bareiss_det(full)
-    assert gf2_det(oracles.packed_mod2(full)) == res.h_minus % 2
+    h_minus = maillet_h_minus(build_field(r))
+    assert (-r) ** ((r - 3) // 2) * h_minus == bareiss_det(full)
+    assert gf2_det(oracles.packed_mod2(full)) == h_minus % 2
 
 
 @pytest.mark.parametrize("r", PRIMES)
@@ -70,6 +72,18 @@ def test_inexact_quotient_raises_past_the_bareiss_range(monkeypatch):
         maillet_h_minus(build_field(199))
 
 
+def test_a_quotient_below_one_raises_and_exits_70(monkeypatch, capsys):
+    # A zero resultant divides exactly and gives h^- = 0, which no class
+    # number is; the post-condition h^- >= 1 refuses it before the parity.
+    monkeypatch.setattr(classnumber, "negacyclic_resultant", lambda q: 0)
+    with pytest.raises(ConsistencyError, match="h\\^- computed as 0 < 1"):
+        maillet_h_minus(build_field(29))
+    code = main(["check-q", "--r", "29"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL
+    assert captured.err.startswith("error:") and "< 1" in captured.err
+
+
 def test_bareiss_disagreement_raises(monkeypatch):
     monkeypatch.setattr(classnumber, "bareiss_det", lambda rows: -bareiss_det(rows))
     with pytest.raises(ConsistencyError, match="Bareiss"):
@@ -88,5 +102,5 @@ def test_bareiss_checks_only_up_to_its_bound(monkeypatch):
         maillet_h_minus(build_field(r))
     assert len(calls) == 16 and max(calls) == 30
     calls.clear()
-    assert maillet_h_minus(build_field(199)).h_minus == 18844055286602530802019847012721555487
+    assert maillet_h_minus(build_field(199)) == 18844055286602530802019847012721555487
     assert calls == []
